@@ -59,11 +59,10 @@ def type_permutation(mat_rows: tuple[int, ...], k: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def gl2_type_permutations(k: int) -> np.ndarray:
     """(|GL(k,2)|, 2^k) array: row g maps type index x to image under g."""
-    mats = gl2_matrices(k)
-    table = np.zeros((len(mats), 1 << k), dtype=np.uint8)
-    for g, rows in enumerate(mats):
-        table[g] = type_permutation(rows, k)
-    return table
+    rows = np.array(gl2_matrices(k), dtype=np.uint8)[:, :, None]
+    parity = np.bitwise_count(rows & np.arange(1 << k, dtype=np.uint8)) & 1
+    shift = np.arange(k, dtype=np.uint8)[:, None]
+    return (parity << shift).sum(axis=1, dtype=np.uint8)
 
 
 def _canonical_counts_backtrack(counts: tuple[int, ...], k: int) -> tuple[int, ...]:

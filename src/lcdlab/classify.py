@@ -8,10 +8,12 @@ Two engines share one deduplication layer:
   a Walsh-Hadamard transform);
 * length/dimension extension: every [n, k, d] code with d >= 2 arises
   by adjoining a new coordinate and a generator row (1|v) to some
-  [n-1, k-1, d' >= d] code, with v ranging over cosets of the seed of
-  coset weight >= d-1.  The minimum weight of the extended code is
-  min(d_seed, 1 + coset weight), so filtering needs only the syndrome
-  table of the seed.
+  [n-1, k-1, d' >= d] code, with v of coset weight >= d-1.  Up to
+  equivalence v only matters through how many ones it puts on the seed
+  columns of each type, and every coset weight is linear in those
+  counts, so the extensions are scored over the seed's type-multiplicity
+  box; the extended code has minimum weight min(d_seed, 1 + coset
+  weight).
 
 Equivalence classes are orbits of multiplicity vectors under basis
 change; deduplication closes whole orbits at once for k <= 4 and falls
@@ -33,7 +35,6 @@ from .canonical import (GL_TABLE_CAP, canonical_counts, counts_key,
 from .code import LinearCode, TypeMultiplicity
 from .gf2 import BitMatrix, rref
 
-SYNDROME_BITS_CAP = 26
 DEFAULT_LIMIT = 20_000_000
 
 
@@ -241,97 +242,90 @@ def classify_by_columns(n: int, k: int, d: int, *,
     return _build_db(n, k, d, "columns", canon)
 
 
-# -- syndrome tables and extension ----------------------------------------------
+# -- extension over the seed's column-type box -----------------------------------
 
 
-def _systematic_checks(gen_rows: tuple[int, ...], n: int, k: int):
-    """Pivot/free positions and per-position syndrome columns of the dual."""
-    red = rref(BitMatrix(k, n, gen_rows))
-    if red.rank != k:
-        raise ValueError("seed generator is rank deficient")
-    rows = red.matrix.data
-    pivots = list(red.pivots)
-    pivot_set = set(pivots)
-    frees = [j for j in range(n) if j not in pivot_set]
-    col_synd = [0] * n
-    for q_idx, j in enumerate(frees):
-        col_synd[j] = 1 << q_idx
-    for i, p in enumerate(pivots):
-        acc = 0
-        for q_idx, j in enumerate(frees):
-            acc |= ((rows[i] >> j) & 1) << q_idx
-        col_synd[p] = acc
-    return frees, col_synd
+BOX_CHUNK = 1 << 16  # box rows scored per step; bounds the kernel's memory
 
 
-def _coset_leader_weights(col_synd: list[int], r: int) -> np.ndarray:
-    """Minimum number of positions XORing to each syndrome (BFS layers)."""
-    size = 1 << r
-    dist = np.full(size, 255, dtype=np.uint8)
-    dist[0] = 0
-    cols = np.unique(np.array([c for c in col_synd if c], dtype=np.uint32))
-    frontier = np.zeros(1, dtype=np.uint32)
-    w = 0
-    chunk = max(1, 4_000_000 // max(1, len(cols)))
-    while frontier.size:
-        w += 1
-        parts = []
-        for lo in range(0, frontier.size, chunk):
-            cand = (frontier[lo:lo + chunk, None] ^ cols[None, :]).ravel()
-            cand = cand[dist[cand] == 255]
-            if cand.size:
-                dist[cand] = w
-                parts.append(np.unique(cand))
-        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint32)
-    return dist
+def _box_rows(radix: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the box of vectors 0 <= x < radix, last entry fastest."""
+    idx = np.arange(lo, hi, dtype=np.int64)
+    out = np.empty((hi - lo, len(radix)), dtype=np.int32)
+    for j in range(len(radix) - 1, -1, -1):
+        idx, out[:, j] = np.divmod(idx, radix[j])
+    return out
 
 
 def _extend_seed(gen_rows: tuple[int, ...], n1: int, k1: int,
                  seed_d: int, d: int):
     """Candidate extensions of one seed: multiplicity vectors and exact
-    minimum weights of span((1|v), 0-prefixed seed rows), v over cosets of
-    weight >= d-1."""
-    r = n1 - k1
-    if r > SYNDROME_BITS_CAP:
-        raise ValueError(
-            f"syndrome table for redundancy {r} exceeds cap {SYNDROME_BITS_CAP}")
+    minimum weights of span((1|v), 0-prefixed seed rows), kept when the
+    minimum weight is >= d.
+
+    Up to equivalence, (1|v) depends only on x_st, the number of ones v
+    has among the c_st seed columns of type st, and
+    wt((1|v) + c_m) = 1 + const_m + sum_st sign[m, st] x_st with
+    const_m = sum_{m.st=1} c_st.  So the box 0 <= x <= c is scored one
+    chunk at a time, as an outer part times a fixed inner block.
+    Translating v by the codeword c_m complements x_st on the types with
+    m.st = 1, so capping x at c/2 on the k1 unit types of the reduced
+    seed keeps at least one translate of every coset.  Each kept row is
+    then replaced by the least of its translates, which merges the ties
+    at 2x = c; any translate is a valid candidate, so the choice only
+    decides how many duplicates reach deduplication.
+    """
     k = k1 + 1
-    frees, col_synd = _systematic_checks(gen_rows, n1, k1)
-    if r == 0:
-        synd = np.zeros(1, dtype=np.uint64)
-        w = np.zeros(1, dtype=np.int64)
-    else:
-        dist = _coset_leader_weights(col_synd, r)
-        sel = np.nonzero(dist >= d - 1)[0]
-        synd = sel.astype(np.uint64)
-        w = dist[sel].astype(np.int64)
-    minw = np.minimum(seed_d, 1 + w)
-    keep = minw >= d
-    synd, minw = synd[keep], minw[keep]
-    if not synd.size:
+    red = rref(BitMatrix(k1, n1, gen_rows))
+    if red.rank != k1:
+        raise ValueError("seed generator is rank deficient")
+    c = np.zeros(1 << k1, dtype=np.int64)
+    for j in range(n1):
+        c[red.matrix.column(j)] += 1
+    radix = c + 1
+    unit = 1 << np.arange(k1)  # the pivot columns' types
+    radix[unit] = c[unit] // 2 + 1
+    sign = _sign_matrix(k1).astype(np.int32)
+    flip = sign < 0  # translating v by c_m complements x on these types
+    const = flip.astype(np.int32) @ c.astype(np.int32)
+    place = np.cumprod(np.concatenate(([1], c[:0:-1] + 1)))[::-1]
+    types = np.flatnonzero(radix > 1)
+    split, size = len(types), 1
+    while split and size * radix[types[split - 1]] <= BOX_CHUNK:
+        split -= 1
+        size *= int(radix[types[split]])
+    outer, inner = types[:split], types[split:]
+    x_in = _box_rows(radix[inner], 0, size)
+    w_in = sign[:, inner] @ x_in.T  # (messages, inner rows)
+    total = int(np.prod(radix[outer]))
+    step = max(1, BOX_CHUNK // size)
+    hists, minws = [], []
+    for lo in range(0, total, step):
+        x_out = _box_rows(radix[outer], lo, min(lo + step, total))
+        w_out = sign[:, outer] @ x_out.T + const[:, None]
+        coset_w = w_out[0][:, None] + w_in[0][None, :]
+        for m in range(1, 1 << k1):
+            np.minimum(coset_w, w_out[m][:, None] + w_in[m][None, :], out=coset_w)
+        oi, ii = np.nonzero(coset_w >= d - 1)
+        if not oi.size:
+            continue
+        x = np.zeros((oi.size, 1 << k1), dtype=np.int64)
+        x[:, outer] = x_out[oi]
+        x[:, inner] = x_in[ii]
+        # least translate in mixed-radix order over the full box
+        trans = np.where(flip, c - x[:, None, :], x[:, None, :])
+        best = (trans @ place).argmin(axis=1)
+        x = trans[np.arange(oi.size), best]
+        hist = np.empty((oi.size, 1 << k), dtype=np.int16)
+        hist[:, 1::2] = x
+        hist[:, 0::2] = c - x
+        hist[:, 1] += 1  # the adjoined coordinate
+        hists.append(hist)
+        minws.append(np.minimum(seed_d, 1 + coset_w[oi, ii].astype(np.int64)))
+    if not hists:
         return (np.empty((0, 1 << k), dtype=np.int16),
                 np.empty(0, dtype=np.int64))
-    v = np.zeros(synd.shape, dtype=np.uint64)
-    for q_idx, pos in enumerate(frees):
-        v |= ((synd >> np.uint64(q_idx)) & np.uint64(1)) << np.uint64(pos)
-    # column types of the extended generator: new row is bit 0
-    seed_types = [0] * n1
-    for j in range(n1):
-        seed_types[j] = sum(((gen_rows[i] >> j) & 1) << i for i in range(k1))
-    hist = np.zeros((synd.size, 1 << k), dtype=np.int16)
-    for st in range(1 << k1):
-        mask = 0
-        for j in range(n1):
-            if seed_types[j] == st:
-                mask |= 1 << j
-        if not mask:
-            continue
-        tot = mask.bit_count()
-        ones = np.bitwise_count(v & np.uint64(mask)).astype(np.int16)
-        hist[:, (st << 1) | 1] += ones
-        hist[:, st << 1] += tot - ones
-    hist[:, 1] += 1  # the adjoined coordinate
-    return hist, minw
+    return np.concatenate(hists), np.concatenate(minws)
 
 
 def _seed_list(dbs) -> list[tuple[tuple[int, ...], int]]:

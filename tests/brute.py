@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 Nothing here shares enumeration logic with the package: subspaces are
-walked through their unique reduced-echelon generators, and equivalence
-is decided by trying every column permutation.
+walked through their unique reduced-echelon generators, one-step
+extensions through every vector of F2^n and every codeword, and
+equivalence is decided by trying every column permutation.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from lcdlab.canonical import canonical_counts
+from lcdlab.canonical import canonical_counts, counts_key
 from lcdlab.code import LinearCode
 from lcdlab.gf2 import BitMatrix, rref
 
@@ -73,3 +74,28 @@ def perm_equivalent(c1: LinearCode, c2: LinearCode) -> bool:
         if rref(BitMatrix(c1.k, n, rows)).matrix.data == target:
             return True
     return False
+
+
+def min_weight(rows) -> int:
+    """Least weight over every nonzero combination of the rows."""
+    words = [0]
+    for r in rows:
+        words += [w ^ r for w in words]
+    return min(bin(w).count("1") for w in words[1:])
+
+
+def extension_classes(gen_rows, n1: int, d: int) -> set[tuple[bytes, int]]:
+    """(class key, minimum weight) of span((1|v), 0-prefixed seed rows)
+    for every v in F2^n1 whose extension has minimum weight >= d."""
+    k = len(gen_rows) + 1
+    out = set()
+    for v in range(1 << n1):
+        rows = (1 | (v << 1),) + tuple(r << 1 for r in gen_rows)
+        w = min_weight(rows)
+        if w < d:
+            continue
+        counts = [0] * (1 << k)
+        for j in range(n1 + 1):
+            counts[sum(((r >> j) & 1) << i for i, r in enumerate(rows))] += 1
+        out.add((counts_key(n1 + 1, k, canonical_counts(tuple(counts), k)), w))
+    return out

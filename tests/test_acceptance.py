@@ -113,7 +113,7 @@ def test_criterion_6_classification_dims_4_5():
     fixture_groups = {4: dict(tables.DIM4_GENERATORS),
                       5: dict(tables.DIM5_GENERATORS)}
     with Timer("criterion 6: desk-scale classifications at dimensions 4, 5",
-               1800):
+               120):
         for n, k, d, want in ((22, 4, 11, 2), (23, 4, 12, 1),
                               (27, 4, 14, 1), (25, 5, 12, 8)):
             db = classify(n, k, d)

@@ -3,7 +3,9 @@ import pytest
 from lcdlab import tables
 from lcdlab.bounds import (closed_form_bound, d_all, griesmer_dmax,
                            known_lcd_d)
+from lcdlab.code import make_code
 from lcdlab.families import family_code, family_t_min
+from lcdlab.gf2 import BitMatrix
 
 
 def test_griesmer_examples():
@@ -50,6 +52,27 @@ def test_known_lcd_d_table_cells():
     for (n, k), want in tables.KNOWN_LCD_D.items():
         entry = known_lcd_d(n, k)
         assert entry.status == "exact" and entry.exact == want, (n, k, entry)
+
+
+def test_ledger_witness_23_6_10():
+    # found by search_lcd(23, 6, 10, SearchBudget(200_000, rng_seed=1))
+    rows = (6064873, 7410378, 3840140, 4398320, 8134400, 8380416)
+    code = make_code(BitMatrix(6, 23, rows))
+    assert (code.n, code.k, code.min_weight()) == (23, 6, 10)
+    assert code.is_lcd()
+    assert known_lcd_d(23, 6).exact == 10 == griesmer_dmax(23, 6)
+
+
+def test_ledger_nondecreasing_in_n():
+    # appending a zero column keeps a code LCD with the same d
+    for (n, k), d in tables.KNOWN_LCD_D.items():
+        if (n + 1, k) in tables.KNOWN_LCD_D:
+            assert tables.KNOWN_LCD_D[(n + 1, k)] >= d, (n, k)
+    for n in range(1, 60):
+        for k in range(1, n + 1):
+            here, longer = known_lcd_d(n, k), known_lcd_d(n + 1, k)
+            if here.status == longer.status == "exact":
+                assert longer.exact >= here.exact, (n, k)
 
 
 def test_known_le_griesmer():

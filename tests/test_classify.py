@@ -1,14 +1,31 @@
+import hashlib
 import os
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from brute import subspace_class_counts
+from brute import extension_classes, min_weight, subspace_class_counts
 from lcdlab.bounds import griesmer_dmax
-from lcdlab.classify import (_extend_all, classify,
+from lcdlab.canonical import canonical_counts, counts_key
+from lcdlab.classify import (_extend_all, _extend_seed, classify,
                              classify_by_columns, compositions,
                              extend_by_inverse_shortening, lcd_census)
 from lcdlab.code import make_code
-from lcdlab.gf2 import BitMatrix
+from lcdlab.gf2 import BitMatrix, rref
+
+# sha256 of the level files written by cold ladders (bench/golden.json)
+LADDER_DIGESTS = {
+    (22, 4, 11): {
+        "n21k3d11.codedb": "d122b6cbe313a7591d006af751fc60cf76bd755e52c1cb983fce32a5c8b3cdd6",
+        "n21k3d12.codedb": "9fbb730049a62c7e2fb82bd049e5a658733d5a13ed173510cd61db598c008c2b",
+        "n22k4d11.codedb": "06b10aefdd928a94783335665f02c78b6c0054ede5a5e5b4c27d9d6b1aad77c1",
+    },
+    (23, 4, 12): {
+        "n22k3d12.codedb": "689e40fbb9a2c86603b665739b9476c40c6430d54628ca627f1a463ff3d872a3",
+        "n23k4d12.codedb": "e80b686f7f763f30a1db284ef7a773b2af13ee25c186293d1282eb81cc86dbb5",
+    },
+}
 
 
 def test_compositions_shape_and_order():
@@ -68,6 +85,34 @@ def test_extension_21_3_11():
     assert levels[12].count == 1
     assert levels[11].keys() == classify_by_columns(21, 3, 11).keys()
     assert levels[12].keys() == classify_by_columns(21, 3, 12).keys()
+
+
+@st.composite
+def seeds(draw):
+    n1 = draw(st.integers(1, 10))
+    k1 = draw(st.integers(1, min(3, n1)))
+    rows = tuple(draw(st.integers(0, (1 << n1) - 1)) for _ in range(k1))
+    assume(rref(BitMatrix(k1, n1, rows)).rank == k1)
+    seed_d = min_weight(rows)
+    return rows, n1, k1, seed_d, draw(st.integers(1, seed_d))
+
+
+@given(seeds())
+@settings(max_examples=60, deadline=None)
+def test_extend_seed_matches_brute(seed):
+    rows, n1, k1, seed_d, d = seed
+    hist, minw = _extend_seed(rows, n1, k1, seed_d, d)
+    k = k1 + 1
+    assert hist.shape == (len(minw), 1 << k)
+    assert (hist.sum(axis=1) == n1 + 1).all()
+    got = {(counts_key(n1 + 1, k, canonical_counts(tuple(int(x) for x in h), k)), int(w))
+           for h, w in zip(hist, minw)}
+    assert got == extension_classes(rows, n1, d)
+
+
+def test_extend_seed_rejects_rank_deficient():
+    with pytest.raises(ValueError, match="rank"):
+        _extend_seed((0b0111, 0b0111), 4, 2, 3, 2)
 
 
 def test_extension_validates_seed_completeness():
@@ -131,6 +176,15 @@ def test_determinism_and_file_roundtrip(tmp_path):
     assert codedb_dumps(loaded).encode() == a
 
 
+def test_ladder_bytes_pinned(tmp_path):
+    for (n, k, d), digests in LADDER_DIGESTS.items():
+        db_dir = tmp_path / f"n{n}k{k}d{d}"
+        classify(n, k, d, db_dir=str(db_dir))
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in db_dir.iterdir()}
+        assert got == digests, (n, k, d)
+
+
 def test_jobs_parallel_determinism():
     seeds = [classify_by_columns(20, 2, dd) for dd in (11, 12, 13)]
     serial = _extend_all(seeds, 11, jobs=1)
@@ -146,10 +200,8 @@ def test_stretch_counts_near_griesmer():
     assert lcd_census(classify_by_columns(30, 4, 16)).lcd_count == 0
 
 
-@pytest.mark.skipif(not os.environ.get("LCDLAB_STRETCH"),
-                    reason="minutes-long stretch columns; set LCDLAB_STRETCH=1")
-def test_stretch_censuses():
-    db_dir = os.environ.get("LCDLAB_DB")  # resume across runs when set
+def test_stretch_censuses(tmp_path):
+    db_dir = os.environ.get("LCDLAB_DB") or str(tmp_path)  # resume when set
     for n, k, d, want in ((27, 5, 13, 1), (28, 5, 14, 1), (29, 5, 14, 9),
                           (30, 5, 15, 1), (30, 4, 15, 9)):
         census = lcd_census(classify(n, k, d, db_dir=db_dir))
