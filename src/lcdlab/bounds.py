@@ -130,13 +130,3 @@ def known_lcd_d(n: int, k: int) -> DTableEntry:
     if (n, k) in tables.KNOWN_LCD_D:
         return _exact(n, k, tables.KNOWN_LCD_D[(n, k)], "length-17-24-table")
     return DTableEntry(n, k, (), "unknown", "open")
-
-
-def d_all(n: int, k: int) -> int:
-    """Largest d for which an [n, k, d] code exists, found by classifying
-    downward from the Griesmer maximum."""
-    from .classify import classify_by_columns
-    for d in range(griesmer_dmax(n, k), 0, -1):
-        if classify_by_columns(n, k, d).count > 0:
-            return d
-    raise AssertionError("unreachable: repetition codes always exist")

@@ -9,8 +9,7 @@ over basis images with prefix pruning (cheap invariants first would not
 help here: the prefix compare IS the pruning).
 
 For k <= 4 the full group is small enough to tabulate; the table backs
-a fast orbit-closure deduplication used by the classifier and a brute
-oracle for tests.
+the classifier's fast orbit-closure deduplication.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import numpy as np
 from .code import CANONICAL_CAP, TypeMultiplicity
 
 GL_TABLE_CAP = 4  # full group tables: |GL(4,2)| = 20160 rows
+CANON_CACHE_SIZE = 1 << 14  # canonical forms kept, least recently used out
 
 _GL_ORDER = {1: 1, 2: 6, 3: 168, 4: 20160, 5: 9999360}
 
@@ -46,14 +46,6 @@ def gl2_matrices(k: int) -> tuple[tuple[int, ...], ...]:
     extend([], {0})
     assert len(mats) == _GL_ORDER[k]
     return tuple(mats)
-
-
-def type_permutation(mat_rows: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Permutation on the 2^k column types induced by a basis change."""
-    perm = [0] * (1 << k)
-    for v in range(1, 1 << k):
-        perm[v] = sum(((mat_rows[i] & v).bit_count() & 1) << i for i in range(k))
-    return tuple(perm)
 
 
 @lru_cache(maxsize=None)
@@ -118,19 +110,12 @@ def _canonical_counts_backtrack(counts: tuple[int, ...], k: int) -> tuple[int, .
     return (counts[0],) + tuple(best)
 
 
-_canon_cache: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=CANON_CACHE_SIZE)
 def canonical_counts(counts: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Lexicographically least multiplicity vector in the GL(k,2) orbit."""
     if k > CANONICAL_CAP:
         raise ValueError(f"canonical form capped at k={CANONICAL_CAP}")
-    key = (k, counts)
-    got = _canon_cache.get(key)
-    if got is None:
-        got = _canonical_counts_backtrack(counts, k)
-        _canon_cache[key] = got
-    return got
+    return _canonical_counts_backtrack(counts, k)
 
 
 def counts_key(n: int, k: int, canon: tuple[int, ...]) -> bytes:
@@ -138,19 +123,5 @@ def counts_key(n: int, k: int, canon: tuple[int, ...]) -> bytes:
     return struct.pack(">BH", k, n) + b"".join(struct.pack(">H", c) for c in canon)
 
 
-def key_to_counts(key: bytes) -> tuple[int, int, tuple[int, ...]]:
-    k, n = struct.unpack(">BH", key[:3])
-    body = key[3:]
-    canon = tuple(struct.unpack(">H", body[i:i + 2])[0] for i in range(0, len(body), 2))
-    return n, k, canon
-
-
 def canonical_key(tm: TypeMultiplicity) -> bytes:
     return counts_key(tm.n, tm.k, canonical_counts(tm.counts, tm.k))
-
-
-def orbit_counts(counts: tuple[int, ...], k: int) -> np.ndarray:
-    """All distinct orbit images of a multiplicity vector (k <= 4 only)."""
-    arr = np.asarray(counts, dtype=np.int64)
-    images = arr[gl2_type_permutations(k)]
-    return np.unique(images, axis=0)

@@ -74,20 +74,20 @@ class CensusResult:
 
 
 @lru_cache(maxsize=None)
-def _message_weight_matrix(k: int) -> np.ndarray:
-    """(2^k - 1, 2^k - 1) 0/1 matrix: row m-1, column v-1 is [m . v = 1]."""
-    q = (1 << k) - 1
-    m = np.arange(1, q + 1, dtype=np.uint32)
-    v = np.arange(1, q + 1, dtype=np.uint32)
-    return (np.bitwise_count(m[:, None] & v[None, :]) & 1).astype(np.int16)
-
-
-@lru_cache(maxsize=None)
 def _sign_matrix(k: int) -> np.ndarray:
     """(2^k, 2^k) matrix of (-1)^(m . v)."""
     idx = np.arange(1 << k, dtype=np.uint32)
     par = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
     return (1 - 2 * par.astype(np.int64))
+
+
+@lru_cache(maxsize=None)
+def message_weight_matrix(k: int) -> np.ndarray:
+    """(2^k - 1, 2^k - 1) 0/1 matrix: row m-1, column v-1 is [m . v = 1].
+
+    Row m-1 times the nonzero-type multiplicities is the weight of the
+    codeword of message m."""
+    return ((1 - _sign_matrix(k)[1:, 1:]) >> 1).astype(np.int16)
 
 
 def compositions(total: int, parts: int) -> np.ndarray:
@@ -114,27 +114,6 @@ def compositions(total: int, parts: int) -> np.ndarray:
 
     fill(out, total, parts)
     return out
-
-
-def _spans_mask(sel: np.ndarray, k: int) -> np.ndarray:
-    """Per row of nonzero-type multiplicities: does the support span F2^k?"""
-    q = (1 << k) - 1
-    weights = (np.int64(1) << np.arange(q, dtype=np.int64))
-    masks = (sel > 0).astype(np.int64) @ weights
-    uniq, inverse = np.unique(masks, return_inverse=True)
-    ok = np.zeros(uniq.shape, dtype=bool)
-    for i, m in enumerate(uniq):
-        basis: list[int] = []
-        mm = int(m)
-        while mm and len(basis) < k:
-            v = (mm & -mm).bit_length()  # type int is bit index + 1
-            mm &= mm - 1
-            for b in basis:
-                v = min(v, v ^ b)
-            if v:
-                basis.append(v)
-        ok[i] = len(basis) == k
-    return ok[inverse]
 
 
 # -- deduplication -------------------------------------------------------------
@@ -180,10 +159,12 @@ def _build_db(n: int, k: int, d: int, method: str,
 
 def _column_candidates(n: int, k: int, d: int, limit: int):
     """Yield (z, vecs) arrays of full multiplicity vectors with min weight
-    exactly d, z zero columns among n."""
+    exactly d, z zero columns among n.  As d >= 1, the supported types
+    span F2^k (a message orthogonal to all of them would have weight 0),
+    so every vector is the column multiset of an [n, k, d] code."""
     q = (1 << k) - 1
     half = 1 << (k - 1)
-    a_mat = _message_weight_matrix(k)
+    a_mat = message_weight_matrix(k)
     sign = _sign_matrix(k)
     for z in range(0, n - k + 1):
         s = n - z
@@ -215,9 +196,6 @@ def _column_candidates(n: int, k: int, d: int, limit: int):
             a = prod >> k
             good &= (a >= 0).all(axis=1) & (a[:, 0] == 0)
             sel = a[good][:, 1:].astype(np.int16)
-        if not len(sel):
-            continue
-        sel = sel[_spans_mask(sel, k)]
         if not len(sel):
             continue
         vecs = np.empty((len(sel), q + 1), dtype=np.int16)
@@ -364,7 +342,7 @@ def _extend_all(dbs, d: int, jobs: int = 1) -> dict[int, CodeDB]:
     if jobs > 1 and len(args) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_extend_seed_star, args))
+            results = list(ex.map(_extend_seed, *zip(*args)))
     else:
         results = [_extend_seed(*a) for a in args]
     top = griesmer_dmax(n, k)
@@ -382,10 +360,6 @@ def _extend_all(dbs, d: int, jobs: int = 1) -> dict[int, CodeDB]:
     return out
 
 
-def _extend_seed_star(a):
-    return _extend_seed(*a)
-
-
 def extend_by_inverse_shortening(seed_dbs, d: int, *, jobs: int = 1) -> CodeDB:
     """All inequivalent [n, k, d] codes from the complete set of
     [n-1, k-1, d' >= d] databases."""
@@ -399,18 +373,19 @@ def _db_path(db_dir: str, n: int, k: int, d: int) -> str:
     return os.path.join(db_dir, f"n{n}k{k}d{d}.codedb")
 
 
-def _load_or(db_dir, n, k, d, maker) -> CodeDB:
+def _load_or_build(db_dir: str | None, n: int, k: int, ds,
+                   build) -> dict[int, CodeDB]:
+    """The [n, k, d] databases for every d in ds: read from db_dir when
+    all of them are stored there, otherwise made by build() (a dict over
+    d that may hold more levels) and every level it made is stored."""
+    from . import formats  # formats imports CodeDB from this module
+    if db_dir and all(os.path.exists(_db_path(db_dir, n, k, dd)) for dd in ds):
+        return {dd: formats.load_codedb(_db_path(db_dir, n, k, dd)) for dd in ds}
+    dbs = build()
     if db_dir:
-        from . import formats
-        path = _db_path(db_dir, n, k, d)
-        if os.path.exists(path):
-            return formats.load_codedb(path)
-    db = maker()
-    if db_dir:
-        from . import formats
-        os.makedirs(db_dir, exist_ok=True)
-        formats.save_codedb(db, _db_path(db_dir, n, k, d))
-    return db
+        for dd, db in dbs.items():
+            formats.save_codedb(db, _db_path(db_dir, n, k, dd))
+    return dbs
 
 
 def classify(n: int, k: int, d: int, *, db_dir: str | None = None,
@@ -420,43 +395,34 @@ def classify(n: int, k: int, d: int, *, db_dir: str | None = None,
 
     Levels at dimension <= bottom_k are enumerated directly over column
     multisets; each higher level is built by inverse shortening from the
-    complete d' >= d databases one dimension below.  Every intermediate
-    level is persisted into db_dir and reused on re-runs.
+    complete d' >= d databases one dimension below.  Every level is
+    persisted into db_dir; a stored [n, k, d] level is read as it is,
+    and a stored complete rung below it is reused.
     """
     if d < 1:
         raise ValueError("need d >= 1")
     if k < 2:
         raise ValueError("classification pipeline needs k >= 2")
+    top = griesmer_dmax(n, k)
+    if d > top:
+        raise ValueError(
+            f"d={d} exceeds the Griesmer maximum {top} for [{n},{k}]")
+    if d == 1:  # extension needs d >= 2: enumerate the target directly
+        return _load_or_build(db_dir, n, k, [1], lambda: {
+            1: classify_by_columns(n, k, 1, limit=limit)})[1]
     base_k = max(2, min(bottom_k, k))
-    if d == 1:
-        # extension requires d >= 2; fall back to direct enumeration
-        return _load_or(db_dir, n, k, d,
-                        lambda: classify_by_columns(n, k, d, limit=limit))
-    base_n = n - (k - base_k)
-    if base_n < base_k:
-        raise ValueError(f"ladder bottoms out below length 0 for [{n},{k},{d}]")
-    level: dict[int, CodeDB] = {}
-    for dd in range(d, griesmer_dmax(base_n, base_k) + 1):
-        level[dd] = _load_or(db_dir, base_n, base_k, dd,
-                             lambda dd=dd: classify_by_columns(
-                                 base_n, base_k, dd, limit=limit))
-    for kk in range(base_k + 1, k + 1):
-        nn = n - (k - kk)
-        todo = [dd for dd in range(d, griesmer_dmax(nn, kk) + 1)]
-        if db_dir and all(os.path.exists(_db_path(db_dir, nn, kk, dd))
-                          for dd in todo):
-            from . import formats
-            level = {dd: formats.load_codedb(_db_path(db_dir, nn, kk, dd))
-                     for dd in todo}
-            continue
-        new_level = _extend_all(list(level.values()), d, jobs=jobs)
-        if db_dir:
-            from . import formats
-            os.makedirs(db_dir, exist_ok=True)
-            for dd, db in new_level.items():
-                formats.save_codedb(db, _db_path(db_dir, nn, kk, dd))
-        level = new_level
-    return level[d]
+
+    def rung(nn: int, kk: int) -> dict[int, CodeDB]:
+        """Every [nn, kk, d' >= d] level."""
+        ds = range(d, griesmer_dmax(nn, kk) + 1)
+        if kk == base_k:
+            return {dd: classify_by_columns(nn, kk, dd, limit=limit) for dd in ds}
+        seeds = _load_or_build(db_dir, nn - 1, kk - 1,
+                               range(d, griesmer_dmax(nn - 1, kk - 1) + 1),
+                               lambda: rung(nn - 1, kk - 1))
+        return _extend_all(list(seeds.values()), d, jobs=jobs)
+
+    return _load_or_build(db_dir, n, k, [d], lambda: rung(n, k))[d]
 
 
 def lcd_census(db: CodeDB) -> CensusResult:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: family, bounds, classify, census, search, verify-octal,
-reproduce.  Exit codes: 0 success, 1 verification mismatch, 2 usage.
-The database directory comes from --db, overridden by LCDLAB_DB.
+reproduce.  Exit codes: 0 success, 1 verification mismatch or nothing
+found, 2 usage (bad options or parameters, one line on stderr).  The
+database directory comes from --db, overridden by LCDLAB_DB.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ def _write_manifest(db_dir: str | None, command: str, params: dict,
                     seed, started: float, digest_src: str):
     if not db_dir:
         return
-    os.makedirs(db_dir, exist_ok=True)
     manifest = {
         "command": command,
         "parameters": params,
@@ -45,9 +45,8 @@ def _write_manifest(db_dir: str | None, command: str, params: dict,
         "finished": time.time(),
         "digest": hashlib.sha256(digest_src.encode()).hexdigest(),
     }
-    path = os.path.join(db_dir, f"manifest-{command}.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    formats.write_atomic(os.path.join(db_dir, f"manifest-{command}.json"),
+                         json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def cmd_family(args) -> int:
@@ -102,15 +101,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_census(args) -> int:
-    db_dir = _db_dir(args)
-    if db_dir:
-        path = os.path.join(db_dir, f"n{args.n}k{args.k}d{args.d}.codedb")
-        if os.path.exists(path):
-            db = formats.load_codedb(path)
-        else:
-            db = classify(args.n, args.k, args.d, db_dir=db_dir, jobs=args.jobs)
-    else:
-        db = classify(args.n, args.k, args.d, jobs=args.jobs)
+    db = classify(args.n, args.k, args.d, db_dir=_db_dir(args), jobs=args.jobs)
     _emit(args, formats.census_report(lcd_census(db)))
     return 0
 
@@ -134,16 +125,28 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _verify_octal_table(groups, k: int, expect_lcd: bool, out: list[str]) -> bool:
+def _verify_octal_table(groups, k: int, out: list[str]) -> bool:
+    """Check each fixture generator: its [n, k, d], that it is not LCD,
+    and a lossless octal round trip."""
     ok = True
     for (n, d), strings in groups:
         for idx, s in enumerate(strings, start=1):
             code = formats.code_from_octal(s, n, k)
             good = (code.n == n and code.k == k and code.min_weight() == d
-                    and code.is_lcd() == expect_lcd
+                    and not code.is_lcd()
                     and formats.encode_octal(formats.decode_octal(s, n, k)) == s)
             ok &= good
             out.append(f"{'PASS' if good else 'FAIL'} [{n},{k},{d}] #{idx}")
+    return ok
+
+
+def _verify_lcd_witnesses(out: list[str]) -> bool:
+    ok = True
+    for n, (d, rows) in sorted(tables.DIM5_LCD_WITNESSES.items()):
+        code = formats.systematic_code(formats.parse_binary_rows(rows, 5))
+        good = code.n == n and code.min_weight() == d and code.is_lcd()
+        ok &= good
+        out.append(f"{'PASS' if good else 'FAIL'} lcd witness [{n},5,{d}]")
     return ok
 
 
@@ -151,15 +154,11 @@ def cmd_verify_octal(args) -> int:
     out: list[str] = []
     ok = True
     if args.table in ("dim4", "all"):
-        ok &= _verify_octal_table(tables.DIM4_GENERATORS, 4, False, out)
+        ok &= _verify_octal_table(tables.DIM4_GENERATORS, 4, out)
     if args.table in ("dim5", "all"):
-        ok &= _verify_octal_table(tables.DIM5_GENERATORS, 5, False, out)
+        ok &= _verify_octal_table(tables.DIM5_GENERATORS, 5, out)
     if args.table in ("m-table", "all"):
-        for n, (d, rows) in sorted(tables.DIM5_LCD_WITNESSES.items()):
-            code = formats.systematic_code(formats.parse_binary_rows(rows, 5))
-            good = (code.n == n and code.min_weight() == d and code.is_lcd())
-            ok &= good
-            out.append(f"{'PASS' if good else 'FAIL'} lcd witness [{n},5,{d}]")
+        ok &= _verify_lcd_witnesses(out)
     print("\n".join(out))
     return 0 if ok else 1
 
@@ -180,7 +179,7 @@ def _reproduce_checks(suite: str, full: bool, db_dir: str | None, jobs: int):
             and families.det_is_odd_everywhere(tables.DIM4_DET[s])
             for s in range(15)))
         yield ("generator fixtures dim4", lambda: _verify_octal_table(
-            tables.DIM4_GENERATORS, 4, False, []))
+            tables.DIM4_GENERATORS, 4, []))
         yield ("counts dim4 (k<=3)", lambda: all(
             classify_by_columns(n - 1, 3, d + j).count == v
             for (n, d), row in tables.DIM4_COUNTS.items()
@@ -203,11 +202,8 @@ def _reproduce_checks(suite: str, full: bool, db_dir: str | None, jobs: int):
             and families.det_is_odd_everywhere(tables.DIM5_DET[s])
             for s in range(31)))
         yield ("generator fixtures dim5", lambda: _verify_octal_table(
-            tables.DIM5_GENERATORS, 5, False, []))
-        yield ("lcd witnesses dim5", lambda: all(
-            (lambda c: c.n == n and c.min_weight() == d and c.is_lcd())(
-                formats.systematic_code(formats.parse_binary_rows(rows, 5)))
-            for n, (d, rows) in tables.DIM5_LCD_WITNESSES.items()))
+            tables.DIM5_GENERATORS, 5, []))
+        yield ("lcd witnesses dim5", lambda: _verify_lcd_witnesses([]))
         yield ("counts dim5 (k<=3)", lambda: all(
             classify_by_columns(n - 2, 3, d + j).count == v
             for (n, d), row in tables.DIM5_COUNTS.items()
@@ -267,11 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Binary LCD codes: families, bounds, search, classification")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, db=True):
+    def common(p, db=True, jobs=True):
         p.add_argument("--json", action="store_true", help="machine output")
         if db:
             p.add_argument("--db", default=None,
                            help="database directory (env LCDLAB_DB overrides)")
+        if db and jobs:
             p.add_argument("--jobs", type=int, default=1,
                            help="parallel workers for classification")
 
@@ -312,14 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=1_000_000)
     p.add_argument("--restarts", type=int, default=64)
-    common(p)
+    common(p, jobs=False)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify-octal", help="verify fixture generator tables")
     p.add_argument("--table", choices=("dim4", "dim5", "m-table", "all"),
                    default="all")
-    p.add_argument("--all", action="store_true",
-                   help="accepted for symmetry; tables verify in full")
     common(p, db=False)
     p.set_defaults(func=cmd_verify_octal)
 
@@ -335,7 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # parameters outside a command's domain
+        print(f"lcdlab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,9 +9,10 @@ are safe to race.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, det_f2, gram, nullspace, rref
+from .gf2 import BitMatrix, gram, nullspace, rref
 
 ENUMERATION_CAP = 28  # 2^k codewords are walked exhaustively
 CANONICAL_CAP = 6     # basis-orbit minimization is exponential in k
@@ -75,21 +76,6 @@ class TypeMultiplicity:
     def mult(self) -> dict[int, int]:
         return {t: c for t, c in enumerate(self.counts) if t and c}
 
-    def spans(self) -> bool:
-        """True when the supported column types span F2^k."""
-        seen: list[int] = []
-        for t, c in enumerate(self.counts):
-            if t == 0 or c == 0:
-                continue
-            v = t
-            for b in seen:
-                v = min(v, v ^ b)
-            if v:
-                seen.append(v)
-                if len(seen) == self.k:
-                    return True
-        return len(seen) == self.k
-
     def generator(self) -> BitMatrix:
         """A generator whose columns realize the multiset (types ascending, zeros last)."""
         cols = []
@@ -100,20 +86,6 @@ class TypeMultiplicity:
         rows = tuple(sum(((t >> i) & 1) << j for j, t in enumerate(cols))
                      for i in range(self.k))
         return BitMatrix(self.k, len(cols), rows)
-
-
-def _gray_weight_counts(gen_rows: tuple[int, ...], k: int) -> dict[int, int]:
-    # One row XOR per step: codeword for gray(m) differs from gray(m-1) in one row.
-    counts: dict[int, int] = {0: 1}
-    cw = 0
-    prev = 0
-    for m in range(1, 1 << k):
-        g = m ^ (m >> 1)
-        cw ^= gen_rows[(g ^ prev).bit_length() - 1]
-        prev = g
-        w = cw.bit_count()
-        counts[w] = counts.get(w, 0) + 1
-    return counts
 
 
 class LinearCode:
@@ -160,9 +132,7 @@ class LinearCode:
 
     def weight_enumerator(self) -> WeightEnumerator:
         if self._we is None:
-            if self.k > ENUMERATION_CAP:
-                raise ValueError(f"enumeration cap: k={self.k} > {ENUMERATION_CAP}")
-            counts = _gray_weight_counts(self.generator.data, self.k)
+            counts = Counter(cw.bit_count() for cw in self.codewords())
             self._we = WeightEnumerator(tuple(sorted(counts.items())))
         return self._we
 
@@ -225,8 +195,3 @@ def make_code(g: BitMatrix) -> LinearCode:
     if g.rows == 0:
         raise ValueError("a code needs at least one generator row")
     return LinearCode(g)
-
-
-def gram_det_f2(code: LinearCode) -> int:
-    """det(G G^T) over GF(2): 1 exactly when the code is LCD."""
-    return det_f2(gram(code.generator, "gf2"))

@@ -133,19 +133,24 @@ def codedb_loads(text: str) -> CodeDB:
     return CodeDB(n, k, d, method, tuple(records))
 
 
-def save_codedb(db: CodeDB, path: str):
-    """Single-writer atomic write (tempfile + rename)."""
+def write_atomic(path: str, text: str):
+    """Single-writer atomic write (tempfile + rename): path holds the old
+    text or the new text, never a part of either."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".codedb-")
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".lcdlab-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(codedb_dumps(db))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_codedb(db: CodeDB, path: str):
+    write_atomic(path, codedb_dumps(db))
 
 
 def load_codedb(path: str) -> CodeDB:

@@ -49,11 +49,6 @@ class BitMatrix:
         return cls(len(packed), 0 if cols is None else cols, tuple(packed))
 
     @classmethod
-    def from_row_ints(cls, row_ints, cols: int) -> BitMatrix:
-        rows = tuple(int(r) for r in row_ints)
-        return cls(len(rows), cols, rows)
-
-    @classmethod
     def identity(cls, k: int) -> BitMatrix:
         return cls(k, k, tuple(1 << i for i in range(k)))
 
@@ -67,13 +62,6 @@ class BitMatrix:
     def column(self, j: int) -> int:
         """Column j packed into an int: bit i is entry (i, j)."""
         return sum(((r >> j) & 1) << i for i, r in enumerate(self.data))
-
-    def transpose(self) -> BitMatrix:
-        return BitMatrix(self.cols, self.rows,
-                         tuple(self.column(j) for j in range(self.cols)))
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
 
     def hstack(self, other: BitMatrix) -> BitMatrix:
         if self.rows != other.rows:
@@ -100,9 +88,6 @@ class IntMatrix:
 
     def get(self, i: int, j: int) -> int:
         return self.entries[i][j]
-
-    def mod2(self) -> BitMatrix:
-        return BitMatrix.from_rows([[e & 1 for e in row] for row in self.entries])
 
 
 @dataclass(frozen=True)

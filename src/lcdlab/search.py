@@ -3,8 +3,9 @@
 The state space is the column-type multiplicity vector; a move shifts
 one column between types.  Steepest ascent on the minimum weight with
 deterministic tie-breaking, LCD enforced as a hard constraint on
-acceptance, random restarts under a fixed seed.  Not finding a code
-proves nothing.
+acceptance, random restarts under a fixed seed.  Targets need d >= 1,
+which makes every state with minimum weight >= d a full-rank code.  Not
+finding a code proves nothing.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import griesmer_dmax
-from .classify import _column_candidates, _message_weight_matrix
+from .classify import message_weight_matrix
 from .code import LinearCode, TypeMultiplicity
-from .gf2 import BitMatrix, det_f2
 
 
 @dataclass(frozen=True)
@@ -31,30 +31,6 @@ class SearchBudget:
             raise ValueError("budget fields must be positive")
 
 
-def _counts_gram_det(counts, k: int) -> int:
-    rows = []
-    for i in range(k):
-        row = 0
-        for j in range(k):
-            acc = 0
-            for v in range(1, 1 << k):
-                if (v >> i) & 1 and (v >> j) & 1:
-                    acc += counts[v]
-            row |= (acc & 1) << j
-        rows.append(row)
-    return det_f2(BitMatrix(k, k, tuple(rows)))
-
-
-def _verify(counts, k: int, n: int, d: int) -> LinearCode | None:
-    tm = TypeMultiplicity(k, tuple(int(c) for c in counts))
-    if tm.n != n or not tm.spans():
-        return None
-    code = LinearCode(tm.generator())
-    if code.min_weight() >= d and code.is_lcd():
-        return code
-    return None
-
-
 def search_lcd(n: int, k: int, d: int,
                budget: SearchBudget | None = None) -> LinearCode | None:
     """Look for an LCD [n, k, >= d] code; None when the budget runs out.
@@ -63,11 +39,13 @@ def search_lcd(n: int, k: int, d: int,
     and identical budgets give identical outcomes.
     """
     budget = budget or SearchBudget()
+    if d < 1:
+        raise ValueError("need d >= 1")
     if d > griesmer_dmax(n, k):
         raise ValueError(
             f"d={d} exceeds the Griesmer maximum {griesmer_dmax(n, k)} for [{n},{k}]")
     q = (1 << k) - 1
-    a_mat = _message_weight_matrix(k).astype(np.int32)  # (messages, types)
+    a_mat = message_weight_matrix(k).astype(np.int32)  # (messages, types)
     # delta[i, j] = weight change per message when a column moves i -> j
     delta = a_mat.T[None, :, :] - a_mat.T[:, None, :]
     big = 1 << 10
@@ -87,11 +65,9 @@ def search_lcd(n: int, k: int, d: int,
             # score: raise the minimum weight, then thin out the codewords at it
             cur_score = big * cur_min - int((w == cur_min).sum())
             if cur_min >= d:
-                full = (0,) + tuple(int(c) for c in counts)
-                if _counts_gram_det(full, k):
-                    code = _verify(full, k, n, d)
-                    if code is not None:
-                        return code
+                code = LinearCode(TypeMultiplicity(k, (0, *counts.tolist())).generator())
+                if code.is_lcd() and code.min_weight() >= d:
+                    return code
             neigh = w[None, None, :] + delta  # (from, to, messages)
             minw = neigh.min(axis=2)
             at_min = (neigh == minw[:, :, None]).sum(axis=2)
@@ -112,25 +88,4 @@ def search_lcd(n: int, k: int, d: int,
                 counts[j] += 1
                 continue
             break  # stuck: restart
-    return None
-
-
-def search_lcd_exhaustive(n: int, k: int, d: int, *,
-                          limit: int = 2_000_000) -> LinearCode | None:
-    """Deterministic sweep over multiplicity vectors with exact minimum
-    weight d' for d' from the Griesmer maximum down to d; first LCD hit
-    wins.  Levels whose enumeration would exceed the limit are skipped
-    (like the randomized search, a miss proves nothing)."""
-    for dd in range(griesmer_dmax(n, k), d - 1, -1):
-        try:
-            batches = list(_column_candidates(n, k, dd, limit))
-        except ValueError:
-            continue
-        for _z, vecs in batches:
-            for row in vecs:
-                counts = tuple(int(x) for x in row)
-                if _counts_gram_det(counts, k):
-                    code = _verify(counts, k, n, d)
-                    if code is not None:
-                        return code
     return None

@@ -1,4 +1,4 @@
-"""Independent oracles used by the tests.
+"""Independent oracles and matrix helpers used by the tests.
 
 Nothing here shares enumeration logic with the package: subspaces are
 walked through their unique reduced-echelon generators, one-step
@@ -14,7 +14,7 @@ import numpy as np
 
 from lcdlab.canonical import canonical_counts, counts_key
 from lcdlab.code import LinearCode
-from lcdlab.gf2 import BitMatrix, rref
+from lcdlab.gf2 import BitMatrix, IntMatrix, rref
 
 CHUNK_BITS = 18
 
@@ -99,3 +99,23 @@ def extension_classes(gen_rows, n1: int, d: int) -> set[tuple[bytes, int]]:
             counts[sum(((r >> j) & 1) << i for i, r in enumerate(rows))] += 1
         out.add((counts_key(n1 + 1, k, canonical_counts(tuple(counts), k)), w))
     return out
+
+
+def type_permutation(mat_rows: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Permutation on the 2^k column types induced by a basis change."""
+    perm = [0] * (1 << k)
+    for v in range(1, 1 << k):
+        perm[v] = sum(((mat_rows[i] & v).bit_count() & 1) << i for i in range(k))
+    return tuple(perm)
+
+
+def transpose(m: BitMatrix) -> BitMatrix:
+    return BitMatrix(m.cols, m.rows, tuple(m.column(j) for j in range(m.cols)))
+
+
+def to_lists(m: BitMatrix) -> list[list[int]]:
+    return [[(r >> j) & 1 for j in range(m.cols)] for r in m.data]
+
+
+def mod2(m: IntMatrix) -> BitMatrix:
+    return BitMatrix.from_rows([[e & 1 for e in row] for row in m.entries])

@@ -1,8 +1,8 @@
 import pytest
 
 from lcdlab import tables
-from lcdlab.bounds import (closed_form_bound, d_all, griesmer_dmax,
-                           known_lcd_d)
+from lcdlab.bounds import closed_form_bound, griesmer_dmax, known_lcd_d
+from lcdlab.classify import classify_by_columns
 from lcdlab.code import make_code
 from lcdlab.families import family_code, family_t_min
 from lcdlab.gf2 import BitMatrix
@@ -94,5 +94,7 @@ def test_nonexistence_narrows_ranges():
 
 
 def test_d_all_anchors():
-    assert d_all(21, 3) == 12
-    assert d_all(20, 2) == 13
+    # the largest d of any [n, k] code: here the Griesmer maximum is attained
+    for n, k, d in ((21, 3, 12), (20, 2, 13)):
+        assert griesmer_dmax(n, k) == d
+        assert classify_by_columns(n, k, d).count > 0

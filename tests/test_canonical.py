@@ -1,12 +1,12 @@
 import random
+import struct
 
 import numpy as np
 import pytest
 
-from brute import perm_equivalent
+from brute import perm_equivalent, type_permutation
 from lcdlab.canonical import (canonical_counts, canonical_key, counts_key,
-                              gl2_matrices, gl2_type_permutations,
-                              key_to_counts, orbit_counts, type_permutation)
+                              gl2_matrices, gl2_type_permutations)
 from lcdlab.code import TypeMultiplicity, make_code
 from lcdlab.formats import code_from_octal
 from lcdlab.gf2 import BitMatrix, rref
@@ -55,7 +55,8 @@ def test_canonical_counts_invariant_on_orbit():
 def test_key_roundtrip():
     tm = TypeMultiplicity(3, (1, 2, 0, 1, 3, 0, 0, 1))
     key = canonical_key(tm)
-    n, k, canon = key_to_counts(key)
+    k, n = struct.unpack(">BH", key[:3])
+    canon = struct.unpack(f">{(len(key) - 3) // 2}H", key[3:])
     assert (n, k) == (tm.n, 3)
     assert canon == canonical_counts(tm.counts, 3)
     assert counts_key(n, k, canon) == key
@@ -63,7 +64,7 @@ def test_key_roundtrip():
 
 def test_orbit_contains_identity_image():
     counts = (0, 3, 1, 1, 2, 0, 0, 1)
-    orb = orbit_counts(counts, 3)
+    orb = np.asarray(counts)[gl2_type_permutations(3)]
     assert any(tuple(int(x) for x in row) == counts for row in orb)
 
 

@@ -113,3 +113,38 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "classify --n 10 --k 1 --d 3",   # below the ladder's dimension
+    "classify --n 5 --k 3 --d 9",    # above the Griesmer maximum
+    "census --n 5 --k 3 --d 9",
+    "family --k 4 --s 3 --t 0",      # below the family's range of t
+    "bounds --n 3 --k 5",            # k > n
+])
+def test_domain_error_exit_2_one_line(capsys, argv):
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("lcdlab: error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    "verify-octal --all",
+    "search --n 17 --k 4 --d 8 --jobs 2",
+])
+def test_removed_options_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+
+
+def test_db_dir_holds_no_temp_files(capsys, tmp_path):
+    db = tmp_path / "db"
+    code, _ = run(capsys, "classify", "--n", "21", "--k", "3", "--d", "11",
+                  "--db", str(db), "--json")
+    assert code == 0
+    assert sorted(os.listdir(db)) == ["manifest-classify.json",
+                                      "n21k3d11.codedb", "n21k3d12.codedb"]
+    manifest = json.loads((db / "manifest-classify.json").read_text())
+    assert manifest["parameters"] == {"n": 21, "k": 3, "d": 11}

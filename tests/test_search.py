@@ -1,6 +1,6 @@
 import pytest
 
-from lcdlab.search import SearchBudget, search_lcd, search_lcd_exhaustive
+from lcdlab.search import SearchBudget, search_lcd
 
 
 def test_witnesses_found():
@@ -22,6 +22,11 @@ def test_above_griesmer_rejected():
         search_lcd(22, 4, 12)
 
 
+def test_d_below_one_rejected():
+    with pytest.raises(ValueError, match="d >= 1"):
+        search_lcd(10, 3, 0)
+
+
 def test_nonexistent_not_found():
     budget = SearchBudget(max_iterations=3000, rng_seed=5, restarts=40)
     assert search_lcd(22, 4, 11, budget) is None
@@ -35,10 +40,3 @@ def test_budget_caps_work():
         assert code.min_weight() >= 2 and code.is_lcd()
     with pytest.raises(ValueError):
         SearchBudget(max_iterations=0)
-
-
-def test_exhaustive_sweep():
-    code = search_lcd_exhaustive(10, 2, 6)
-    assert code is not None and code.min_weight() >= 6 and code.is_lcd()
-    code = search_lcd_exhaustive(21, 3, 11)
-    assert code is not None and code.min_weight() >= 11 and code.is_lcd()
