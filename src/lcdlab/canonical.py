@@ -2,120 +2,108 @@
 
 Over GF(2) a monomial transformation is just a column permutation, so
 two codes are equivalent exactly when their column-type multiplicity
-vectors lie in the same orbit under invertible changes of basis.  The
-canonical form is the lexicographically least serialization of the
-multiplicity vector over that orbit, found by a backtracking search
-over basis images with prefix pruning (cheap invariants first would not
-help here: the prefix compare IS the pruning).
+vectors lie in the same orbit under invertible changes of basis T.  The
+canonical form is the lexicographically least serialization over that
+orbit: the zero-column count, then counts[T(x)] for x = 1 .. 2^k - 1.
 
-For k <= 4 the full group is small enough to tabulate; the table backs
-the classifier's fast orbit-closure deduplication.
+Choosing c = T(e_j) fixes positions 2^j .. 2^(j+1)-1 at once, to
+counts[c ^ T(x)] for x < 2^j.  So the search over basis images runs
+breadth-first, one level per basis vector: every partial basis still
+tied for the least prefix tries every c outside its span, and only the
+least blocks go on (the prefix compare IS the pruning).  One call does
+this for a whole batch of vectors.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
 
 import numpy as np
 
 from .code import CANONICAL_CAP, TypeMultiplicity
 
-GL_TABLE_CAP = 4  # full group tables: |GL(4,2)| = 20160 rows
-CANON_CACHE_SIZE = 1 << 14  # canonical forms kept, least recently used out
-
-_GL_ORDER = {1: 1, 2: 6, 3: 168, 4: 20160, 5: 9999360}
+PAIR_SLICE = 1 << 16  # (partial basis, image) pairs scored per step; bounds memory
 
 
-@lru_cache(maxsize=None)
-def gl2_matrices(k: int) -> tuple[tuple[int, ...], ...]:
-    """All invertible k x k matrices over GF(2), rows bit-packed."""
-    if k > GL_TABLE_CAP:
-        raise ValueError(f"group table capped at k={GL_TABLE_CAP}")
-    mats: list[tuple[int, ...]] = []
-
-    def extend(rows: list[int], span: set[int]):
-        if len(rows) == k:
-            mats.append(tuple(rows))
-            return
-        for r in range(1, 1 << k):
-            if r not in span:
-                new_span = span | {r ^ s for s in span}
-                extend(rows + [r], new_span)
-
-    extend([], {0})
-    assert len(mats) == _GL_ORDER[k]
-    return tuple(mats)
+def _least_pairs(flat, q: int, owner, span, b):
+    """Pairs (b, c) of the partial bases b, sorted by owning row, and the
+    images c outside their spans that give their row's least block,
+    compared one position at a time."""
+    outside = np.ones((len(b), q), dtype=bool)
+    outside[np.arange(len(b))[:, None], span[b]] = False
+    i, c = np.nonzero(outside)
+    b, own = b[i], owner[b[i]]
+    lo = own[0]
+    least = np.empty(own[-1] - lo + 1, dtype=flat.dtype)
+    for x in range(span.shape[1]):
+        vals = flat[own * q + (c ^ span[b, x])]
+        least.fill(np.iinfo(flat.dtype).max)
+        np.minimum.at(least, own - lo, vals)
+        keep = vals == least[own - lo]
+        b, c, own = b[keep], c[keep], own[keep]
+    return b, c, own
 
 
-@lru_cache(maxsize=None)
-def gl2_type_permutations(k: int) -> np.ndarray:
-    """(|GL(k,2)|, 2^k) array: row g maps type index x to image under g."""
-    rows = np.array(gl2_matrices(k), dtype=np.uint8)[:, :, None]
-    parity = np.bitwise_count(rows & np.arange(1 << k, dtype=np.uint8)) & 1
-    shift = np.arange(k, dtype=np.uint8)[:, None]
-    return (parity << shift).sum(axis=1, dtype=np.uint8)
-
-
-def _canonical_counts_backtrack(counts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Orbit minimum by DFS over basis images with prefix pruning.
-
-    Serialization position x (1-based over nonzero types) carries
-    counts[T(x)]; choosing the image of the j-th basis vector fixes
-    positions 2^j .. 2^(j+1)-1 at once.
-    """
+def _search(counts: np.ndarray, k: int, greedy: bool = False) -> np.ndarray:
+    """Canonical forms of the rows of a nonempty (R, 2^k) integer array;
+    or, greedy, each row serialized along the first least-block path."""
     q = 1 << k
-    span = [0] * q          # span[x] = T(x) for x below the filled level
-    work = [0] * (q - 1)
-    best: list[int] | None = None
-
-    def dfs(j: int, tight: bool) -> bool:
-        nonlocal best
+    out = counts.copy()
+    flat = counts.ravel()
+    owner = np.arange(len(counts))              # row of each tied partial basis
+    span = np.zeros((len(counts), 1), dtype=np.uint8)  # span[b, x] = T(x), x < 2^j
+    for j in range(k):
         size = 1 << j
-        lo, hi = size - 1, 2 * size - 1
-        in_span = set(span[:size])
-        cands = []
-        for c in range(1, q):
-            if c in in_span:
-                continue
-            cands.append(([counts[c ^ span[x]] for x in range(size)], c))
-        cands.sort()
-        updated = False
-        for seg, c in cands:
-            if tight:
-                bseg = best[lo:hi]  # type: ignore[index]
-                if seg > bseg:
-                    break
-                child_tight = seg == bseg
-            else:
-                child_tight = False
-            work[lo:hi] = seg
-            if j + 1 == k:
-                if not child_tight:
-                    best = work.copy()
-                    upd = True
-                else:
-                    upd = False
-            else:
-                for x in range(size):
-                    span[size + x] = c ^ span[x]
-                upd = dfs(j + 1, child_tight)
-            if upd:
-                updated = True
-                tight = True
-        return updated
-
-    dfs(0, False)
-    assert best is not None
-    return (counts[0],) + tuple(best)
+        best = np.full((len(counts), size), np.iinfo(counts.dtype).max)
+        stamp = np.full(len(counts), -1)  # slice that last lowered a row's best
+        kept = []
+        step = max(1, PAIR_SLICE // (q - size))
+        for s, lo in enumerate(range(0, len(owner), step)):
+            b, c, own = _least_pairs(flat, q, owner, span,
+                                     np.arange(lo, min(lo + step, len(owner))))
+            first = np.r_[True, own[1:] != own[:-1]]
+            row = own[first]
+            block = flat[row[:, None] * q + (c[first, None] ^ span[b[first]])]
+            cur = best[row]
+            at = np.arange(len(row)), (block != cur).argmax(axis=1)
+            lower, higher = block[at] < cur[at], block[at] > cur[at]
+            best[row[lower]] = block[lower]
+            stamp[row[lower]] = s
+            if j + 1 < k:  # the last level needs only the least block
+                ok = ~higher[np.cumsum(first) - 1]
+                if greedy:  # a single path: each row's first least pair
+                    ok &= first
+                kept.append((b[ok], c[ok], np.full(ok.sum(), s)))
+        out[:, size:2 * size] = best
+        if j + 1 < k:
+            b, c, s = (np.concatenate(a) for a in zip(*kept))
+            live = s >= stamp[owner[b]]  # ties with the row's final least block
+            b, c = b[live], c[live].astype(np.uint8)
+            owner = owner[b]
+            span = np.concatenate([span[b], c[:, None] ^ span[b]], axis=1)
+    return out
 
 
-@lru_cache(maxsize=CANON_CACHE_SIZE)
-def canonical_counts(counts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Lexicographically least multiplicity vector in the GL(k,2) orbit."""
+def canonical_rows(rows, k: int) -> np.ndarray:
+    """Canonical form of every row of an (R, 2^k) multiplicity array.
+
+    A greedy pass first moves every row along one least-block path: the
+    rows of one orbit land on few vectors of it, and only those are
+    searched in full."""
     if k > CANONICAL_CAP:
         raise ValueError(f"canonical form capped at k={CANONICAL_CAP}")
-    return _canonical_counts_backtrack(counts, k)
+    counts = np.array(rows, dtype=np.int32).reshape(len(rows), 1 << k)
+    if not len(counts):
+        return counts
+    near = _search(counts, k, greedy=True)
+    _, first, back = np.unique(near.view(f"V{near.itemsize << k}").ravel(),
+                               return_index=True, return_inverse=True)
+    return _search(near[first], k)[back]
+
+
+def canonical_counts(counts: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Lexicographically least multiplicity vector in the GL(k,2) orbit."""
+    return tuple(int(x) for x in canonical_rows([counts], k)[0])
 
 
 def counts_key(n: int, k: int, canon: tuple[int, ...]) -> bytes:

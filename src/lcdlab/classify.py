@@ -16,8 +16,9 @@ Two engines share one deduplication layer:
   weight).
 
 Equivalence classes are orbits of multiplicity vectors under basis
-change; deduplication closes whole orbits at once for k <= 4 and falls
-back to the backtracking canonical form for k = 5.
+change; deduplication puts all the candidates of a level into
+canonical form in one batch, for every k.  A stored level is read only
+once it matches what building it would store.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from math import comb
 import numpy as np
 
 from .bounds import griesmer_dmax
-from .canonical import (GL_TABLE_CAP, canonical_counts, counts_key,
-                        gl2_type_permutations)
+from .canonical import canonical_rows, counts_key
 from .code import LinearCode, TypeMultiplicity
 from .gf2 import BitMatrix, rref
 
@@ -124,20 +124,10 @@ def _dedupe_canonical(vec_arrays: list[np.ndarray], k: int) -> list[tuple[int, .
     stacked = [a for a in vec_arrays if a.size]
     if not stacked:
         return []
-    uniq = np.unique(np.vstack(stacked).astype(np.int16), axis=0)
-    if k <= GL_TABLE_CAP:
-        perms = gl2_type_permutations(k)
-        pend = {row.tobytes(): row for row in uniq}
-        canon = []
-        while pend:
-            row = pend[min(pend)]
-            orbit = np.unique(np.asarray(row)[perms], axis=0)
-            canon.append(tuple(int(x) for x in orbit[0]))
-            for img in orbit:
-                pend.pop(img.tobytes(), None)
-        return sorted(canon)
-    out = {canonical_counts(tuple(int(x) for x in row), k) for row in uniq}
-    return sorted(out)
+    canon = canonical_rows(np.vstack(stacked), k)
+    _, first = np.unique(canon.view(f"V{canon.itemsize << k}").ravel(),
+                         return_index=True)
+    return sorted(tuple(int(x) for x in row) for row in canon[first])
 
 
 def _build_db(n: int, k: int, d: int, method: str,
@@ -373,14 +363,30 @@ def _db_path(db_dir: str, n: int, k: int, d: int) -> str:
     return os.path.join(db_dir, f"n{n}k{k}d{d}.codedb")
 
 
+def _load_checked(path: str, n: int, k: int, d: int) -> CodeDB:
+    """A stored level, trusted only once it is exactly what building
+    [n, k, d] stores for the classes its records fall in."""
+    from . import formats  # formats imports CodeDB from this module
+    db = formats.load_codedb(path)
+    codes = db.codes()
+    if (db.n, db.k, db.d) != (n, k, d) or any(c.min_weight() != d for c in codes):
+        raise ValueError(f"{path} does not hold [{n},{k},{d}] codes")
+    counts = np.array([c.column_types().counts for c in codes], dtype=np.int16)
+    if _build_db(n, k, d, db.method, _dedupe_canonical([counts], k)) != db:
+        raise ValueError(f"{path}: records are not one canonical "
+                         "representative per class")
+    return db
+
+
 def _load_or_build(db_dir: str | None, n: int, k: int, ds,
                    build) -> dict[int, CodeDB]:
     """The [n, k, d] databases for every d in ds: read from db_dir when
     all of them are stored there, otherwise made by build() (a dict over
     d that may hold more levels) and every level it made is stored."""
-    from . import formats  # formats imports CodeDB from this module
+    from . import formats
     if db_dir and all(os.path.exists(_db_path(db_dir, n, k, dd)) for dd in ds):
-        return {dd: formats.load_codedb(_db_path(db_dir, n, k, dd)) for dd in ds}
+        return {dd: _load_checked(_db_path(db_dir, n, k, dd), n, k, dd)
+                for dd in ds}
     dbs = build()
     if db_dir:
         for dd, db in dbs.items():
@@ -396,8 +402,8 @@ def classify(n: int, k: int, d: int, *, db_dir: str | None = None,
     Levels at dimension <= bottom_k are enumerated directly over column
     multisets; each higher level is built by inverse shortening from the
     complete d' >= d databases one dimension below.  Every level is
-    persisted into db_dir; a stored [n, k, d] level is read as it is,
-    and a stored complete rung below it is reused.
+    persisted into db_dir; a stored [n, k, d] level is read on its own,
+    and a stored complete rung below it is reused, each once verified.
     """
     if d < 1:
         raise ValueError("need d >= 1")

@@ -3,20 +3,24 @@
 Nothing here shares enumeration logic with the package: subspaces are
 walked through their unique reduced-echelon generators, one-step
 extensions through every vector of F2^n and every codeword, and
-equivalence is decided by trying every column permutation.
+equivalence is decided by trying every column permutation.  For
+k <= 4 the whole group GL(k,2) is tabulated, so orbit minima are
+computed by brute force too.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations
 
 import numpy as np
 
-from lcdlab.canonical import canonical_counts, counts_key
+from lcdlab.canonical import canonical_rows, counts_key
 from lcdlab.code import LinearCode
 from lcdlab.gf2 import BitMatrix, IntMatrix, rref
 
 CHUNK_BITS = 18
+GL_TABLE_CAP = 4  # |GL(4,2)| = 20160 rows
 
 
 def subspace_class_counts(n: int, k: int) -> dict[int, int]:
@@ -40,10 +44,11 @@ def subspace_class_counts(n: int, k: int) -> dict[int, int]:
                                  minlength=(hi - lo) << k).reshape(-1, 1 << k)
             for row in np.unique(counts.astype(np.int16), axis=0):
                 hists.add(tuple(int(x) for x in row))
+    hists = list(hists)
     by_d: dict[int, set[tuple[int, ...]]] = {}
-    for counts in hists:
+    for counts, canon in zip(hists, canonical_rows(hists, k)):
         d = min(_message_weight(counts, k, m) for m in range(1, 1 << k))
-        by_d.setdefault(d, set()).add(canonical_counts(counts, k))
+        by_d.setdefault(d, set()).add(tuple(int(x) for x in canon))
     return {d: len(classes) for d, classes in by_d.items()}
 
 
@@ -88,7 +93,7 @@ def extension_classes(gen_rows, n1: int, d: int) -> set[tuple[bytes, int]]:
     """(class key, minimum weight) of span((1|v), 0-prefixed seed rows)
     for every v in F2^n1 whose extension has minimum weight >= d."""
     k = len(gen_rows) + 1
-    out = set()
+    found = set()
     for v in range(1 << n1):
         rows = (1 | (v << 1),) + tuple(r << 1 for r in gen_rows)
         w = min_weight(rows)
@@ -97,8 +102,45 @@ def extension_classes(gen_rows, n1: int, d: int) -> set[tuple[bytes, int]]:
         counts = [0] * (1 << k)
         for j in range(n1 + 1):
             counts[sum(((r >> j) & 1) << i for i, r in enumerate(rows))] += 1
-        out.add((counts_key(n1 + 1, k, canonical_counts(tuple(counts), k)), w))
-    return out
+        found.add((tuple(counts), w))
+    found = list(found)
+    canon = canonical_rows([counts for counts, _ in found], k)
+    return {(counts_key(n1 + 1, k, tuple(int(x) for x in c)), w)
+            for c, (_, w) in zip(canon, found)}
+
+
+@cache
+def gl2_matrices(k: int) -> tuple[tuple[int, ...], ...]:
+    """All invertible k x k matrices over GF(2), rows bit-packed."""
+    if k > GL_TABLE_CAP:
+        raise ValueError(f"group table capped at k={GL_TABLE_CAP}")
+    mats: list[tuple[int, ...]] = []
+
+    def extend(rows: list[int], span: set[int]):
+        if len(rows) == k:
+            mats.append(tuple(rows))
+            return
+        for r in range(1, 1 << k):
+            if r not in span:
+                extend(rows + [r], span | {r ^ s for s in span})
+
+    extend([], {0})
+    return tuple(mats)
+
+
+@cache
+def gl2_type_permutations(k: int) -> np.ndarray:
+    """(|GL(k,2)|, 2^k) array: row g maps type index x to its image under g."""
+    rows = np.array(gl2_matrices(k), dtype=np.uint8)[:, :, None]
+    parity = np.bitwise_count(rows & np.arange(1 << k, dtype=np.uint8)) & 1
+    shift = np.arange(k, dtype=np.uint8)[:, None]
+    return (parity << shift).sum(axis=1, dtype=np.uint8)
+
+
+def orbit_minimum(counts, k: int) -> tuple[int, ...]:
+    """Least multiplicity vector in the GL(k,2) orbit, over the whole table."""
+    images = np.asarray(counts, dtype=np.int64)[gl2_type_permutations(k)]
+    return tuple(int(x) for x in np.unique(images, axis=0)[0])
 
 
 def type_permutation(mat_rows: tuple[int, ...], k: int) -> tuple[int, ...]:

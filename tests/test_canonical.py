@@ -4,19 +4,50 @@ import struct
 import numpy as np
 import pytest
 
-from brute import perm_equivalent, type_permutation
-from lcdlab.canonical import (canonical_counts, canonical_key, counts_key,
-                              gl2_matrices, gl2_type_permutations)
+from brute import (gl2_matrices, gl2_type_permutations, orbit_minimum,
+                   perm_equivalent, type_permutation)
+from lcdlab import canonical
+from lcdlab.canonical import (canonical_counts, canonical_key, canonical_rows,
+                              counts_key)
 from lcdlab.code import TypeMultiplicity, make_code
 from lcdlab.formats import code_from_octal
 from lcdlab.gf2 import BitMatrix, rref
 from lcdlab.tables import DIM4_GENERATORS
 
 
-def brute_min(counts, k):
-    arr = np.asarray(counts, dtype=np.int64)
-    images = arr[gl2_type_permutations(k)]
-    return tuple(int(x) for x in np.unique(images, axis=0)[0])
+# Canonical forms at k = 5 and 6, computed independently by a recursive
+# depth-first search over basis images: random vectors, then vectors with
+# large automorphism groups (the punctured simplex, parity- and
+# weight-class patterns), whose ties the search must carry level by level.
+PINNED = [
+    (5, (3, 1, 2, 1, 3, 2, 1, 3, 2, 3, 1, 2, 2, 0, 1, 3, 1, 1, 3, 0, 2, 3, 3, 0,
+         1, 2, 3, 2, 2, 1, 2, 3),
+     (3, 0, 0, 2, 0, 3, 3, 3, 1, 1, 1, 1, 1, 2, 3, 2, 1, 2, 2, 3, 1, 3, 2, 1,
+      2, 3, 1, 3, 2, 2, 3, 2)),
+    (5, (1, 1, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1,
+         1, 1, 1, 1, 0, 0, 1, 0),
+     (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 1, 1,
+      1, 1, 0, 1, 1, 0, 1, 0)),
+    (6, (2, 2, 0, 0, 0, 0, 0, 1, 2, 0, 1, 0, 0, 0, 1, 0, 2, 1, 2, 1, 1, 2, 1, 2,
+         1, 0, 0, 1, 1, 1, 0, 2, 2, 2, 1, 2, 0, 1, 0, 0, 1, 0, 2, 0, 1, 1, 2, 0,
+         2, 2, 2, 1, 2, 2, 2, 0, 0, 0, 0, 2, 0, 0, 2, 2),
+     (2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 0, 0, 0, 2, 0, 1, 1, 1,
+      2, 0, 1, 2, 2, 1, 2, 0, 0, 1, 1, 1, 0, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 0,
+      2, 2, 2, 1, 1, 1, 0, 2, 1, 1, 2, 0, 0, 2, 1, 0)),
+    (6, (0, 4, 1, 1, 3, 4, 1, 1, 0, 1, 4, 0, 4, 4, 4, 0, 4, 0, 4, 1, 4, 2, 0, 0,
+         2, 0, 1, 0, 0, 4, 4, 1, 4, 1, 1, 3, 1, 3, 2, 2, 3, 3, 1, 3, 4, 3, 3, 4,
+         1, 1, 1, 2, 3, 1, 1, 2, 3, 0, 0, 2, 0, 1, 4, 3),
+     (0, 0, 0, 0, 0, 0, 1, 4, 0, 1, 1, 4, 4, 4, 0, 4, 0, 3, 1, 3, 1, 4, 1, 1,
+      1, 3, 3, 1, 3, 2, 2, 3, 0, 3, 3, 3, 2, 1, 2, 1, 2, 4, 4, 1, 3, 1, 4, 0,
+      1, 1, 4, 0, 1, 4, 4, 2, 4, 3, 2, 4, 4, 0, 1, 1)),
+    (5, (0, 0) + (1,) * 30, (0, 0) + (1,) * 30),
+    (5, tuple(0 if x == 0 else 1 + x.bit_count() % 2 for x in range(32)),
+     (0,) + (1,) * 15 + (2,) * 16),
+    (6, tuple(x.bit_count() % 3 for x in range(64)),
+     (0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0,
+      2, 1, 1, 2, 2, 1, 2, 1, 0, 0, 1, 2, 2, 1, 1, 2, 1, 2, 0, 0, 2, 1, 2, 1,
+      2, 1, 2, 1, 0, 0, 1, 2, 0, 0, 1, 2, 2, 1, 1, 2)),
+]
 
 
 def test_group_sizes():
@@ -37,7 +68,29 @@ def test_backtracking_matches_table_minimum(k):
     rng = random.Random(100 + k)
     for _ in range(40 if k < 4 else 15):
         counts = tuple(rng.randint(0, 4) for _ in range(1 << k))
-        assert canonical_counts(counts, k) == brute_min(counts, k)
+        assert canonical_counts(counts, k) == orbit_minimum(counts, k)
+
+
+@pytest.mark.parametrize("k, counts, canon", PINNED)
+def test_pinned_canonical_forms(k, counts, canon):
+    assert canonical_counts(counts, k) == canon
+
+
+def test_batch_equals_row_at_a_time(monkeypatch):
+    rng = random.Random(7)
+    batches = {k: [tuple(rng.randint(0, 2) for _ in range(1 << k)) for _ in range(30)]
+               + [counts for kk, counts, _ in PINNED if kk == k] for k in (3, 4, 5, 6)}
+    one = {k: [canonical_counts(counts, k) for counts in batch]
+           for k, batch in batches.items()}
+
+    def batched(k):
+        return [tuple(int(x) for x in r) for r in canonical_rows(batches[k], k)]
+
+    assert all(batched(k) == one[k] for k in batches)
+    # slices far smaller than a level: every level is scored in many
+    # steps, and ties and lower blocks are merged across them
+    monkeypatch.setattr(canonical, "PAIR_SLICE", 256)
+    assert all(batched(k) == one[k] for k in batches)
 
 
 def test_canonical_counts_invariant_on_orbit():

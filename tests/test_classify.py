@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from brute import extension_classes, min_weight, subspace_class_counts
 from lcdlab.bounds import griesmer_dmax
-from lcdlab.canonical import canonical_counts, counts_key
+from lcdlab.canonical import canonical_rows, counts_key
 from lcdlab.classify import (_extend_all, _extend_seed, classify,
                              classify_by_columns, compositions,
                              extend_by_inverse_shortening, lcd_census)
@@ -105,8 +105,8 @@ def test_extend_seed_matches_brute(seed):
     k = k1 + 1
     assert hist.shape == (len(minw), 1 << k)
     assert (hist.sum(axis=1) == n1 + 1).all()
-    got = {(counts_key(n1 + 1, k, canonical_counts(tuple(int(x) for x in h), k)), int(w))
-           for h, w in zip(hist, minw)}
+    got = {(counts_key(n1 + 1, k, tuple(int(x) for x in c)), int(w))
+           for c, w in zip(canonical_rows(hist, k), minw)}
     assert got == extension_classes(rows, n1, d)
 
 
@@ -183,6 +183,23 @@ def test_ladder_bytes_pinned(tmp_path):
         got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in db_dir.iterdir()}
         assert got == digests, (n, k, d)
+
+
+def test_resume_from_partial_rung_matches_cold(tmp_path):
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    classify(22, 4, 11, db_dir=str(cold), bottom_k=2)
+    names = sorted(f.name for f in cold.iterdir())
+    # a run killed while storing the [21,3,d'] rung: the [20,2,d'] rung and
+    # one [21,3,d'] level are on disk, next to the temp file of another
+    warm.mkdir()
+    for name in names:
+        if name.startswith("n20k2") or name == "n21k3d11.codedb":
+            (warm / name).write_bytes((cold / name).read_bytes())
+    (warm / ".lcdlab-killed").write_text("21 3 12 1 col")
+    classify(22, 4, 11, db_dir=str(warm), bottom_k=2)
+    for name in names:
+        assert (warm / name).read_bytes() == (cold / name).read_bytes(), name
+    assert sorted(f.name for f in warm.glob("*.codedb")) == names
 
 
 def test_jobs_parallel_determinism():

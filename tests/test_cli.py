@@ -148,3 +148,43 @@ def test_db_dir_holds_no_temp_files(capsys, tmp_path):
                                       "n21k3d11.codedb", "n21k3d12.codedb"]
     manifest = json.loads((db / "manifest-classify.json").read_text())
     assert manifest["parameters"] == {"n": 21, "k": 3, "d": 11}
+
+
+def _flip_row_bit(line: str) -> str:
+    """Flip the last column of a record's first row; the rows are reduced
+    with their pivots in front, so the rank is kept."""
+    key, _, rows = line.partition(":")
+    first, *rest = rows.split()
+    row = int.from_bytes(bytes.fromhex(first), "little") ^ (1 << 20)
+    return key + ":" + " ".join([row.to_bytes(3, "little").hex()] + rest)
+
+
+@pytest.mark.parametrize("tamper, level, why", [
+    ("renamed file", (22, 4, 11), "does not hold"),
+    ("edited header", (21, 3, 11), "does not hold"),
+    ("edited key", (21, 3, 12), "not one canonical representative"),
+    ("edited row", (21, 3, 12), "does not hold"),
+])
+def test_census_rejects_unverified_level(capsys, tmp_path, tamper, level, why):
+    db = tmp_path / "db"
+    code, _ = run(capsys, "classify", "--n", "22", "--k", "4", "--d", "11",
+                  "--db", str(db), "--json")
+    assert code == 0
+    n, k, d = level
+    path = db / f"n{n}k{k}d{d}.codedb"
+    # [21,3,12] has one class, so any edit of its record stays key-sorted
+    head, record = (db / "n21k3d12.codedb").read_text().splitlines()
+    if tamper == "edited header":
+        head = head.replace(" 12 ", " 11 ")
+    elif tamper == "edited key":
+        i = record.index(":") - 1  # the last multiplicity's low bits
+        record = record[:i] + "%x" % (int(record[i], 16) ^ 1) + record[i + 1:]
+    elif tamper == "edited row":
+        record = _flip_row_bit(record)
+    path.write_text(head + "\n" + record + "\n")
+    code = main(["census", "--n", str(n), "--k", str(k), "--d", str(d),
+                 "--db", str(db)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("lcdlab: error: ") and err.count("\n") == 1, err
+    assert path.name in err and why in err, err

@@ -7,7 +7,10 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lcdlab"
-ABSENT_LAYERS = {"classify.coset_bfs"}  # the syndrome kernel was deleted
+# Layers whose code was deleted, not renamed: the syndrome kernel, then the
+# backtracking canonical form and the GL(k,2) table, whose work is now
+# part of classify.dedupe.
+ABSENT_LAYERS = {"classify.coset_bfs", "canonical.backtrack", "canonical.gl_table"}
 
 
 def test_private_names_stay_private_and_bench_layers_resolve():
