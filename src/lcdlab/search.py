@@ -6,18 +6,43 @@ deterministic tie-breaking, LCD enforced as a hard constraint on
 acceptance, random restarts under a fixed seed.  Targets need d >= 1,
 which makes every state with minimum weight >= d a full-rank code.  Not
 finding a code proves nothing.
+
+A move's score is its new minimum weight, less the number of messages
+at it.  A move i -> j changes the weight of message m by
+a[m, j] - a[m, i], one of -1, 0 or 1, so with c the current minimum the
+new minimum is c - 1, c or c + 1, and messages of weight above c + 2
+can neither set it nor reach it.  All moves are scored at once as base
+B = 2^k digit counts: with u_m = B^(c + 2 - w_m) for w_m <= c + 2 and 0
+otherwise,
+
+    f[i, j] = sum_m B^a[m, i] * u_m * B^(1 - a[m, j]),
+
+whose digit p counts the messages of new weight c + 3 - p.  A count is
+at most 2^k - 1 < B, so digits never carry, and the top nonzero digit
+gives the new minimum and the number of messages at it.  f is one
+float64 matrix product of two fixed tables; it stays below
+B^5 = 2^(5k), exact in float64 for k <= SEARCH_CAP = 10.  The score
+weight 2^10 also needs fewer than 2^10 messages at the minimum.
+
+A state's LCD check depends on the state alone, so each restart keeps
+the states it has rejected and checks none of them twice: the plateau
+walk returns to the same states often.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .bounds import griesmer_dmax
 from .classify import message_weight_matrix
 from .code import LinearCode, TypeMultiplicity
+
+SEARCH_CAP = 10  # 2^(5k) <= 2^53: move scores exact in float64
+BIG = 1 << 10  # score = BIG * minimum weight - messages at it
 
 
 @dataclass(frozen=True)
@@ -31,6 +56,32 @@ class SearchBudget:
             raise ValueError("budget fields must be positive")
 
 
+@lru_cache(maxsize=None)
+def _digit_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The message-weight matrix a and the float64 tables
+    x[i, m] = B^a[m, i] and y[m, j] = B^(1 - a[m, j])."""
+    a = message_weight_matrix(k).astype(np.int32)
+    return a, np.exp2(k * a.T), np.exp2(k * (1 - a))
+
+
+def move_scores(counts: np.ndarray, k: int) -> tuple[int, int, np.ndarray]:
+    """(minimum weight c, score of the state, score of every move i -> j)
+    for nonzero-type multiplicities counts; moves from an empty type and
+    i -> i score -1."""
+    a, x, y = _digit_tables(k)
+    w = a @ counts
+    c = int(w.min())
+    now = BIG * c - int((w == c).sum())
+    u = np.exp2(k * (c + 2 - w))
+    u[w > c + 2] = 0
+    f = ((x * u) @ y).astype(np.int64)
+    drop = (f >= 1 << 3 * k).astype(np.int64) + (f >= 1 << 4 * k)
+    score = BIG * (c + 1 - drop) - (f >> k * (2 + drop))
+    score[counts == 0, :] = -1
+    np.fill_diagonal(score, -1)
+    return c, now, score
+
+
 def search_lcd(n: int, k: int, d: int,
                budget: SearchBudget | None = None) -> LinearCode | None:
     """Look for an LCD [n, k, >= d] code; None when the budget runs out.
@@ -41,14 +92,12 @@ def search_lcd(n: int, k: int, d: int,
     budget = budget or SearchBudget()
     if d < 1:
         raise ValueError("need d >= 1")
+    if k > SEARCH_CAP:
+        raise ValueError(f"search capped at k={SEARCH_CAP}")
     if d > griesmer_dmax(n, k):
         raise ValueError(
             f"d={d} exceeds the Griesmer maximum {griesmer_dmax(n, k)} for [{n},{k}]")
     q = (1 << k) - 1
-    a_mat = message_weight_matrix(k).astype(np.int32)  # (messages, types)
-    # delta[i, j] = weight change per message when a column moves i -> j
-    delta = a_mat.T[None, :, :] - a_mat.T[:, None, :]
-    big = 1 << 10
     rng = random.Random(budget.rng_seed)
     steps = 0
     for _restart in range(budget.restarts):
@@ -58,32 +107,25 @@ def search_lcd(n: int, k: int, d: int,
         for _ in range(n):
             counts[rng.randrange(q)] += 1
         plateau = 8 * n
+        rejected: set[bytes] = set()  # states of this restart that are not LCD
         while steps < budget.max_iterations:
             steps += 1
-            w = a_mat @ counts
-            cur_min = int(w.min())
-            # score: raise the minimum weight, then thin out the codewords at it
-            cur_score = big * cur_min - int((w == cur_min).sum())
-            if cur_min >= d:
+            cur_min, cur_score, score = move_scores(counts, k)
+            if cur_min >= d and (state := counts.tobytes()) not in rejected:
                 code = LinearCode(TypeMultiplicity(k, (0, *counts.tolist())).generator())
                 if code.is_lcd() and code.min_weight() >= d:
                     return code
-            neigh = w[None, None, :] + delta  # (from, to, messages)
-            minw = neigh.min(axis=2)
-            at_min = (neigh == minw[:, :, None]).sum(axis=2)
-            score = big * minw - at_min
-            score[counts == 0, :] = -1
-            np.fill_diagonal(score, -1)
+                rejected.add(state)
             best = int(score.max())
             if best > cur_score:
-                i, j = np.unravel_index(int(score.argmax()), score.shape)
+                i, j = divmod(int(score.argmax()), q)
                 counts[i] -= 1
                 counts[j] += 1
                 continue
             if best == cur_score and plateau > 0:
                 plateau -= 1
-                ties = np.argwhere(score == best)
-                i, j = ties[rng.randrange(len(ties))]
+                ties = np.flatnonzero(score == best)  # row-major, as moves (i, j)
+                i, j = divmod(int(ties[rng.randrange(len(ties))]), q)
                 counts[i] -= 1
                 counts[j] += 1
                 continue

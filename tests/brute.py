@@ -5,7 +5,8 @@ walked through their unique reduced-echelon generators, one-step
 extensions through every vector of F2^n and every codeword, and
 equivalence is decided by trying every column permutation.  For
 k <= 4 the whole group GL(k,2) is tabulated, so orbit minima are
-computed by brute force too.
+computed by brute force too.  Hill-climbing moves are scored by
+adding every move's weight change to every message.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ def subspace_class_counts(n: int, k: int) -> dict[int, int]:
             offs = types + (np.arange(hi - lo, dtype=np.int64)[:, None] << k)
             counts = np.bincount(offs.ravel(),
                                  minlength=(hi - lo) << k).reshape(-1, 1 << k)
-            for row in np.unique(counts.astype(np.int16), axis=0):
-                hists.add(tuple(int(x) for x in row))
+            counts = counts.astype(np.int16)
+            _, first = np.unique(counts.view(f"V{counts.itemsize << k}").ravel(),
+                                 return_index=True)
+            hists.update(tuple(int(x) for x in row) for row in counts[first])
     hists = list(hists)
     by_d: dict[int, set[tuple[int, ...]]] = {}
     for counts, canon in zip(hists, canonical_rows(hists, k)):
@@ -141,6 +144,23 @@ def orbit_minimum(counts, k: int) -> tuple[int, ...]:
     """Least multiplicity vector in the GL(k,2) orbit, over the whole table."""
     images = np.asarray(counts, dtype=np.int64)[gl2_type_permutations(k)]
     return tuple(int(x) for x in np.unique(images, axis=0)[0])
+
+
+def neighbour_scores(counts, k: int) -> np.ndarray:
+    """Score of every hill-climbing move i -> j of one column between
+    nonzero types, by adding each move's weight change to every message:
+    2^10 times the new minimum weight, less the messages at it; moves from
+    an empty type and i -> i score -1."""
+    nonzero = np.arange(1, 1 << k)
+    a = (np.bitwise_count(nonzero[:, None] & nonzero) & 1).astype(np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    w = a @ counts
+    neigh = w[None, None, :] + (a.T[None, :, :] - a.T[:, None, :])  # (from, to, messages)
+    minw = neigh.min(axis=2)
+    score = (1 << 10) * minw - (neigh == minw[:, :, None]).sum(axis=2)
+    score[counts == 0, :] = -1
+    np.fill_diagonal(score, -1)
+    return score
 
 
 def type_permutation(mat_rows: tuple[int, ...], k: int) -> tuple[int, ...]:

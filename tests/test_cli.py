@@ -121,6 +121,7 @@ def test_usage_error_exit_2():
     "census --n 5 --k 3 --d 9",
     "family --k 4 --s 3 --t 0",      # below the family's range of t
     "bounds --n 3 --k 5",            # k > n
+    "search --n 40 --k 11 --d 5",    # above the search's k cap
 ])
 def test_domain_error_exit_2_one_line(capsys, argv):
     code = main(argv.split())

@@ -1,6 +1,21 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lcdlab.search import SearchBudget, search_lcd
+from brute import neighbour_scores
+from lcdlab.search import SearchBudget, move_scores, search_lcd
+
+# generator rows of the codes found under the default budget, one per
+# (n, k, d, seed); any change in move scoring, tie-breaking or RNG use
+# moves them
+PINNED = {
+    (20, 5, 9, 7): (845209, 611538, 634060, 1032672, 1048064),
+    (17, 4, 8, 2024): (16877, 100750, 127472, 130560),
+    (17, 6, 6, 3): (114849, 25506, 123844, 6952, 104656, 130048),
+    (18, 6, 7, 3): (23761, 170578, 146052, 111128, 258272, 261888),
+    (21, 6, 8, 3): (1740873, 864458, 1204556, 1041104, 1967072, 2096128),
+}
 
 
 def test_witnesses_found():
@@ -12,14 +27,45 @@ def test_witnesses_found():
 
 
 def test_deterministic_under_seed():
-    a = search_lcd(20, 5, 9, SearchBudget(rng_seed=7))
-    b = search_lcd(20, 5, 9, SearchBudget(rng_seed=7))
-    assert a == b and a is not None
+    for (n, k, d, seed), rows in PINNED.items():
+        code = search_lcd(n, k, d, SearchBudget(rng_seed=seed))
+        assert code is not None and tuple(code.generator.data) == rows, (n, k, d, seed)
+
+
+@st.composite
+def states(draw):
+    """Multiplicities over the nonzero types, some of them empty; small n
+    gives minimum weight 0."""
+    k = draw(st.integers(1, 6))
+    q = (1 << k) - 1
+    used = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=q, unique=True))
+    counts = np.zeros(q, dtype=np.int32)
+    for t in used:
+        counts[t] = draw(st.integers(0, 4))
+    return counts, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(states())
+@example((np.array([1, 0, 0], dtype=np.int32), 2))  # c = 0: moves that score -1
+@example((np.array([1, 0, 4], dtype=np.int32), 2))  # 0 -> 2: one message drops, alone
+def test_move_scores_match_brute(state):
+    counts, k = state
+    c, now, score = move_scores(counts, k)
+    assert score.tolist() == neighbour_scores(counts, k).tolist()
+    nonzero = np.arange(1, 1 << k)
+    w = (np.bitwise_count(nonzero[:, None] & nonzero) & 1) @ counts
+    assert (c, now) == (w.min(), (1 << 10) * w.min() - (w == w.min()).sum())
 
 
 def test_above_griesmer_rejected():
     with pytest.raises(ValueError, match="Griesmer"):
         search_lcd(22, 4, 12)
+
+
+def test_k_above_cap_rejected():
+    with pytest.raises(ValueError, match="k=10"):
+        search_lcd(40, 11, 5)
 
 
 def test_d_below_one_rejected():
