@@ -11,9 +11,10 @@ A move's score is its new minimum weight, less the number of messages
 at it.  A move i -> j changes the weight of message m by
 a[m, j] - a[m, i], one of -1, 0 or 1, so with c the current minimum the
 new minimum is c - 1, c or c + 1, and messages of weight above c + 2
-can neither set it nor reach it.  All moves are scored at once as base
-B = 2^k digit counts: with u_m = B^(c + 2 - w_m) for w_m <= c + 2 and 0
-otherwise,
+can neither set it nor reach it.  The moves of a step are scored at once
+as base B = 2^k digit counts: with u_m = B^(c + 2 - w_m) for
+w_m <= c + 2 and 0 otherwise (a 4-entry table indexed by
+min(w_m - c, 3)),
 
     f[i, j] = sum_m B^a[m, i] * u_m * B^(1 - a[m, j]),
 
@@ -23,6 +24,15 @@ gives the new minimum and the number of messages at it.  f is one
 float64 matrix product of two fixed tables; it stays below
 B^5 = 2^(5k), exact in float64 for k <= SEARCH_CAP = 10.  The score
 weight 2^10 also needs fewer than 2^10 messages at the minimum.
+
+Only a type that holds a column can give one up, so only the rows i of
+the occupied types are built: at most n of the 2^k - 1, in ascending
+order, so that ties still fall in row-major order over all moves.  The
+no-op moves i -> i score BIG * (c - 2), below every real move (those
+score more than BIG * (c - 1) - BIG), so even at c = 0, where real moves
+can score below 0, a step never stands still.  The message weights w
+are kept across the steps of a restart: a move i -> j adds
+a[m, j] - a[m, i] to w_m.
 
 A state's LCD check depends on the state alone, so each restart keeps
 the states it has rejected and checks none of them twice: the plateau
@@ -57,29 +67,30 @@ class SearchBudget:
 
 
 @lru_cache(maxsize=None)
-def _digit_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The message-weight matrix a and the float64 tables
-    x[i, m] = B^a[m, i] and y[m, j] = B^(1 - a[m, j])."""
+def _digit_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The message-weight matrix a (symmetric), the float64 tables
+    x[i, m] = B^a[m, i] and y[m, j] = B^(1 - a[m, j]), and u's values
+    (B^2, B, 1, 0) indexed by min(w_m - c, 3)."""
     a = message_weight_matrix(k).astype(np.int32)
-    return a, np.exp2(k * a.T), np.exp2(k * (1 - a))
+    return (a, np.exp2(k * a.T), np.exp2(k * (1 - a)),
+            np.array([1 << 2 * k, 1 << k, 1, 0], dtype=np.float64))
 
 
-def move_scores(counts: np.ndarray, k: int) -> tuple[int, int, np.ndarray]:
-    """(minimum weight c, score of the state, score of every move i -> j)
-    for nonzero-type multiplicities counts; moves from an empty type and
-    i -> i score -1."""
-    a, x, y = _digit_tables(k)
-    w = a @ counts
+def move_scores(counts: np.ndarray, w: np.ndarray,
+                k: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(minimum weight c, score of the state, occupied types occ, score of
+    every move occ[r] -> j at [r, j]) for nonzero-type multiplicities
+    counts with message weights w; the no-op moves occ[r] -> occ[r] score
+    BIG * (c - 2), below every real move."""
+    _, x, y, level = _digit_tables(k)
     c = int(w.min())
-    now = BIG * c - int((w == c).sum())
-    u = np.exp2(k * (c + 2 - w))
-    u[w > c + 2] = 0
-    f = ((x * u) @ y).astype(np.int64)
+    now = BIG * c - int(np.count_nonzero(w == c))
+    occ = counts.nonzero()[0]
+    f = ((x[occ] * level[np.minimum(w - c, 3)]) @ y).astype(np.int64)
     drop = (f >= 1 << 3 * k).astype(np.int64) + (f >= 1 << 4 * k)
     score = BIG * (c + 1 - drop) - (f >> k * (2 + drop))
-    score[counts == 0, :] = -1
-    np.fill_diagonal(score, -1)
-    return c, now, score
+    score[np.arange(len(occ)), occ] = BIG * (c - 2)
+    return c, now, occ, score
 
 
 def search_lcd(n: int, k: int, d: int,
@@ -98,6 +109,7 @@ def search_lcd(n: int, k: int, d: int,
         raise ValueError(
             f"d={d} exceeds the Griesmer maximum {griesmer_dmax(n, k)} for [{n},{k}]")
     q = (1 << k) - 1
+    a = _digit_tables(k)[0]
     rng = random.Random(budget.rng_seed)
     steps = 0
     for _restart in range(budget.restarts):
@@ -106,28 +118,28 @@ def search_lcd(n: int, k: int, d: int,
         counts = np.zeros(q, dtype=np.int32)
         for _ in range(n):
             counts[rng.randrange(q)] += 1
+        w = a @ counts
         plateau = 8 * n
         rejected: set[bytes] = set()  # states of this restart that are not LCD
         while steps < budget.max_iterations:
             steps += 1
-            cur_min, cur_score, score = move_scores(counts, k)
+            cur_min, cur_score, occ, score = move_scores(counts, w, k)
             if cur_min >= d and (state := counts.tobytes()) not in rejected:
                 code = LinearCode(TypeMultiplicity(k, (0, *counts.tolist())).generator())
                 if code.is_lcd() and code.min_weight() >= d:
                     return code
                 rejected.add(state)
-            best = int(score.max())
-            if best > cur_score:
-                i, j = divmod(int(score.argmax()), q)
-                counts[i] -= 1
-                counts[j] += 1
-                continue
-            if best == cur_score and plateau > 0:
+            move = int(score.argmax())  # the first best move, row-major
+            best = int(score.flat[move])
+            if best == cur_score and plateau > 0:  # sideways: a random tie
                 plateau -= 1
-                ties = np.flatnonzero(score == best)  # row-major, as moves (i, j)
-                i, j = divmod(int(ties[rng.randrange(len(ties))]), q)
-                counts[i] -= 1
-                counts[j] += 1
-                continue
-            break  # stuck: restart
+                ties = (score == best).ravel().nonzero()[0]  # row-major
+                move = int(ties[rng.randrange(len(ties))])
+            elif best <= cur_score:
+                break  # stuck: restart
+            r, j = divmod(move, q)
+            i = occ[r]
+            counts[i] -= 1
+            counts[j] += 1
+            w += a[j] - a[i]  # a is symmetric: row t is column t
     return None
