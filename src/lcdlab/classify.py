@@ -32,7 +32,7 @@ import numpy as np
 
 from .bounds import griesmer_dmax
 from .canonical import canonical_rows, counts_key
-from .code import LinearCode, TypeMultiplicity
+from .code import CANONICAL_CAP, LinearCode, TypeMultiplicity
 from .gf2 import BitMatrix, rref
 
 DEFAULT_LIMIT = 20_000_000
@@ -203,8 +203,9 @@ def classify_by_columns(n: int, k: int, d: int, *,
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    if not 1 <= k <= min(n, CANONICAL_CAP):
+        raise ValueError(
+            f"need 1 <= k <= min(n, {CANONICAL_CAP}), got n={n}, k={k}")
     arrays = [vecs for _, vecs in _column_candidates(n, k, d, limit)]
     canon = _dedupe_canonical(arrays, k)
     return _build_db(n, k, d, "columns", canon)
@@ -238,10 +239,8 @@ def _extend_seed(gen_rows: tuple[int, ...], n1: int, k1: int,
     chunk at a time, as an outer part times a fixed inner block.
     Translating v by the codeword c_m complements x_st on the types with
     m.st = 1, so capping x at c/2 on the k1 unit types of the reduced
-    seed keeps at least one translate of every coset.  Each kept row is
-    then replaced by the least of its translates, which merges the ties
-    at 2x = c; any translate is a valid candidate, so the choice only
-    decides how many duplicates reach deduplication.
+    seed keeps at least one translate of every coset.  A translate spans
+    the same code, so deduplication merges the translates the cap keeps.
     """
     k = k1 + 1
     red = rref(BitMatrix(k1, n1, gen_rows))
@@ -254,9 +253,7 @@ def _extend_seed(gen_rows: tuple[int, ...], n1: int, k1: int,
     unit = 1 << np.arange(k1)  # the pivot columns' types
     radix[unit] = c[unit] // 2 + 1
     sign = _sign_matrix(k1).astype(np.int32)
-    flip = sign < 0  # translating v by c_m complements x on these types
-    const = flip.astype(np.int32) @ c.astype(np.int32)
-    place = np.cumprod(np.concatenate(([1], c[:0:-1] + 1)))[::-1]
+    const = (sign < 0).astype(np.int32) @ c.astype(np.int32)
     types = np.flatnonzero(radix > 1)
     split, size = len(types), 1
     while split and size * radix[types[split - 1]] <= BOX_CHUNK:
@@ -280,10 +277,6 @@ def _extend_seed(gen_rows: tuple[int, ...], n1: int, k1: int,
         x = np.zeros((oi.size, 1 << k1), dtype=np.int64)
         x[:, outer] = x_out[oi]
         x[:, inner] = x_in[ii]
-        # least translate in mixed-radix order over the full box
-        trans = np.where(flip, c - x[:, None, :], x[:, None, :])
-        best = (trans @ place).argmin(axis=1)
-        x = trans[np.arange(oi.size), best]
         hist = np.empty((oi.size, 1 << k), dtype=np.int16)
         hist[:, 1::2] = x
         hist[:, 0::2] = c - x
@@ -294,14 +287,6 @@ def _extend_seed(gen_rows: tuple[int, ...], n1: int, k1: int,
         return (np.empty((0, 1 << k), dtype=np.int16),
                 np.empty(0, dtype=np.int64))
     return np.concatenate(hists), np.concatenate(minws)
-
-
-def _seed_list(dbs) -> list[tuple[tuple[int, ...], int]]:
-    out = []
-    for db in dbs:
-        for _, rows in db.records:
-            out.append((rows, db.d))
-    return out
 
 
 def _validate_seeds(dbs, d: int):
@@ -327,8 +312,7 @@ def _extend_all(dbs, d: int, jobs: int = 1) -> dict[int, CodeDB]:
         raise ValueError("extension needs d >= 2")
     n1, k1 = _validate_seeds(dbs, d)
     n, k = n1 + 1, k1 + 1
-    seeds = _seed_list(dbs)
-    args = [(rows, n1, k1, sd, d) for rows, sd in seeds]
+    args = [(rows, n1, k1, db.d, d) for db in dbs for _, rows in db.records]
     if jobs > 1 and len(args) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
@@ -407,8 +391,9 @@ def classify(n: int, k: int, d: int, *, db_dir: str | None = None,
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    if k < 2:
-        raise ValueError("classification pipeline needs k >= 2")
+    if not 2 <= k <= CANONICAL_CAP:
+        raise ValueError(
+            f"classification pipeline needs 2 <= k <= {CANONICAL_CAP}, got k={k}")
     top = griesmer_dmax(n, k)
     if d > top:
         raise ValueError(

@@ -2,8 +2,9 @@
 
 Subcommands: family, bounds, classify, census, search, verify-octal,
 reproduce.  Exit codes: 0 success, 1 verification mismatch or nothing
-found, 2 usage (bad options or parameters, one line on stderr).  The
-database directory comes from --db, overridden by LCDLAB_DB.
+found, 2 usage (bad options or parameters, or a database directory that
+cannot be used; one line on stderr).  The database directory comes from
+--db, overridden by LCDLAB_DB, and is created before any work.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ from .search import SearchBudget, search_lcd
 
 
 def _db_dir(args) -> str | None:
-    return os.environ.get("LCDLAB_DB") or args.db
+    """The database directory, created before any work is done."""
+    db_dir = os.environ.get("LCDLAB_DB") or args.db
+    if db_dir:
+        os.makedirs(db_dir, exist_ok=True)
+    return db_dir
 
 
 def _emit(args, report: dict):
@@ -110,6 +115,7 @@ def cmd_search(args) -> int:
     budget = SearchBudget(max_iterations=args.iters, rng_seed=args.seed,
                           restarts=args.restarts)
     started = time.time()
+    db_dir = _db_dir(args)
     code = search_lcd(args.n, args.k, args.d, budget)
     if code is None:
         _emit(args, {"params": {"n": args.n, "k": args.k, "d": args.d},
@@ -119,7 +125,7 @@ def cmd_search(args) -> int:
                                  params={"n": args.n, "k": args.k, "d": args.d})
     report["found"] = True
     _emit(args, report)
-    _write_manifest(_db_dir(args), "search",
+    _write_manifest(db_dir, "search",
                     {"n": args.n, "k": args.k, "d": args.d}, args.seed,
                     started, str(code.generator.data))
     return 0
@@ -140,77 +146,60 @@ def _verify_octal_table(groups, k: int, out: list[str]) -> bool:
     return ok
 
 
-def _verify_lcd_witnesses(out: list[str]) -> bool:
+def _verify_lcd_witnesses(k: int, out: list[str]) -> bool:
     ok = True
-    for n, (d, rows) in sorted(tables.DIM5_LCD_WITNESSES.items()):
-        code = formats.systematic_code(formats.parse_binary_rows(rows, 5))
+    for n, (d, rows) in sorted(families.DIMENSIONS[k].lcd_witnesses.items()):
+        code = formats.systematic_code(formats.parse_binary_rows(rows, k))
         good = code.n == n and code.min_weight() == d and code.is_lcd()
         ok &= good
-        out.append(f"{'PASS' if good else 'FAIL'} lcd witness [{n},5,{d}]")
+        out.append(f"{'PASS' if good else 'FAIL'} lcd witness [{n},{k},{d}]")
     return ok
 
 
 def cmd_verify_octal(args) -> int:
     out: list[str] = []
     ok = True
-    if args.table in ("dim4", "all"):
-        ok &= _verify_octal_table(tables.DIM4_GENERATORS, 4, out)
-    if args.table in ("dim5", "all"):
-        ok &= _verify_octal_table(tables.DIM5_GENERATORS, 5, out)
+    for k, dim in families.DIMENSIONS.items():
+        if args.table in (f"dim{k}", "all"):
+            ok &= _verify_octal_table(dim.generators, k, out)
     if args.table in ("m-table", "all"):
-        ok &= _verify_lcd_witnesses(out)
+        ok &= _verify_lcd_witnesses(5, out)
     print("\n".join(out))
     return 0 if ok else 1
 
 
+# The desk-scale classifications of --full: (n, k, d, classes), none LCD.
+FULL_CENSUSES = ((22, 4, 11, 2), (23, 4, 12, 1), (27, 4, 14, 1), (25, 5, 12, 8))
+
+
 def _reproduce_checks(suite: str, full: bool, db_dir: str | None, jobs: int):
-    if suite in ("dim4", "all"):
-        yield ("families dim4 (t<=4)", lambda: all(
-            families.family_code(4, s, t).match
-            for s in range(15)
-            for t in range(families.family_t_min(4, s), 5)))
-        yield ("weight enumerators dim4", lambda: all(
+    # Default arguments bind each check's k and tables when it is made, so
+    # the checks stay right when collected before any of them runs.
+    for k, dim in families.DIMENSIONS.items():
+        if suite not in (f"dim{k}", "all"):
+            continue
+        res = range((1 << k) - 1)
+        yield (f"families dim{k} (t<={dim.t_checked})",
+               lambda k=k, dim=dim, res=res: all(
+                   families.family_code(k, s, t).match for s in res
+                   for t in range(families.family_t_min(k, s), dim.t_checked + 1)))
+        yield (f"weight enumerators dim{k}", lambda k=k, res=res: all(
             families.symbolic_weight_enumerator(
-                4, families.family_affine_vector(4, s))
-            == families.expected_symbolic_we(4, s) for s in range(15)))
-        yield ("gram determinants dim4", lambda: all(
-            families.symbolic_gram_det(4, families.family_affine_vector(4, s))
-            == tables.DIM4_DET[s]
-            and families.det_is_odd_everywhere(tables.DIM4_DET[s])
-            for s in range(15)))
-        yield ("generator fixtures dim4", lambda: _verify_octal_table(
-            tables.DIM4_GENERATORS, 4, []))
-        yield ("counts dim4 (k<=3)", lambda: all(
-            classify_by_columns(n - 1, 3, d + j).count == v
-            for (n, d), row in tables.DIM4_COUNTS.items()
-            for j, v in enumerate(row["k3"])) and all(
-            classify_by_columns(n - 2, 2, d + j).count == v
-            for (n, d), row in tables.DIM4_COUNTS.items()
-            for j, v in enumerate(row["k2"])))
-    if suite in ("dim5", "all"):
-        yield ("families dim5 (t<=3)", lambda: all(
-            families.family_code(5, s, t).match
-            for s in range(31)
-            for t in range(families.family_t_min(5, s), 4)))
-        yield ("weight enumerators dim5", lambda: all(
-            families.symbolic_weight_enumerator(
-                5, families.family_affine_vector(5, s))
-            == families.expected_symbolic_we(5, s) for s in range(31)))
-        yield ("gram determinants dim5", lambda: all(
-            families.symbolic_gram_det(5, families.family_affine_vector(5, s))
-            == tables.DIM5_DET[s]
-            and families.det_is_odd_everywhere(tables.DIM5_DET[s])
-            for s in range(31)))
-        yield ("generator fixtures dim5", lambda: _verify_octal_table(
-            tables.DIM5_GENERATORS, 5, []))
-        yield ("lcd witnesses dim5", lambda: _verify_lcd_witnesses([]))
-        yield ("counts dim5 (k<=3)", lambda: all(
-            classify_by_columns(n - 2, 3, d + j).count == v
-            for (n, d), row in tables.DIM5_COUNTS.items()
-            for j, v in enumerate(row["k3"])) and all(
-            classify_by_columns(n - 3, 2, d + j).count == v
-            for (n, d), row in tables.DIM5_COUNTS.items()
-            for j, v in enumerate(row["k2"])))
+                k, families.family_affine_vector(k, s))
+            == families.expected_symbolic_we(k, s) for s in res))
+        yield (f"gram determinants dim{k}", lambda k=k, dim=dim, res=res: all(
+            families.symbolic_gram_det(k, families.family_affine_vector(k, s))
+            == dim.det[s] and families.det_is_odd_everywhere(dim.det[s])
+            for s in res))
+        yield (f"generator fixtures dim{k}",
+               lambda k=k, dim=dim: _verify_octal_table(dim.generators, k, []))
+        if dim.lcd_witnesses:
+            yield (f"lcd witnesses dim{k}",
+                   lambda k=k: _verify_lcd_witnesses(k, []))
+        yield (f"counts dim{k} (k<=3)", lambda k=k, dim=dim: all(
+            classify_by_columns(n - k + kk, kk, d + j).count == v
+            for kk in (3, 2) for (n, d), row in dim.counts.items()
+            for j, v in enumerate(row[f"k{kk}"])))
     if suite in ("bounds", "all"):
         yield ("griesmer case formulas", lambda: all(
             bounds.closed_form_bound(n, k) == bounds.griesmer_dmax(n, k)
@@ -218,21 +207,16 @@ def _reproduce_checks(suite: str, full: bool, db_dir: str | None, jobs: int):
         yield ("largest-minimum-weight ledger", lambda: all(
             bounds.known_lcd_d(n, k).exact == v
             for (n, k), v in tables.KNOWN_LCD_D.items()))
-    if full and suite in ("dim4", "all"):
-        yield ("classification [22,4,11]", lambda: _census_is(
-            22, 4, 11, 2, 0, db_dir, jobs))
-        yield ("classification [23,4,12]", lambda: _census_is(
-            23, 4, 12, 1, 0, db_dir, jobs))
-        yield ("classification [27,4,14]", lambda: _census_is(
-            27, 4, 14, 1, 0, db_dir, jobs))
-    if full and suite in ("dim5", "all"):
-        yield ("classification [25,5,12]", lambda: _census_is(
-            25, 5, 12, 8, 0, db_dir, jobs))
+    for n, k, d, classes in FULL_CENSUSES if full else ():
+        if suite in (f"dim{k}", "all"):
+            yield (f"classification [{n},{k},{d}]",
+                   lambda n=n, k=k, d=d, classes=classes: _census_is(
+                       n, k, d, classes, db_dir, jobs))
 
 
-def _census_is(n, k, d, want_n, want_lcd, db_dir, jobs) -> bool:
+def _census_is(n, k, d, classes, db_dir, jobs) -> bool:
     census = lcd_census(classify(n, k, d, db_dir=db_dir, jobs=jobs))
-    return census.count == want_n and census.lcd_count == want_lcd
+    return census.count == classes and census.lcd_count == 0
 
 
 def cmd_reproduce(args) -> int:
@@ -332,7 +316,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # parameters outside a command's domain
+    except (ValueError, OSError) as exc:  # outside a domain; unusable --db
         print(f"lcdlab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,16 +1,18 @@
 """Parametric LCD code families of dimension 4 and 5.
 
-A family row fixes, per length residue s, a vector of affine forms
-a_j(t) = t + c_j; the code of parameter t is generated by [I_k | M]
-where block j of M repeats a fixed nonzero column a_j(t) times.  The
-weight enumerator and the integer determinant of G G^T are computed
-symbolically in t and must match the shipped reference rows.
+A family row fixes, per length residue s mod 2^k - 1, a vector of
+affine forms a_j(t) = t + c_j; the code of parameter t is generated by
+[I_k | M] where block j of M repeats a fixed nonzero column a_j(t)
+times, and has length (2^k - 1) t + s and minimum weight 2^(k-1) t plus
+the row's weight offset.  The weight enumerator and the integer
+determinant of G G^T are computed symbolically in t and must match the
+shipped reference rows.  Each dimension's tables sit in one k-keyed
+lookup, DIMENSIONS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import tables
 from .code import LinearCode, make_code
@@ -125,16 +127,35 @@ def _poly_matrix_det(mat: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
 
 # -- column orders and construction ------------------------------------------
 
-COLUMN_TYPES = {4: tables.DIM4_COLUMN_TYPES, 5: tables.DIM5_COLUMN_TYPES}
-FAMILY_ROWS = {4: tables.DIM4_FAMILY, 5: tables.DIM5_FAMILY}
-WEIGHT_SLOPE = {4: 8, 5: 16}
+@dataclass(frozen=True)
+class Dimension:
+    """The shipped tables of one family dimension, and the largest t at
+    which the verification matrix builds every family member."""
+
+    column_types: tuple[int, ...]
+    rows: dict          # family rows by residue s
+    we: dict            # reference weight enumerators by s
+    det: dict           # reference Gram determinant polynomials by s
+    generators: tuple   # fixture generator groups ((n, d), octal strings)
+    counts: dict        # [n-k+3, 3, d+j] and [n-k+2, 2, d+j] class counts
+    lcd_witnesses: dict  # LCD generators by n, as (d, binary rows)
+    t_checked: int
+
+
+DIMENSIONS = {
+    4: Dimension(tables.DIM4_COLUMN_TYPES, tables.DIM4_FAMILY, tables.DIM4_WE,
+                 tables.DIM4_DET, tables.DIM4_GENERATORS, tables.DIM4_COUNTS,
+                 {}, 4),
+    5: Dimension(tables.DIM5_COLUMN_TYPES, tables.DIM5_FAMILY, tables.DIM5_WE,
+                 tables.DIM5_DET, tables.DIM5_GENERATORS, tables.DIM5_COUNTS,
+                 tables.DIM5_LCD_WITNESSES, 3),
+}
 
 
 def column_order(k: int) -> tuple[int, ...]:
-    try:
-        return COLUMN_TYPES[k]
-    except KeyError:
-        raise ValueError(f"no column order shipped for k={k}") from None
+    if k not in DIMENSIONS:
+        raise ValueError(f"no column order shipped for k={k}")
+    return DIMENSIONS[k].column_types
 
 
 def build_generator(k: int, a) -> BitMatrix:
@@ -171,16 +192,15 @@ class AffineVec:
 
 
 def family_affine_vector(k: int, s: int) -> AffineVec:
-    rows = FAMILY_ROWS.get(k)
-    if rows is None or s not in rows:
+    if k not in DIMENSIONS or s not in DIMENSIONS[k].rows:
         raise ValueError(f"no family row for k={k}, s={s}")
-    offsets = rows[s][0]
+    offsets = DIMENSIONS[k].rows[s][0]
     return AffineVec(tuple(AffineForm(c, 1) for c in offsets))
 
 
 def family_t_min(k: int, s: int) -> int:
     derived = family_affine_vector(k, s).t_min()
-    published = FAMILY_ROWS[k][s][2]
+    published = DIMENSIONS[k].rows[s][2]
     if derived != published:
         raise AssertionError(
             f"t_min mismatch for (k={k}, s={s}): derived {derived}, "
@@ -219,9 +239,8 @@ def family_code(k: int, s: int, t: int) -> FamilyVerdict:
     """Build the family member and compare it with its claimed parameters."""
     vec = family_a_vector(k, s, t)
     code = make_code(build_generator(k, vec))
-    modulus = (1 << k) - 1
-    claimed_n = modulus * t + s
-    claimed_d = WEIGHT_SLOPE[k] * t + FAMILY_ROWS[k][s][1]
+    claimed_n = ((1 << k) - 1) * t + s
+    claimed_d = (1 << (k - 1)) * t + DIMENSIONS[k].rows[s][1]
     hull, lcd = code.lcd_status()
     return FamilyVerdict(code, claimed_n, claimed_d, code.min_weight(), hull, lcd)
 
@@ -244,11 +263,6 @@ class SymbolicWE:
             out[w] = out.get(w, 0) + mult
         return out
 
-    def __str__(self):
-        parts = ["1"] + [
-            (f"{m}" if m > 1 else "") + f"y^({e})" for m, e in self.terms]
-        return "+".join(parts)
-
 
 def symbolic_weight_enumerator(k: int, av: AffineVec) -> SymbolicWE:
     """Exponent for message m: wt(m) plus every block with m . v_j = 1."""
@@ -270,10 +284,8 @@ def symbolic_weight_enumerator(k: int, av: AffineVec) -> SymbolicWE:
 
 def expected_symbolic_we(k: int, s: int) -> SymbolicWE:
     """The shipped reference row as a SymbolicWE."""
-    table = tables.DIM4_WE if k == 4 else tables.DIM5_WE
-    slope = WEIGHT_SLOPE[k]
-    terms = tuple((mult, AffineForm(off, slope))
-                  for mult, off in sorted(table[s], key=lambda p: p[1]))
+    terms = tuple((mult, AffineForm(off, 1 << (k - 1)))
+                  for mult, off in sorted(DIMENSIONS[k].we[s], key=lambda p: p[1]))
     return SymbolicWE(k, terms)
 
 
@@ -299,50 +311,32 @@ def _gram_entry_polys(k: int, av: AffineVec) -> list[list[tuple[int, ...]]]:
     return mat
 
 
+def _matrix_at(mat: list[list[tuple[int, ...]]], t: int) -> IntMatrix:
+    return IntMatrix(len(mat), len(mat),
+                     tuple(tuple(poly_eval(p, t) for p in row) for row in mat))
+
+
 def gram_matrix_at(k: int, av: AffineVec, t: int) -> IntMatrix:
-    mat = _gram_entry_polys(k, av)
-    ent = tuple(tuple(poly_eval(p, t) for p in row) for row in mat)
-    return IntMatrix(k, k, ent)
-
-
-def _interp_det(k: int, av: AffineVec) -> tuple[int, ...]:
-    # Lagrange interpolation through k+1 integer points.
-    pts = list(range(k + 1))
-    vals = [det_int(gram_matrix_at(k, av, t)) for t in pts]
-    coeffs = [Fraction(0)] * (k + 1)
-    for x, y in zip(pts, vals):
-        basis = [Fraction(1)]  # product of (t - xo) over the other points
-        denom = 1
-        for xo in pts:
-            if xo == x:
-                continue
-            basis = [Fraction(0)] + basis
-            for idx in range(len(basis) - 1):
-                basis[idx] += -xo * basis[idx + 1]
-            denom *= x - xo
-        scale = Fraction(y, denom)
-        for idx, c in enumerate(basis):
-            coeffs[idx] += c * scale
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise AssertionError("interpolated determinant is not integral")
-        out.append(int(c))
-    return poly_trim(out)
+    return _matrix_at(_gram_entry_polys(k, av), t)
 
 
 def symbolic_gram_det(k: int, av: AffineVec) -> tuple[int, ...]:
     """det(G G^T) as an integer polynomial in t (coefficients ascending).
 
-    Computed by fraction-free elimination over Z[t] and independently by
-    interpolation; the two must agree.
+    Computed by fraction-free elimination over Z[t], then checked by
+    evaluation: its entries are affine in t, so the true determinant has
+    degree <= k; the result must too, and must equal det_int of the
+    integer Gram matrix at t = 0..k.  Two polynomials of degree <= k that
+    agree at k + 1 points are equal, so only the true determinant passes.
     """
-    direct = _poly_matrix_det(_gram_entry_polys(k, av))
-    interp = _interp_det(k, av)
-    if direct != interp:
-        raise AssertionError(
-            f"determinant paths disagree: elimination {direct}, interpolation {interp}")
-    return direct
+    mat = _gram_entry_polys(k, av)
+    det = _poly_matrix_det(mat)
+    if len(det) > k + 1:
+        raise AssertionError(f"determinant {det} has degree above {k}")
+    for t in range(k + 1):
+        if poly_eval(det, t) != det_int(_matrix_at(mat, t)):
+            raise AssertionError(f"determinant {det} is not det_int at t={t}")
+    return det
 
 
 def det_is_odd_everywhere(p: tuple[int, ...]) -> bool:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import os
 
 import pytest
@@ -113,6 +114,21 @@ def test_extend_seed_matches_brute(seed):
 def test_extend_seed_rejects_rank_deficient():
     with pytest.raises(ValueError, match="rank"):
         _extend_seed((0b0111, 0b0111), 4, 2, 3, 2)
+
+
+def test_k_above_canonical_cap_rejected_before_any_rung(monkeypatch):
+    module = importlib.import_module("lcdlab.classify")
+
+    def built(*args, **kwargs):
+        raise AssertionError("a rung was built")
+
+    monkeypatch.setattr(module, "_extend_all", built)
+    monkeypatch.setattr(module, "_column_candidates", built)
+    for n, d in ((8, 2), (10, 2)):
+        with pytest.raises(ValueError, match="k <= 6"):
+            classify(n, 7, d)
+        with pytest.raises(ValueError, match="6"):
+            classify_by_columns(n, 7, d)
 
 
 def test_extension_validates_seed_completeness():

@@ -1,8 +1,10 @@
 import json
 import os
+import re
 
 import pytest
 
+from lcdlab import cli, families
 from lcdlab.cli import main
 
 
@@ -96,6 +98,65 @@ def test_reproduce_bounds_suite(capsys):
     assert "FAIL" not in out and out.count("PASS") == 2
 
 
+DIM4_CHECKS = ["families dim4 (t<=4)", "weight enumerators dim4",
+               "gram determinants dim4", "generator fixtures dim4",
+               "counts dim4 (k<=3)"]
+DIM5_CHECKS = ["families dim5 (t<=3)", "weight enumerators dim5",
+               "gram determinants dim5", "generator fixtures dim5",
+               "lcd witnesses dim5", "counts dim5 (k<=3)"]
+BOUNDS_CHECKS = ["griesmer case formulas", "largest-minimum-weight ledger"]
+
+
+@pytest.mark.parametrize("suite, full, names", [
+    ("all", False, DIM4_CHECKS + DIM5_CHECKS + BOUNDS_CHECKS),
+    ("dim4", False, DIM4_CHECKS),
+    ("dim5", False, DIM5_CHECKS),
+    ("all", True, DIM4_CHECKS + DIM5_CHECKS + BOUNDS_CHECKS + [
+        "classification [22,4,11]", "classification [23,4,12]",
+        "classification [27,4,14]", "classification [25,5,12]"]),
+    ("dim5", True, DIM5_CHECKS + ["classification [25,5,12]"]),
+])
+def test_reproduce_check_names_pinned(suite, full, names):
+    got = [name for name, _ in cli._reproduce_checks(suite, full, None, 1)]
+    assert got == names
+
+
+def test_reproduce_checks_keep_their_dimension(monkeypatch):
+    """Every dimK check, collected before any runs, works on k = K only."""
+    checks = list(cli._reproduce_checks("all", False, None, 1))
+    seen = []
+
+    def spy(module, name, pos):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            seen.append(args[pos] if pos is not None else args)
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    for name in ("family_code", "family_t_min", "family_affine_vector",
+                 "symbolic_weight_enumerator", "expected_symbolic_we",
+                 "symbolic_gram_det"):
+        spy(families, name, 0)
+    spy(cli, "_verify_octal_table", 1)
+    spy(cli, "_verify_lcd_witnesses", 0)
+    spy(cli, "classify_by_columns", None)
+    for name, check in checks:
+        seen.clear()
+        assert check(), name
+        dim = re.search(r"dim(\d)", name)
+        if dim is None:
+            continue
+        k = int(dim.group(1))
+        if name.startswith("counts"):  # [n-k+kk, kk, d+j] for kk = 3, 2
+            assert set(seen) == {
+                (n - k + kk, kk, d + j)
+                for (n, d), row in families.DIMENSIONS[k].counts.items()
+                for kk in (3, 2) for j in range(len(row[f"k{kk}"]))}, name
+        else:
+            assert seen and set(seen) == {k}, (name, set(seen))
+
+
 def test_manifest_digest_reproducible(capsys, tmp_path):
     digests = []
     for sub in ("a", "b"):
@@ -122,12 +183,31 @@ def test_usage_error_exit_2():
     "family --k 4 --s 3 --t 0",      # below the family's range of t
     "bounds --n 3 --k 5",            # k > n
     "search --n 40 --k 11 --d 5",    # above the search's k cap
+    "classify --n 10 --k 7 --d 2",   # above the canonical form's k cap
 ])
 def test_domain_error_exit_2_one_line(capsys, argv):
     code = main(argv.split())
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("lcdlab: error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["classify", "census"])
+@pytest.mark.parametrize("where", ["a file", "under a file", "codedb is a dir"])
+def test_unusable_db_dir_exit_2_one_line(capsys, tmp_path, command, where):
+    plain = tmp_path / "plain"
+    plain.write_text("not a directory\n")
+    db = {"a file": plain, "under a file": plain / "db",
+          "codedb is a dir": tmp_path / "db"}[where]
+    blocked = db
+    if where == "codedb is a dir":
+        blocked = db / "n21k3d12.codedb"
+        blocked.mkdir(parents=True)
+    code = main([command, "--n", "21", "--k", "3", "--d", "12", "--db", str(db)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("lcdlab: error: ") and err.count("\n") == 1, err
+    assert str(blocked) in err, err
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from lcdlab import tables
+from lcdlab import families, tables
 from lcdlab.code import make_code
 from lcdlab.families import (AffineForm, AffineVec, build_generator,
                              det_is_odd_everywhere, expected_symbolic_we,
                              family_a_vector, family_affine_vector,
                              family_code, family_t_min, gram_matrix_at,
-                             poly_divexact, poly_eval, poly_mul,
+                             poly_add, poly_divexact, poly_eval, poly_mul,
                              symbolic_gram_det, symbolic_weight_enumerator)
 from lcdlab.gf2 import BitMatrix, det_int, gram
 
@@ -91,6 +91,23 @@ def test_symbolic_gram_det_matches_tables():
             got = symbolic_gram_det(k, family_affine_vector(k, s))
             assert got == want, (k, s)
             assert det_is_odd_everywhere(got)
+
+
+@pytest.mark.parametrize("k, s", [(4, 2), (5, 30)])
+@pytest.mark.parametrize("vanishing, why", [
+    (True, "degree above"),         # + t(t-1)...(t-k): agrees at t = 0..k
+    (False, "not det_int at t=0"),  # + 1
+])
+def test_gram_det_check_rejects_a_wrong_polynomial(monkeypatch, k, s,
+                                                   vanishing, why):
+    true_det = families._poly_matrix_det
+    extra = (1,)
+    for x in range(k + 1) if vanishing else ():
+        extra = poly_mul(extra, (-x, 1))
+    monkeypatch.setattr(families, "_poly_matrix_det",
+                        lambda mat: poly_add(true_det(mat), extra))
+    with pytest.raises(AssertionError, match=why):
+        symbolic_gram_det(k, family_affine_vector(k, s))
 
 
 def test_symbolic_gram_det_trivial():
