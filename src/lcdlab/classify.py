@@ -91,28 +91,41 @@ def message_weight_matrix(k: int) -> np.ndarray:
 
 
 def compositions(total: int, parts: int) -> np.ndarray:
-    """All vectors in Z_{>=0}^parts with the given sum, lexicographic order."""
+    """All vectors in Z_{>=0}^parts with the given sum, lexicographic order.
+
+    Built one column at a time over all prefixes at once: a prefix with
+    r left to place has the children 0..r in its next column, and a child
+    that leaves r' covers the comb(r' + left - 1, left - 1) final rows of
+    its left remaining columns, so each column is written straight into
+    the preallocated int16 output by one repeat of the child values.  The
+    last two columns are the children of the final prefixes and what they
+    leave.  Besides the output, the work arrays are a few vectors no
+    longer than the output has rows, so the peak stays a small multiple
+    of the output (1.5x for compositions(30, 7)).
+    """
     if parts < 1:
         raise ValueError("need at least one part")
+    if total < 0:
+        raise ValueError("need total >= 0")
     out = np.empty((comb(total + parts - 1, parts - 1), parts), dtype=np.int16)
-
-    def fill(view, total, parts):
-        if parts == 1:
-            view[:, 0] = total
-            return
-        if parts == 2:
-            ar = np.arange(total + 1, dtype=np.int16)
-            view[:, 0] = ar
-            view[:, 1] = total - ar
-            return
-        row = 0
-        for first in range(total + 1):
-            cnt = comb(total - first + parts - 2, parts - 2)
-            view[row:row + cnt, 0] = first
-            fill(view[row:row + cnt, 1:], total - first, parts - 1)
-            row += cnt
-
-    fill(out, total, parts)
+    rest = np.array([total], dtype=np.int16)  # what each prefix leaves
+    for j in range(parts - 1):
+        size = rest.astype(np.int64) + 1  # children per prefix
+        # child value 0..r within each prefix: ones, reset at each prefix start
+        value = np.ones(int(size.sum()), dtype=np.int16)
+        value[0] = 0
+        value[np.cumsum(size[:-1])] = 1 - size[:-1]
+        np.cumsum(value, dtype=np.int16, out=value)
+        rest = np.repeat(rest, size)
+        rest -= value
+        left = parts - 1 - j  # columns after column j
+        if left > 1:
+            cover = np.array([comb(r + left - 1, left - 1)
+                              for r in range(total + 1)], dtype=np.int64)
+            out[:, j] = np.repeat(value, cover[rest])
+        else:
+            out[:, j] = value
+    out[:, -1] = rest
     return out
 
 
@@ -154,7 +167,9 @@ def _column_candidates(n: int, k: int, d: int, limit: int):
     so every vector is the column multiset of an [n, k, d] code."""
     q = (1 << k) - 1
     half = 1 << (k - 1)
-    a_mat = message_weight_matrix(k)
+    # an int16 product is exact: the int16 compositions hold s, and no
+    # message weight exceeds s
+    weights_t = message_weight_matrix(k).T
     sign = _sign_matrix(k)
     for z in range(0, n - k + 1):
         s = n - z
@@ -169,8 +184,7 @@ def _column_candidates(n: int, k: int, d: int, limit: int):
                 f"~{min(n_direct, n_wht):.3e} candidate vectors (limit {limit})")
         if n_direct <= n_wht:
             comps = compositions(s, q)
-            w = comps.astype(np.int32) @ a_mat.T.astype(np.int32)
-            sel = comps[w.min(axis=1) == d]
+            sel = comps[(comps @ weights_t).min(axis=1) == d]
         else:
             ups = compositions(u_total, q)
             cap = s - d

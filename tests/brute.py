@@ -1,12 +1,12 @@
 """Independent oracles and matrix helpers used by the tests.
 
-Nothing here shares enumeration logic with the package: subspaces are
-walked through their unique reduced-echelon generators, one-step
-extensions through every vector of F2^n and every codeword, and
-equivalence is decided by trying every column permutation.  For
-k <= 4 the whole group GL(k,2) is tabulated, so orbit minima are
-computed by brute force too.  Hill-climbing moves are scored by
-adding every move's weight change to every message.
+Nothing here shares enumeration logic with the package: compositions
+are read off bar positions, subspaces are walked through their unique
+reduced-echelon generators, one-step extensions through every vector
+of F2^n and every codeword, and equivalence is decided by trying every
+column permutation.  For k <= 4 the whole group GL(k,2) is tabulated,
+so orbit minima are computed by brute force too.  Hill-climbing moves
+are scored by adding every move's weight change to every message.
 """
 
 from __future__ import annotations
@@ -22,6 +22,18 @@ from lcdlab.gf2 import BitMatrix, IntMatrix, rref
 
 CHUNK_BITS = 18
 GL_TABLE_CAP = 4  # |GL(4,2)| = 20160 rows
+
+
+def compositions_oracle(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Every vector in Z_{>=0}^parts summing to total, in lexicographic
+    order: parts - 1 bars among total + parts - 1 slots, the parts being
+    the gaps between them (stars and bars), with the bar positions taken
+    in lexicographic order."""
+    out = []
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        edges = (-1,) + bars + (total + parts - 1,)
+        out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
+    return out
 
 
 def subspace_class_counts(n: int, k: int) -> dict[int, int]:

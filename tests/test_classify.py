@@ -1,12 +1,15 @@
 import hashlib
 import importlib
 import os
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brute import extension_classes, min_weight, subspace_class_counts
+from brute import (compositions_oracle, extension_classes, min_weight,
+                   subspace_class_counts)
 from lcdlab.bounds import griesmer_dmax
 from lcdlab.canonical import canonical_rows, counts_key
 from lcdlab.classify import (_extend_all, _extend_seed, classify,
@@ -34,6 +37,25 @@ def test_compositions_shape_and_order():
     assert c.tolist() == [[0, 3], [1, 2], [2, 1], [3, 0]]
     c = compositions(4, 3)
     assert len(c) == 15 and c.sum(axis=1).tolist() == [4] * 15
+    assert compositions(0, 4).tolist() == [[0, 0, 0, 0]]
+    assert compositions(5, 1).tolist() == [[5]]
+
+
+@given(st.integers(0, 12), st.integers(1, 7))
+@settings(max_examples=60, deadline=None)
+def test_compositions_match_stars_and_bars(total, parts):
+    c = compositions(total, parts)
+    assert c.dtype == np.int16
+    assert c.shape == (comb(total + parts - 1, parts - 1), parts)
+    assert [tuple(row) for row in c.tolist()] == compositions_oracle(total, parts)
+
+
+def test_compositions_domain_errors():
+    with pytest.raises(ValueError, match="need at least one part"):
+        compositions(3, 0)
+    for parts in (1, 3):
+        with pytest.raises(ValueError, match=r"need total >= 0"):
+            compositions(-1, parts)
 
 
 def test_classify_by_columns_examples():
