@@ -10,7 +10,7 @@ from .code import LinearCode, TypeMultiplicity, WeightEnumerator, make_code
 from .families import (AffineForm, AffineVec, FamilyVerdict, build_generator,
                        family_a_vector, family_code, symbolic_gram_det,
                        symbolic_weight_enumerator)
-from .gf2 import BitMatrix, IntMatrix, det_f2, gram, matmul, rref
+from .gf2 import BitMatrix, IntMatrix, gram, rref
 from .search import SearchBudget, search_lcd
 
 __version__ = "0.1.0"
@@ -20,8 +20,8 @@ __all__ = [
     "FamilyVerdict", "IntMatrix", "LinearCode", "SearchBudget",
     "TypeMultiplicity", "WeightEnumerator", "build_generator",
     "canonical_counts", "canonical_key", "classify", "classify_by_columns",
-    "closed_form_bound", "det_f2", "extend_by_inverse_shortening",
+    "closed_form_bound", "extend_by_inverse_shortening",
     "family_a_vector", "family_code", "gram", "griesmer_dmax", "known_lcd_d",
-    "lcd_census", "make_code", "matmul", "rref", "search_lcd",
+    "lcd_census", "make_code", "rref", "search_lcd",
     "symbolic_gram_det", "symbolic_weight_enumerator",
 ]

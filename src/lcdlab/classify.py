@@ -35,7 +35,8 @@ from .canonical import canonical_rows, counts_key
 from .code import CANONICAL_CAP, LinearCode, TypeMultiplicity
 from .gf2 import BitMatrix, rref
 
-DEFAULT_LIMIT = 20_000_000
+DEFAULT_LIMIT = 20_000_000  # candidate vectors one direct enumeration may make
+MAX_LENGTH = np.iinfo(np.int16).max  # multiplicity arrays are int16
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ def _build_db(n: int, k: int, d: int, method: str,
 # -- direct classification over column multisets -------------------------------
 
 
-def _column_candidates(n: int, k: int, d: int, limit: int):
+def _column_candidates(n: int, k: int, d: int):
     """Yield (z, vecs) arrays of full multiplicity vectors with min weight
     exactly d, z zero columns among n.  As d >= 1, the supported types
     span F2^k (a message orthogonal to all of them would have weight 0),
@@ -178,10 +179,11 @@ def _column_candidates(n: int, k: int, d: int, limit: int):
         n_direct = comb(s + q - 1, q - 1)
         u_total = half * s - q * d
         n_wht = comb(u_total + q - 1, q - 1)
-        if min(n_direct, n_wht) > limit:
+        if min(n_direct, n_wht) > DEFAULT_LIMIT:
             raise ValueError(
                 f"enumeration infeasible for [{n},{k},{d}] at z={z}: "
-                f"~{min(n_direct, n_wht):.3e} candidate vectors (limit {limit})")
+                f"~{min(n_direct, n_wht):.3e} candidate vectors "
+                f"(limit {DEFAULT_LIMIT})")
         if n_direct <= n_wht:
             comps = compositions(s, q)
             sel = comps[(comps @ weights_t).min(axis=1) == d]
@@ -208,19 +210,26 @@ def _column_candidates(n: int, k: int, d: int, limit: int):
         yield z, vecs
 
 
-def classify_by_columns(n: int, k: int, d: int, *,
-                        limit: int = DEFAULT_LIMIT) -> CodeDB:
+def _check_length(n: int):
+    if n > MAX_LENGTH:
+        raise ValueError(f"need n <= {MAX_LENGTH} (int16 multiplicities), got n={n}")
+
+
+def classify_by_columns(n: int, k: int, d: int) -> CodeDB:
     """All inequivalent [n, k, d] codes by direct multiset enumeration.
 
     Practical for k <= 4 (and k = 5 when d is near the Griesmer maximum).
-    Zero columns are allowed and tracked.
+    Zero columns are allowed and tracked.  Needs n <= MAX_LENGTH; a
+    level whose enumeration would make more than DEFAULT_LIMIT candidate
+    vectors is refused with an estimate of their number.
     """
+    _check_length(n)
     if d < 1:
         raise ValueError("need d >= 1")
     if not 1 <= k <= min(n, CANONICAL_CAP):
         raise ValueError(
             f"need 1 <= k <= min(n, {CANONICAL_CAP}), got n={n}, k={k}")
-    arrays = [vecs for _, vecs in _column_candidates(n, k, d, limit)]
+    arrays = [vecs for _, vecs in _column_candidates(n, k, d)]
     canon = _dedupe_canonical(arrays, k)
     return _build_db(n, k, d, "columns", canon)
 
@@ -393,16 +402,18 @@ def _load_or_build(db_dir: str | None, n: int, k: int, ds,
 
 
 def classify(n: int, k: int, d: int, *, db_dir: str | None = None,
-             bottom_k: int = 3, jobs: int = 1,
-             limit: int = DEFAULT_LIMIT) -> CodeDB:
+             jobs: int = 1) -> CodeDB:
     """Classify [n, k, d] codes through the shortening ladder.
 
-    Levels at dimension <= bottom_k are enumerated directly over column
-    multisets; each higher level is built by inverse shortening from the
-    complete d' >= d databases one dimension below.  Every level is
-    persisted into db_dir; a stored [n, k, d] level is read on its own,
-    and a stored complete rung below it is reused, each once verified.
+    Levels with k <= 3 are enumerated directly over column multisets;
+    each higher level is built by inverse shortening from the complete
+    d' >= d databases one dimension below.  So every stored level's
+    bytes depend only on its (n, k, d).  Every level is persisted into
+    db_dir; a stored [n, k, d] level is read on its own, and a stored
+    complete rung below it is reused, each once verified.  Needs
+    2 <= k <= CANONICAL_CAP and n <= MAX_LENGTH.
     """
+    _check_length(n)
     if d < 1:
         raise ValueError("need d >= 1")
     if not 2 <= k <= CANONICAL_CAP:
@@ -414,14 +425,14 @@ def classify(n: int, k: int, d: int, *, db_dir: str | None = None,
             f"d={d} exceeds the Griesmer maximum {top} for [{n},{k}]")
     if d == 1:  # extension needs d >= 2: enumerate the target directly
         return _load_or_build(db_dir, n, k, [1], lambda: {
-            1: classify_by_columns(n, k, 1, limit=limit)})[1]
-    base_k = max(2, min(bottom_k, k))
+            1: classify_by_columns(n, k, 1)})[1]
+    base_k = min(3, k)
 
     def rung(nn: int, kk: int) -> dict[int, CodeDB]:
         """Every [nn, kk, d' >= d] level."""
         ds = range(d, griesmer_dmax(nn, kk) + 1)
         if kk == base_k:
-            return {dd: classify_by_columns(nn, kk, dd, limit=limit) for dd in ds}
+            return {dd: classify_by_columns(nn, kk, dd) for dd in ds}
         seeds = _load_or_build(db_dir, nn - 1, kk - 1,
                                range(d, griesmer_dmax(nn - 1, kk - 1) + 1),
                                lambda: rung(nn - 1, kk - 1))

@@ -31,7 +31,7 @@ def _db_dir(args) -> str | None:
 
 
 def _emit(args, report: dict):
-    if getattr(args, "json", False):
+    if args.json:
         print(formats.to_json(report))
     else:
         for key, val in report.items():
@@ -93,8 +93,7 @@ def cmd_bounds(args) -> int:
 def cmd_classify(args) -> int:
     started = time.time()
     db_dir = _db_dir(args)
-    db = classify(args.n, args.k, args.d, db_dir=db_dir,
-                  bottom_k=args.bottom_k, jobs=args.jobs)
+    db = classify(args.n, args.k, args.d, db_dir=db_dir, jobs=args.jobs)
     census = lcd_census(db)
     report = formats.census_report(census)
     report["method"] = db.method
@@ -247,8 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Binary LCD codes: families, bounds, search, classification")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, db=True, jobs=True):
-        p.add_argument("--json", action="store_true", help="machine output")
+    def common(p, json_flag=True, db=True, jobs=True):
+        if json_flag:
+            p.add_argument("--json", action="store_true", help="machine output")
         if db:
             p.add_argument("--db", default=None,
                            help="database directory (env LCDLAB_DB overrides)")
@@ -274,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--bottom-k", type=int, default=3, dest="bottom_k",
-                   help="largest dimension enumerated directly")
     common(p)
     p.set_defaults(func=cmd_classify)
 
@@ -299,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-octal", help="verify fixture generator tables")
     p.add_argument("--table", choices=("dim4", "dim5", "m-table", "all"),
                    default="all")
-    common(p, db=False)
     p.set_defaults(func=cmd_verify_octal)
 
     p = sub.add_parser("reproduce", help="run the verification matrix")
@@ -307,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--full", action="store_true",
                    help="include the desk-scale classifications")
-    common(p)
+    common(p, json_flag=False)
     p.set_defaults(func=cmd_reproduce)
     return ap
 

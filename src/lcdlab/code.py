@@ -24,12 +24,6 @@ class WeightEnumerator:
 
     coeffs: tuple[tuple[int, int], ...]
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-    def total(self) -> int:
-        return sum(c for _, c in self.coeffs)
-
     def min_nonzero(self) -> int:
         for w, _ in self.coeffs:
             if w > 0:
@@ -67,14 +61,6 @@ class TypeMultiplicity:
     @property
     def n(self) -> int:
         return sum(self.counts)
-
-    @property
-    def zero_count(self) -> int:
-        return self.counts[0]
-
-    @property
-    def mult(self) -> dict[int, int]:
-        return {t: c for t, c in enumerate(self.counts) if t and c}
 
     def generator(self) -> BitMatrix:
         """A generator whose columns realize the multiset (types ascending, zeros last)."""
@@ -148,7 +134,7 @@ class LinearCode:
 
     def hull_dim(self) -> int:
         if self._hull is None:
-            g = gram(self.generator, "gf2")
+            g = gram(self.generator)
             self._hull = self.k - rref(g).rank
         return self._hull
 
@@ -182,12 +168,6 @@ class LinearCode:
     def canonical_key(self) -> bytes:
         from .canonical import canonical_key
         return canonical_key(self.column_types())
-
-    def equivalent(self, other: LinearCode) -> bool:
-        """True iff equal up to a coordinate permutation."""
-        if (self.n, self.k) != (other.n, other.k):
-            return False
-        return self.canonical_key() == other.canonical_key()
 
 
 def make_code(g: BitMatrix) -> LinearCode:

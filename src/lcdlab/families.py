@@ -256,13 +256,6 @@ class SymbolicWE:
     k: int
     terms: tuple[tuple[int, AffineForm], ...]
 
-    def instantiate(self, t: int) -> dict[int, int]:
-        out = {0: 1}
-        for mult, e in self.terms:
-            w = e(t)
-            out[w] = out.get(w, 0) + mult
-        return out
-
 
 def symbolic_weight_enumerator(k: int, av: AffineVec) -> SymbolicWE:
     """Exponent for message m: wt(m) plus every block with m . v_j = 1."""
@@ -314,10 +307,6 @@ def _gram_entry_polys(k: int, av: AffineVec) -> list[list[tuple[int, ...]]]:
 def _matrix_at(mat: list[list[tuple[int, ...]]], t: int) -> IntMatrix:
     return IntMatrix(len(mat), len(mat),
                      tuple(tuple(poly_eval(p, t) for p in row) for row in mat))
-
-
-def gram_matrix_at(k: int, av: AffineVec, t: int) -> IntMatrix:
-    return _matrix_at(_gram_entry_polys(k, av), t)
 
 
 def symbolic_gram_det(k: int, av: AffineVec) -> tuple[int, ...]:

@@ -52,10 +52,6 @@ class BitMatrix:
     def identity(cls, k: int) -> BitMatrix:
         return cls(k, k, tuple(1 << i for i in range(k)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> BitMatrix:
-        return cls(rows, cols, (0,) * rows)
-
     def get(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
 
@@ -85,9 +81,6 @@ class IntMatrix:
     def __post_init__(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise ValueError("entry shape mismatch")
-
-    def get(self, i: int, j: int) -> int:
-        return self.entries[i][j]
 
 
 @dataclass(frozen=True)
@@ -123,50 +116,15 @@ def rref(m: BitMatrix) -> RrefResult:
     return RrefResult(BitMatrix(m.rows, m.cols, tuple(rows)), len(pivots), tuple(pivots))
 
 
-def rank(m: BitMatrix) -> int:
-    return rref(m).rank
-
-
-def det_f2(m: BitMatrix) -> int:
-    """1 iff the square matrix is invertible over GF(2), else 0."""
-    if m.rows != m.cols:
-        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    return 1 if rref(m).rank == m.rows else 0
-
-
-def gram(g: BitMatrix, ring: str = "gf2") -> BitMatrix | IntMatrix:
-    """G * G^T with entries either mod 2 or as exact integer dot products.
-
-    The integer result reduced mod 2 equals the GF(2) result entrywise.
-    """
-    if ring == "gf2":
-        data = []
-        for ri in g.data:
-            row = 0
-            for j, rj in enumerate(g.data):
-                row |= ((ri & rj).bit_count() & 1) << j
-            data.append(row)
-        return BitMatrix(g.rows, g.rows, tuple(data))
-    if ring == "integer":
-        ent = tuple(tuple((ri & rj).bit_count() for rj in g.data) for ri in g.data)
-        return IntMatrix(g.rows, g.rows, ent)
-    raise ValueError(f"unknown ring {ring!r}")
-
-
-def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2): result row i = XOR of B-rows selected by A row i."""
-    if a.cols != b.rows:
-        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    out = []
-    for arow in a.data:
-        acc = 0
-        rest = arow
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            acc ^= b.data[j]
-            rest &= rest - 1
-        out.append(acc)
-    return BitMatrix(a.rows, b.cols, tuple(out))
+def gram(g: BitMatrix) -> BitMatrix:
+    """G * G^T over GF(2)."""
+    data = []
+    for ri in g.data:
+        row = 0
+        for j, rj in enumerate(g.data):
+            row |= ((ri & rj).bit_count() & 1) << j
+        data.append(row)
+    return BitMatrix(g.rows, g.rows, tuple(data))
 
 
 def nullspace(m: BitMatrix) -> BitMatrix:

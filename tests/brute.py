@@ -193,3 +193,32 @@ def to_lists(m: BitMatrix) -> list[list[int]]:
 
 def mod2(m: IntMatrix) -> BitMatrix:
     return BitMatrix.from_rows([[e & 1 for e in row] for row in m.entries])
+
+
+def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """Matrix product over GF(2): result row i = XOR of B-rows selected by A row i."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    out = []
+    for arow in a.data:
+        acc = 0
+        for j in range(a.cols):
+            if (arow >> j) & 1:
+                acc ^= b.data[j]
+        out.append(acc)
+    return BitMatrix(a.rows, b.cols, tuple(out))
+
+
+def int_gram(g: BitMatrix) -> IntMatrix:
+    """G * G^T over the integers: entry (i, j) counts the ones rows i and
+    j share.  Reduced mod 2 it is the GF(2) Gram matrix."""
+    return IntMatrix(g.rows, g.rows, tuple(
+        tuple((ri & rj).bit_count() for rj in g.data) for ri in g.data))
+
+
+def instantiate(swe, t: int) -> dict[int, int]:
+    """The weight enumerator {weight: count} a SymbolicWE gives at t."""
+    out = {0: 1}
+    for mult, e in swe.terms:
+        out[e(t)] = out.get(e(t), 0) + mult
+    return out

@@ -126,7 +126,6 @@ def test_inequivalent_table_codes_get_distinct_keys():
     c1 = code_from_octal(strings[0], n, 4)
     c2 = code_from_octal(strings[1], n, 4)
     assert c1.canonical_key() != c2.canonical_key()
-    assert not c1.equivalent(c2)
 
 
 def test_equivalence_against_permutation_brute_force():
@@ -153,7 +152,7 @@ def test_equivalence_against_permutation_brute_force():
                     break
             c2 = make_code(BitMatrix(k, n, rows2))
         want = perm_equivalent(c1, c2)
-        got = c1.equivalent(c2)
+        got = c1.canonical_key() == c2.canonical_key()
         assert got == want, (c1.generator.data, c2.generator.data)
         agree += want
         disagree += not want

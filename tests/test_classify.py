@@ -12,7 +12,7 @@ from brute import (compositions_oracle, extension_classes, min_weight,
                    subspace_class_counts)
 from lcdlab.bounds import griesmer_dmax
 from lcdlab.canonical import canonical_rows, counts_key
-from lcdlab.classify import (_extend_all, _extend_seed, classify,
+from lcdlab.classify import (MAX_LENGTH, _extend_all, _extend_seed, classify,
                              classify_by_columns, compositions,
                              extend_by_inverse_shortening, lcd_census)
 from lcdlab.code import make_code
@@ -67,7 +67,7 @@ def test_classify_by_columns_examples():
     classes = set()
     for code in db.codes():
         tm = code.column_types()
-        classes.add((tm.zero_count, tuple(sorted(tm.counts[1:]))))
+        classes.add((tm.counts[0], tuple(sorted(tm.counts[1:]))))
     assert classes == {
         (0, (0, 4, 4)), (1, (1, 3, 3)), (0, (1, 3, 4)),
         (2, (2, 2, 2)), (1, (2, 2, 3)), (0, (2, 2, 4))}
@@ -75,7 +75,23 @@ def test_classify_by_columns_examples():
 
 def test_classify_by_columns_infeasible_reports_estimate():
     with pytest.raises(ValueError, match="candidate"):
-        classify_by_columns(60, 5, 10, limit=1000)
+        classify_by_columns(60, 5, 10)
+
+
+def test_length_above_int16_rejected_before_any_work(monkeypatch):
+    assert MAX_LENGTH == 32767
+    # the longest length allowed: [32767,2,21844] at the Griesmer maximum
+    assert classify_by_columns(MAX_LENGTH, 2, 21844).count == 3
+    module = importlib.import_module("lcdlab.classify")
+
+    def built(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(module, "_column_candidates", built)
+    for n, d in ((MAX_LENGTH + 1, 2), (70000, 46666), (100000, 66666)):
+        for run in (classify, classify_by_columns):
+            with pytest.raises(ValueError, match="n <= 32767"):
+                run(n, 2, d)
 
 
 def test_representatives_have_exact_parameters():
@@ -159,18 +175,29 @@ def test_extension_validates_seed_completeness():
         extend_by_inverse_shortening(seeds, 11)
 
 
+def ladder_from_k2(n: int, k: int, d: int):
+    """The [n, k, d] level extended rung by rung from every [n-k+2, 2, d']
+    level, d' >= d, enumerated directly."""
+    n2 = n - k + 2
+    levels = {dd: classify_by_columns(n2, 2, dd)
+              for dd in range(d, griesmer_dmax(n2, 2) + 1)}
+    for _ in range(k - 2):
+        levels = _extend_all(list(levels.values()), d)
+    return levels[d]
+
+
 def test_worked_ladder_22_4_11():
-    db = classify(22, 4, 11, bottom_k=2)
+    db = classify(22, 4, 11)
     assert db.count == 2
     census = lcd_census(db)
     assert (census.count, census.lcd_count) == (2, 0)
     # dedupe path independent of the ladder base
-    assert classify(22, 4, 11, bottom_k=3).keys() == db.keys()
+    assert ladder_from_k2(22, 4, 11) == db
 
 
 def test_pipeline_matches_direct_for_k3():
     for n, k, d in ((8, 3, 3), (10, 3, 4), (21, 3, 12)):
-        chain = classify(n, k, d, bottom_k=2)
+        chain = ladder_from_k2(n, k, d)
         direct = classify_by_columns(n, k, d)
         assert chain.keys() == direct.keys(), (n, k, d)
 
@@ -224,20 +251,24 @@ def test_ladder_bytes_pinned(tmp_path):
 
 
 def test_resume_from_partial_rung_matches_cold(tmp_path):
-    cold, warm = tmp_path / "cold", tmp_path / "warm"
-    classify(22, 4, 11, db_dir=str(cold), bottom_k=2)
+    cold = tmp_path / "cold"
+    classify(27, 5, 13, db_dir=str(cold))
     names = sorted(f.name for f in cold.iterdir())
-    # a run killed while storing the [21,3,d'] rung: the [20,2,d'] rung and
-    # one [21,3,d'] level are on disk, next to the temp file of another
-    warm.mkdir()
-    for name in names:
-        if name.startswith("n20k2") or name == "n21k3d11.codedb":
+    assert names == ["n25k3d13.codedb", "n25k3d14.codedb",
+                     "n26k4d13.codedb", "n27k5d13.codedb"]
+    # runs killed while storing the [25,3,d'] rung and right after it: the
+    # levels stored by then are on disk, next to a part of the next one in
+    # a temp file
+    for kept in (1, 2):
+        warm = tmp_path / f"warm{kept}"
+        warm.mkdir()
+        for name in names[:kept]:
             (warm / name).write_bytes((cold / name).read_bytes())
-    (warm / ".lcdlab-killed").write_text("21 3 12 1 col")
-    classify(22, 4, 11, db_dir=str(warm), bottom_k=2)
-    for name in names:
-        assert (warm / name).read_bytes() == (cold / name).read_bytes(), name
-    assert sorted(f.name for f in warm.glob("*.codedb")) == names
+        (warm / ".lcdlab-killed").write_bytes((cold / names[kept]).read_bytes()[:20])
+        classify(27, 5, 13, db_dir=str(warm))
+        for name in names:
+            assert (warm / name).read_bytes() == (cold / name).read_bytes(), (kept, name)
+        assert sorted(f.name for f in warm.glob("*.codedb")) == names
 
 
 def test_jobs_parallel_determinism():
@@ -250,9 +281,9 @@ def test_jobs_parallel_determinism():
 
 def test_stretch_counts_near_griesmer():
     # direct enumeration settles the tight length-30/31 columns quickly
-    assert classify(30, 4, 16, bottom_k=4).count == 1
-    assert classify(31, 4, 16, bottom_k=4).count == 5
-    assert lcd_census(classify_by_columns(30, 4, 16)).lcd_count == 0
+    db = classify_by_columns(30, 4, 16)
+    assert db.count == 1 and lcd_census(db).lcd_count == 0
+    assert classify_by_columns(31, 4, 16).count == 5
 
 
 def test_stretch_censuses(tmp_path):

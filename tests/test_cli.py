@@ -184,6 +184,8 @@ def test_usage_error_exit_2():
     "bounds --n 3 --k 5",            # k > n
     "search --n 40 --k 11 --d 5",    # above the search's k cap
     "classify --n 10 --k 7 --d 2",   # above the canonical form's k cap
+    "classify --n 70000 --k 2 --d 46666",    # above the int16 length cap
+    "classify --n 100000 --k 2 --d 66666",
 ])
 def test_domain_error_exit_2_one_line(capsys, argv):
     code = main(argv.split())
@@ -213,6 +215,9 @@ def test_unusable_db_dir_exit_2_one_line(capsys, tmp_path, command, where):
 @pytest.mark.parametrize("argv", [
     "verify-octal --all",
     "search --n 17 --k 4 --d 8 --jobs 2",
+    "classify --n 22 --k 4 --d 11 --bottom-k 4",
+    "reproduce --json",
+    "verify-octal --json",
 ])
 def test_removed_options_rejected(argv):
     with pytest.raises(SystemExit) as exc:

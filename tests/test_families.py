@@ -2,15 +2,16 @@ import random
 
 import pytest
 
+from brute import instantiate, int_gram
 from lcdlab import families, tables
 from lcdlab.code import make_code
 from lcdlab.families import (AffineForm, AffineVec, build_generator,
                              det_is_odd_everywhere, expected_symbolic_we,
                              family_a_vector, family_affine_vector,
-                             family_code, family_t_min, gram_matrix_at,
-                             poly_add, poly_divexact, poly_eval, poly_mul,
+                             family_code, family_t_min, poly_add,
+                             poly_divexact, poly_eval, poly_mul,
                              symbolic_gram_det, symbolic_weight_enumerator)
-from lcdlab.gf2 import BitMatrix, det_int, gram
+from lcdlab.gf2 import BitMatrix, det_int
 
 
 def test_column_orders_complete():
@@ -76,13 +77,13 @@ def test_symbolic_we_instantiation_equals_exhaustive():
             swe = symbolic_weight_enumerator(k, family_affine_vector(k, s))
             for t in range(family_t_min(k, s), 5):
                 code = make_code(build_generator(k, family_a_vector(k, s, t)))
-                assert swe.instantiate(t) == code.weight_enumerator().as_dict()
+                assert instantiate(swe, t) == dict(code.weight_enumerator().coeffs)
 
 
 def test_trivial_symbolic_we():
     av = AffineVec(tuple(AffineForm(0, 0) for _ in range(15)))
     swe = symbolic_weight_enumerator(4, av)
-    assert swe.instantiate(0) == {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
+    assert instantiate(swe, 0) == {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
 
 
 def test_symbolic_gram_det_matches_tables():
@@ -122,7 +123,7 @@ def test_gram_det_evaluations_match_construction():
             poly = symbolic_gram_det(k, av)
             for t in range(family_t_min(k, s), 5):
                 g = build_generator(k, family_a_vector(k, s, t))
-                assert poly_eval(poly, t) == det_int(gram(g, "integer"))
+                assert poly_eval(poly, t) == det_int(int_gram(g))
 
 
 def test_gram_entry_formulas_random_vectors():
@@ -131,9 +132,8 @@ def test_gram_entry_formulas_random_vectors():
     for _ in range(100):
         a = [rng.randint(0, 5) for _ in range(15)]
         av = AffineVec(tuple(AffineForm(x, 0) for x in a))
-        entries = gram_matrix_at(4, av, 0)
-        g = gram(build_generator(4, a), "integer")
-        assert entries.entries == g.entries
+        entries = families._matrix_at(families._gram_entry_polys(4, av), 0)
+        assert entries == int_gram(build_generator(4, a))
 
 
 def test_we_exponents_random_vectors():
@@ -143,7 +143,7 @@ def test_we_exponents_random_vectors():
         av = AffineVec(tuple(AffineForm(x, 0) for x in a))
         swe = symbolic_weight_enumerator(4, av)
         code = make_code(build_generator(4, a))
-        assert swe.instantiate(0) == code.weight_enumerator().as_dict()
+        assert instantiate(swe, 0) == dict(code.weight_enumerator().coeffs)
 
 
 def test_poly_helpers():

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import mod2, to_lists, transpose
+from brute import int_gram, matmul, mod2, to_lists, transpose
 from lcdlab.families import build_generator
-from lcdlab.gf2 import (BitMatrix, IntMatrix, det_f2, det_int, gram, matmul,
-                        nullspace, rank, rref)
+from lcdlab.gf2 import BitMatrix, IntMatrix, det_int, gram, nullspace, rref
 
 
 def bitmat(rows):
@@ -39,26 +38,19 @@ def test_rref_family_generator_full_rank():
     assert rref(g).rank == 4
 
 
-def test_det_examples():
-    assert det_f2(BitMatrix.identity(5)) == 1
-    assert det_f2(bitmat([[1, 1], [1, 1]])) == 0
-    g = bitmat([[1, 1]])
-    assert det_f2(gram(g, "gf2")) == 0
-    with pytest.raises(ValueError):
-        det_f2(bitmat([[1, 0]]))
-
-
 def test_gram_examples():
-    assert gram(BitMatrix.identity(4), "integer").entries == tuple(
+    assert gram(BitMatrix.identity(4)) == BitMatrix.identity(4)
+    assert int_gram(BitMatrix.identity(4)).entries == tuple(
         tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
     # single all-ones column appended to I_4
     g = build_generator(4, [1] + [0] * 14)
-    gi = gram(g, "integer")
-    assert all(gi.get(i, i) == 2 for i in range(4))
-    assert all(gi.get(i, j) == 1 for i in range(4) for j in range(4) if i != j)
+    gi = int_gram(g).entries
+    assert all(gi[i][i] == 2 for i in range(4))
+    assert all(gi[i][j] == 1 for i in range(4) for j in range(4) if i != j)
+    assert gram(g).data == (0b1110, 0b1101, 0b1011, 0b0111)
     g = bitmat([[1, 1]])
-    assert gram(g, "integer").entries == ((2,),)
-    assert gram(g, "gf2").data == (0,)
+    assert int_gram(g).entries == ((2,),)
+    assert gram(g).data == (0,)
 
 
 def test_matmul_examples():
@@ -92,23 +84,13 @@ def test_det_int_bareiss():
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_rank_equals_transpose_rank(m):
-    assert rank(m) == rank(transpose(m))
+    assert rref(m).rank == rref(transpose(m)).rank
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_gram_integer_reduces_to_gf2(m):
-    gi = gram(m, "integer")
-    g2 = gram(m, "gf2")
-    assert mod2(gi) == g2
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices)
-def test_det_iff_full_rank(m):
-    if m.rows != m.cols:
-        return
-    assert det_f2(m) == (1 if rref(m).rank == m.rows else 0)
+    assert mod2(int_gram(m)) == gram(m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,7 +111,7 @@ def test_matmul_associative(data):
 @given(matrices)
 def test_nullspace_is_orthogonal_complement(m):
     ns = nullspace(m)
-    assert ns.rows == m.cols - rank(m)
+    assert ns.rows == m.cols - rref(m).rank
     for v in ns.data:
         for r in m.data:
             assert (v & r).bit_count() % 2 == 0

@@ -3,7 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import io
 import pathlib
+import re
+import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lcdlab"
@@ -36,3 +39,44 @@ def test_private_names_stay_private_and_bench_layers_resolve():
         if obj is None and name not in ABSENT_LAYERS:
             missing.append(f"{name} -> lcdlab.{mod_name}.{attr}")
     assert not missing, missing
+
+
+def _public_definitions(tree):
+    """Every public module-level function and class, and every public
+    method of a module-level class."""
+    for node in tree.body:
+        inner = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node] + inner:
+            if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                    and not d.name.startswith("_")):
+                yield d
+
+
+def _names(source: str) -> set[str]:
+    """The identifiers of Python source; comments and strings name nothing."""
+    return {tok.string
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.NAME}
+
+
+def test_public_names_have_a_caller():
+    # a public name must be named by the code of another package module, of
+    # the bench or of the README's library examples; what only the tests
+    # name lives in tests/
+    readme = (ROOT / "README.md").read_text()
+    outside = set().union(
+        *map(_names, re.findall(r"```python\n(.*?)```", readme, re.S)),
+        *(_names(path.read_text()) for path in (ROOT / "bench").rglob("*.py")))
+    sources = {path: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    idle = []
+    for path, source in sources.items():
+        lines = source.splitlines(keepends=True)
+        named = outside.union(*(_names(text) for other, text in sources.items()
+                                if other != path))
+        for d in _public_definitions(ast.parse(source)):
+            # the defining module counts without the definition itself
+            rest = _names("".join(lines[:d.lineno - 1] + lines[d.end_lineno:]))
+            if d.name not in named | rest:
+                idle.append(f"{path.name}: {d.name}")
+    assert not idle, idle
