@@ -1,10 +1,11 @@
 """Griesmer bound machinery and the ledger of known largest minimum
 weights d(n, k) for binary LCD codes.
 
-Exact values come from closed forms (k <= 3, k >= n-4, and the settled
-length residues for k = 4, 5), from the shipped length-17..24 table, or
-from a candidate range narrowed by the nonexistence list; anything else
-is reported as unknown rather than guessed.
+Exact values come from closed forms (k <= 3, k >= n-4), from the
+shipped length-17..24 table, or, for k = 4, 5, where the family weight
+meets the Griesmer maximum; between the two, the candidates are those
+the nonexistence levels leave.  Anything else is reported as unknown
+rather than guessed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tables
+from .families import DIMENSIONS
+
+# (n, k, d) with [n, k, d] codes but no LCD one: the fixture levels.  Each
+# fixture is non-LCD, and a census of the level finds the fixtures and no
+# other class (reproduce --full).
+NONEXISTENT_LCD = frozenset((n, k, d) for k, dim in DIMENSIONS.items()
+                            for (n, d), _ in dim.generators)
 
 
 def griesmer_sum(d: int, k: int) -> int:
@@ -69,15 +77,6 @@ def _exact(n, k, d, why) -> DTableEntry:
     return DTableEntry(n, k, (d,), "exact", why)
 
 
-def _range(n, k, cands, why) -> DTableEntry:
-    cands = tuple(sorted(set(cands), reverse=True))
-    # nonexistence results knock candidates out; a singleton becomes exact
-    cands = tuple(d for d in cands if (n, k, d) not in tables.NONEXISTENT_LCD)
-    if len(cands) == 1:
-        return DTableEntry(n, k, cands, "exact", why + "+nonexistence")
-    return DTableEntry(n, k, cands, "range", why)
-
-
 def known_lcd_d(n: int, k: int) -> DTableEntry:
     """Largest minimum weight among LCD [n, k] codes, where established."""
     if not 1 <= k <= n:
@@ -100,33 +99,20 @@ def known_lcd_d(n: int, k: int) -> DTableEntry:
         return _exact(n, k, 2, "codimension-3")
     if k == n - 4 and n >= 16:
         return _exact(n, k, 2, "codimension-4")
-    if k == 4 and n >= 4:
-        base = 8 * n // 15
-        r = n % 15
-        if r in tables.DIM4_EXACT_RESIDUES_0:
-            return _exact(n, k, base, "dimension-4-residue")
-        if r in tables.DIM4_EXACT_RESIDUES_1:
-            return _exact(n, k, base - 1, "dimension-4-residue")
-        if (n, k) in tables.KNOWN_LCD_D:
-            return _exact(n, k, tables.KNOWN_LCD_D[(n, k)], "length-17-24-table")
-        if r == 0:
-            return _range(n, k, (base, base - 1, base - 2), "dimension-4-range")
-        return _range(n, k, (base, base - 1), "dimension-4-range")
-    if k == 5 and n >= 5:
-        base = 16 * n // 31
-        r = n % 31
-        if r in tables.DIM5_EXACT_RESIDUES_1:
-            return _exact(n, k, base - 1, "dimension-5-residue")
-        if r in tables.DIM5_EXACT_RESIDUES_2:
-            return _exact(n, k, base - 2, "dimension-5-residue")
-        if (n, k) in tables.KNOWN_LCD_D:
-            return _exact(n, k, tables.KNOWN_LCD_D[(n, k)], "length-17-24-table")
-        if r in (1, 9, 13, 15, 17, 21, 23, 24, 25, 27, 28, 29, 30):
-            return _range(n, k, (base, base - 1), "dimension-5-range")
-        if r in (2, 6, 8, 10, 12, 14, 18):
-            # residue 12: family witness gives base-2, Griesmer caps at base-1
-            return _range(n, k, (base - 1, base - 2), "dimension-5-range")
-        return _range(n, k, (base, base - 1, base - 2), "dimension-5-range")
+    if k in DIMENSIONS:
+        # n = (2^k - 1) t + s: the family member's weight against Griesmer
+        t, s = divmod(n, (1 << k) - 1)
+        lo = (1 << (k - 1)) * t + DIMENSIONS[k].rows[s][1]
+        hi = griesmer_dmax(n, k)
+        if lo == hi:
+            return _exact(n, k, lo, f"dimension-{k}-residue")
+        if (n, k) not in tables.KNOWN_LCD_D:
+            # nonexistence knocks candidates out; a singleton becomes exact
+            cands = tuple(d for d in range(hi, lo - 1, -1)
+                          if (n, k, d) not in NONEXISTENT_LCD)
+            if len(cands) == 1:
+                return _exact(n, k, cands[0], f"dimension-{k}-range+nonexistence")
+            return DTableEntry(n, k, cands, "range", f"dimension-{k}-range")
     if (n, k) in tables.KNOWN_LCD_D:
         return _exact(n, k, tables.KNOWN_LCD_D[(n, k)], "length-17-24-table")
     return DTableEntry(n, k, (), "unknown", "open")

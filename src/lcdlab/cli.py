@@ -167,10 +167,6 @@ def cmd_verify_octal(args) -> int:
     return 0 if ok else 1
 
 
-# The desk-scale classifications of --full: (n, k, d, classes), none LCD.
-FULL_CENSUSES = ((22, 4, 11, 2), (23, 4, 12, 1), (27, 4, 14, 1), (25, 5, 12, 8))
-
-
 def _reproduce_checks(suite: str, full: bool, db_dir: str | None, jobs: int):
     # Default arguments bind each check's k and tables when it is made, so
     # the checks stay right when collected before any of them runs.
@@ -206,16 +202,20 @@ def _reproduce_checks(suite: str, full: bool, db_dir: str | None, jobs: int):
         yield ("largest-minimum-weight ledger", lambda: all(
             bounds.known_lcd_d(n, k).exact == v
             for (n, k), v in tables.KNOWN_LCD_D.items()))
-    for n, k, d, classes in FULL_CENSUSES if full else ():
-        if suite in (f"dim{k}", "all"):
-            yield (f"classification [{n},{k},{d}]",
-                   lambda n=n, k=k, d=d, classes=classes: _census_is(
-                       n, k, d, classes, db_dir, jobs))
+    for k, dim in families.DIMENSIONS.items():
+        if full and suite in (f"dim{k}", "all"):
+            for (n, d), strings in dim.generators:
+                yield (f"classification [{n},{k},{d}]",
+                       lambda n=n, k=k, d=d, strings=strings: _census_is(
+                           n, k, d, strings, db_dir, jobs))
 
 
-def _census_is(n, k, d, classes, db_dir, jobs) -> bool:
-    census = lcd_census(classify(n, k, d, db_dir=db_dir, jobs=jobs))
-    return census.count == classes and census.lcd_count == 0
+def _census_is(n, k, d, strings, db_dir, jobs) -> bool:
+    """The classes of [n, k, d] are exactly the fixtures, and none is LCD."""
+    db = classify(n, k, d, db_dir=db_dir, jobs=jobs)
+    fixtures = sorted(formats.code_from_octal(s, n, k).canonical_key()
+                      for s in strings)
+    return list(db.keys()) == fixtures and lcd_census(db).lcd_count == 0
 
 
 def cmd_reproduce(args) -> int:
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("dim4", "dim5", "bounds", "all"),
                    default="all")
     p.add_argument("--full", action="store_true",
-                   help="include the desk-scale classifications")
+                   help="include a census of every fixture level")
     common(p, json_flag=False)
     p.set_defaults(func=cmd_reproduce)
     return ap

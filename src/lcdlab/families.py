@@ -136,8 +136,8 @@ class Dimension:
     rows: dict          # family rows by residue s
     we: dict            # reference weight enumerators by s
     det: dict           # reference Gram determinant polynomials by s
-    generators: tuple   # fixture generator groups ((n, d), octal strings)
-    counts: dict        # [n-k+3, 3, d+j] and [n-k+2, 2, d+j] class counts
+    generators: tuple   # fixture groups ((n, d), octal strings): all classes
+    counts: dict        # class counts of lower rungs, keyed by fixture level
     lcd_witnesses: dict  # LCD generators by n, as (d, binary rows)
     t_checked: int
 

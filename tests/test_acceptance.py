@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
 line with its runtime against the stated budget."""
 
+import os
 import random
 import time
 
@@ -9,9 +10,9 @@ from lcdlab import tables
 from lcdlab.bounds import closed_form_bound, griesmer_dmax, known_lcd_d
 from lcdlab.classify import classify, classify_by_columns, lcd_census
 from lcdlab.code import make_code
-from lcdlab.families import (det_is_odd_everywhere, expected_symbolic_we,
-                             family_affine_vector, family_code,
-                             family_t_min, symbolic_gram_det,
+from lcdlab.families import (DIMENSIONS, det_is_odd_everywhere,
+                             expected_symbolic_we, family_affine_vector,
+                             family_code, family_t_min, symbolic_gram_det,
                              symbolic_weight_enumerator)
 from lcdlab.formats import (code_from_octal, decode_octal, encode_octal,
                             parse_binary_rows, systematic_code)
@@ -109,22 +110,23 @@ def test_criterion_5_counts_dims_2_3():
                 assert classify_by_columns(n - 3, 2, d + j).count == want
 
 
-def test_criterion_6_classification_dims_4_5():
-    fixture_groups = {4: dict(tables.DIM4_GENERATORS),
-                      5: dict(tables.DIM5_GENERATORS)}
-    with Timer("criterion 6: desk-scale classifications at dimensions 4, 5",
+def test_criterion_6_classification_dims_4_5(tmp_path):
+    db_dir = os.environ.get("LCDLAB_DB") or str(tmp_path)  # resume when set
+    with Timer("criterion 6: every fixture level classified, dimensions 4, 5",
                120):
-        for n, k, d, want in ((22, 4, 11, 2), (23, 4, 12, 1),
-                              (27, 4, 14, 1), (25, 5, 12, 8)):
-            db = classify(n, k, d)
-            census = lcd_census(db)
-            assert census.count == want, (n, k, d, census.count)
-            assert census.lcd_count == 0, (n, k, d)
-            # class-for-class agreement with the decoded fixture matrices
-            fixture_keys = sorted(
-                code_from_octal(s, n, k).canonical_key()
-                for s in fixture_groups[k][(n, d)])
-            assert list(db.keys()) == fixture_keys, (n, k, d)
+        for k, dim in DIMENSIONS.items():
+            for (n, d), strings in dim.generators:
+                db = classify(n, k, d, db_dir=db_dir)
+                census = lcd_census(db)
+                assert census.count == len(strings), (n, k, d, census.count)
+                assert census.lcd_count == 0, (n, k, d)
+                # class-for-class agreement with the decoded fixture matrices
+                fixture_keys = sorted(code_from_octal(s, n, k).canonical_key()
+                                      for s in strings)
+                assert list(db.keys()) == fixture_keys, (n, k, d)
+        # the [n-1, 4, d] rungs of the dimension-5 ladders
+        for (n, d), row in tables.DIM5_COUNTS.items():
+            assert classify(n - 1, 4, d, db_dir=db_dir).count == row["k4"][0]
 
 
 def test_criterion_7_bound_equivalence():

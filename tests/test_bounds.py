@@ -2,9 +2,10 @@ import pytest
 
 from lcdlab import tables
 from lcdlab.bounds import closed_form_bound, griesmer_dmax, known_lcd_d
-from lcdlab.classify import classify_by_columns
+from lcdlab.classify import classify, classify_by_columns, lcd_census
 from lcdlab.code import make_code
 from lcdlab.families import family_code, family_t_min
+from lcdlab.formats import parse_binary_rows, systematic_code
 from lcdlab.gf2 import BitMatrix
 
 
@@ -91,6 +92,43 @@ def test_nonexistence_narrows_ranges():
     assert known_lcd_d(26, 4).exact == 12
     assert known_lcd_d(25, 5).exact == 11
     assert known_lcd_d(29, 5).exact == 13
+
+
+def test_exact_residues_are_the_papers():
+    # past every t_min, the family weight meets the Griesmer maximum at
+    # exactly the residues the paper settles
+    papers = {4: {2, 3, 4, 5, 6, 9, 10, 13},
+              5: {3, 4, 5, 7, 11, 19, 20, 22, 26}}
+    for k, want in papers.items():
+        q = (1 << k) - 1
+        t0 = max(family_t_min(k, s) for s in range(q))
+        for t in (t0, t0 + 1, t0 + 6, 1000):
+            got = {s for s in range(q) if known_lcd_d(q * t + s, k).provenance
+                   == f"dimension-{k}-residue"}
+            assert got == want, (k, t)
+
+
+def test_exact_values_below_family_range_have_lcd_codes():
+    # where the rule claims exactness below a row's t_min there is no family
+    # member, so a census or a stored witness shows the LCD code instead
+    below = set()
+    for k in (4, 5):
+        q = (1 << k) - 1
+        for n in range(k, 3 * q):
+            t, s = divmod(n, q)
+            entry = known_lcd_d(n, k)
+            if (entry.provenance == f"dimension-{k}-residue"
+                    and t < family_t_min(k, s)):
+                below.add((n, k, entry.exact))
+    censused = {(9, 4, 4), (10, 4, 4), (13, 4, 6), (11, 5, 4)}
+    witnessed = {(n, 5, d) for n, (d, _) in tables.DIM5_LCD_WITNESSES.items()}
+    assert witnessed == {(19, 5, 8), (20, 5, 9), (22, 5, 10), (26, 5, 12)}
+    assert below == censused | witnessed
+    for n, k, d in sorted(censused):
+        assert lcd_census(classify(n, k, d)).lcd_count >= 1, (n, k, d)
+    for n, k, d in sorted(witnessed):
+        code = systematic_code(parse_binary_rows(tables.DIM5_LCD_WITNESSES[n][1], k))
+        assert (code.n, code.min_weight()) == (n, d) and code.is_lcd()
 
 
 def test_d_all_anchors():

@@ -1,6 +1,5 @@
 import hashlib
 import importlib
-import os
 from math import comb
 
 import numpy as np
@@ -284,11 +283,3 @@ def test_stretch_counts_near_griesmer():
     db = classify_by_columns(30, 4, 16)
     assert db.count == 1 and lcd_census(db).lcd_count == 0
     assert classify_by_columns(31, 4, 16).count == 5
-
-
-def test_stretch_censuses(tmp_path):
-    db_dir = os.environ.get("LCDLAB_DB") or str(tmp_path)  # resume when set
-    for n, k, d, want in ((27, 5, 13, 1), (28, 5, 14, 1), (29, 5, 14, 9),
-                          (30, 5, 15, 1), (30, 4, 15, 9)):
-        census = lcd_census(classify(n, k, d, db_dir=db_dir))
-        assert (census.count, census.lcd_count) == (want, 0), (n, k, d)

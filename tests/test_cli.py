@@ -105,20 +105,37 @@ DIM5_CHECKS = ["families dim5 (t<=3)", "weight enumerators dim5",
                "gram determinants dim5", "generator fixtures dim5",
                "lcd witnesses dim5", "counts dim5 (k<=3)"]
 BOUNDS_CHECKS = ["griesmer case formulas", "largest-minimum-weight ledger"]
+DIM4_CENSUSES = ["classification [22,4,11]", "classification [23,4,12]",
+                 "classification [26,4,13]", "classification [27,4,14]",
+                 "classification [30,4,16]", "classification [30,4,15]",
+                 "classification [31,4,16]"]
+DIM5_CENSUSES = ["classification [25,5,12]", "classification [27,5,13]",
+                 "classification [28,5,14]", "classification [29,5,14]",
+                 "classification [30,5,15]"]
 
 
 @pytest.mark.parametrize("suite, full, names", [
     ("all", False, DIM4_CHECKS + DIM5_CHECKS + BOUNDS_CHECKS),
     ("dim4", False, DIM4_CHECKS),
     ("dim5", False, DIM5_CHECKS),
-    ("all", True, DIM4_CHECKS + DIM5_CHECKS + BOUNDS_CHECKS + [
-        "classification [22,4,11]", "classification [23,4,12]",
-        "classification [27,4,14]", "classification [25,5,12]"]),
-    ("dim5", True, DIM5_CHECKS + ["classification [25,5,12]"]),
+    ("all", True, DIM4_CHECKS + DIM5_CHECKS + BOUNDS_CHECKS
+     + DIM4_CENSUSES + DIM5_CENSUSES),
+    ("dim5", True, DIM5_CHECKS + DIM5_CENSUSES),
 ])
 def test_reproduce_check_names_pinned(suite, full, names):
     got = [name for name, _ in cli._reproduce_checks(suite, full, None, 1)]
     assert got == names
+
+
+def test_full_censuses_compare_classes_with_fixtures(capsys, tmp_path):
+    db = str(tmp_path / "db")
+    code, out = run(capsys, "reproduce", "--suite", "all", "--full", "--db", db)
+    assert code == 0
+    assert "FAIL" not in out and out.count("PASS") == 25
+    # one fixture short of the level's classes is a failed check
+    (n, d), strings = families.DIMENSIONS[4].generators[0]
+    assert len(strings) == 2
+    assert not cli._census_is(n, 4, d, strings[:1], db, 1)
 
 
 def test_reproduce_checks_keep_their_dimension(monkeypatch):
