@@ -4,12 +4,13 @@ isomorph-free classification, and heuristic witness search."""
 
 from .bounds import DTableEntry, closed_form_bound, griesmer_dmax, known_lcd_d
 from .canonical import canonical_counts, canonical_key
-from .classify import (CodeDB, classify, classify_by_columns,
+from .classify import (classify, classify_by_columns,
                        extend_by_inverse_shortening, lcd_census)
 from .code import LinearCode, TypeMultiplicity, WeightEnumerator, make_code
 from .families import (AffineForm, AffineVec, FamilyVerdict, build_generator,
                        family_a_vector, family_code, symbolic_gram_det,
                        symbolic_weight_enumerator)
+from .formats import CodeDB
 from .gf2 import BitMatrix, IntMatrix, gram, rref
 from .search import SearchBudget, search_lcd
 

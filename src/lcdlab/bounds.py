@@ -4,8 +4,9 @@ weights d(n, k) for binary LCD codes.
 Exact values come from closed forms (k <= 3, k >= n-4), from the
 shipped length-17..24 table, or, for k = 4, 5, where the family weight
 meets the Griesmer maximum; between the two, the candidates are those
-the nonexistence levels leave.  Anything else is reported as unknown
-rather than guessed.
+the nonexistence levels leave.  An exact value below a row's range,
+where no family member exists, names its stored witness or census
+instead.  Anything else is reported as unknown rather than guessed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tables
-from .families import DIMENSIONS
+from .families import DIMENSIONS, family_t_min, family_weight
 
 # (n, k, d) with [n, k, d] codes but no LCD one: the fixture levels.  Each
 # fixture is non-LCD, and a census of the level finds the fixtures and no
@@ -100,12 +101,14 @@ def known_lcd_d(n: int, k: int) -> DTableEntry:
     if k == n - 4 and n >= 16:
         return _exact(n, k, 2, "codimension-4")
     if k in DIMENSIONS:
-        # n = (2^k - 1) t + s: the family member's weight against Griesmer
-        t, s = divmod(n, (1 << k) - 1)
-        lo = (1 << (k - 1)) * t + DIMENSIONS[k].rows[s][1]
+        # the family member's weight against Griesmer
+        s, t, lo = family_weight(k, n)
         hi = griesmer_dmax(n, k)
         if lo == hi:
-            return _exact(n, k, lo, f"dimension-{k}-residue")
+            if t >= family_t_min(k, s):
+                return _exact(n, k, lo, f"dimension-{k}-residue")
+            how = "witness" if n in DIMENSIONS[k].lcd_witnesses else "census"
+            return _exact(n, k, lo, f"dimension-{k}-{how}")
         if (n, k) not in tables.KNOWN_LCD_D:
             # nonexistence knocks candidates out; a singleton becomes exact
             cands = tuple(d for d in range(hi, lo - 1, -1)

@@ -20,8 +20,7 @@ import struct
 
 import numpy as np
 
-from .code import CANONICAL_CAP, TypeMultiplicity
-
+CANONICAL_CAP = 6  # basis-orbit minimization is exponential in k
 PAIR_SLICE = 1 << 16  # (partial basis, image) pairs scored per step; bounds memory
 
 
@@ -111,5 +110,6 @@ def counts_key(n: int, k: int, canon: tuple[int, ...]) -> bytes:
     return struct.pack(">BH", k, n) + b"".join(struct.pack(">H", c) for c in canon)
 
 
-def canonical_key(tm: TypeMultiplicity) -> bytes:
+def canonical_key(tm) -> bytes:
+    """The class key of a code.TypeMultiplicity."""
     return counts_key(tm.n, tm.k, canonical_counts(tm.counts, tm.k))

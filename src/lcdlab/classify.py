@@ -25,40 +25,20 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
 
+from . import formats
 from .bounds import griesmer_dmax
-from .canonical import canonical_rows, counts_key
-from .code import CANONICAL_CAP, LinearCode, TypeMultiplicity
-from .gf2 import BitMatrix, rref
+from .canonical import CANONICAL_CAP, canonical_rows, counts_key
+from .code import (LinearCode, TypeMultiplicity, message_weight_matrix,
+                   sign_matrix)
+from .formats import CodeDB
+from .gf2 import BitMatrix
 
 DEFAULT_LIMIT = 20_000_000  # candidate vectors one direct enumeration may make
 MAX_LENGTH = np.iinfo(np.int16).max  # multiplicity arrays are int16
-
-
-@dataclass(frozen=True)
-class CodeDB:
-    """Deduplicated classification result: one representative per class."""
-
-    n: int
-    k: int
-    d: int
-    method: str
-    records: tuple[tuple[bytes, tuple[int, ...]], ...]  # (key, RREF rows), key-sorted
-
-    @property
-    def count(self) -> int:
-        return len(self.records)
-
-    def keys(self) -> tuple[bytes, ...]:
-        return tuple(key for key, _ in self.records)
-
-    def codes(self) -> list[LinearCode]:
-        return [LinearCode(BitMatrix(self.k, self.n, rows), _reduced=True)
-                for _, rows in self.records]
 
 
 @dataclass(frozen=True)
@@ -69,26 +49,6 @@ class CensusResult:
     count: int
     lcd_count: int
     lcd_keys: tuple[bytes, ...]
-
-
-# -- shared numeric tables -----------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _sign_matrix(k: int) -> np.ndarray:
-    """(2^k, 2^k) matrix of (-1)^(m . v)."""
-    idx = np.arange(1 << k, dtype=np.uint32)
-    par = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
-    return (1 - 2 * par.astype(np.int64))
-
-
-@lru_cache(maxsize=None)
-def message_weight_matrix(k: int) -> np.ndarray:
-    """(2^k - 1, 2^k - 1) 0/1 matrix: row m-1, column v-1 is [m . v = 1].
-
-    Row m-1 times the nonzero-type multiplicities is the weight of the
-    codeword of message m."""
-    return ((1 - _sign_matrix(k)[1:, 1:]) >> 1).astype(np.int16)
 
 
 def compositions(total: int, parts: int) -> np.ndarray:
@@ -171,7 +131,7 @@ def _column_candidates(n: int, k: int, d: int):
     # an int16 product is exact: the int16 compositions hold s, and no
     # message weight exceeds s
     weights_t = message_weight_matrix(k).T
-    sign = _sign_matrix(k)
+    sign = sign_matrix(k)
     for z in range(0, n - k + 1):
         s = n - z
         if s < k or half * s < q * d:
@@ -266,16 +226,12 @@ def _extend_seed(gen_rows: tuple[int, ...], n1: int, k1: int,
     the same code, so deduplication merges the translates the cap keeps.
     """
     k = k1 + 1
-    red = rref(BitMatrix(k1, n1, gen_rows))
-    if red.rank != k1:
-        raise ValueError("seed generator is rank deficient")
-    c = np.zeros(1 << k1, dtype=np.int64)
-    for j in range(n1):
-        c[red.matrix.column(j)] += 1
+    seed = LinearCode(BitMatrix(k1, n1, gen_rows))  # reduced; full rank
+    c = np.array(seed.column_types().counts, dtype=np.int64)
     radix = c + 1
     unit = 1 << np.arange(k1)  # the pivot columns' types
     radix[unit] = c[unit] // 2 + 1
-    sign = _sign_matrix(k1).astype(np.int32)
+    sign = sign_matrix(k1).astype(np.int32)
     const = (sign < 0).astype(np.int32) @ c.astype(np.int32)
     types = np.flatnonzero(radix > 1)
     split, size = len(types), 1
@@ -373,7 +329,6 @@ def _db_path(db_dir: str, n: int, k: int, d: int) -> str:
 def _load_checked(path: str, n: int, k: int, d: int) -> CodeDB:
     """A stored level, trusted only once it is exactly what building
     [n, k, d] stores for the classes its records fall in."""
-    from . import formats  # formats imports CodeDB from this module
     db = formats.load_codedb(path)
     codes = db.codes()
     if (db.n, db.k, db.d) != (n, k, d) or any(c.min_weight() != d for c in codes):
@@ -390,7 +345,6 @@ def _load_or_build(db_dir: str | None, n: int, k: int, ds,
     """The [n, k, d] databases for every d in ds: read from db_dir when
     all of them are stored there, otherwise made by build() (a dict over
     d that may hold more levels) and every level it made is stored."""
-    from . import formats
     if db_dir and all(os.path.exists(_db_path(db_dir, n, k, dd)) for dd in ds):
         return {dd: _load_checked(_db_path(db_dir, n, k, dd), n, k, dd)
                 for dd in ds}

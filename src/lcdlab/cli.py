@@ -70,9 +70,7 @@ def cmd_family(args) -> int:
             families.symbolic_gram_det(args.k, av))
     if args.emit in ("code", "all"):
         code = verdict.code
-        report["generator_rows"] = [
-            "".join(str(code.generator.get(i, j)) for j in range(code.n))
-            for i in range(code.k)]
+        report["generator_rows"] = str(code.generator).splitlines()
         block = BitMatrix(code.k, code.n - code.k,
                           tuple(r >> code.k for r in code.generator.data))
         report["octal"] = formats.encode_octal(block)
@@ -145,11 +143,15 @@ def _verify_octal_table(groups, k: int, out: list[str]) -> bool:
     return ok
 
 
+def _is_lcd_witness(n: int, k: int, d: int, rows) -> bool:
+    code = formats.systematic_code(formats.parse_binary_rows(rows, k))
+    return code.n == n and code.min_weight() == d and code.is_lcd()
+
+
 def _verify_lcd_witnesses(k: int, out: list[str]) -> bool:
     ok = True
     for n, (d, rows) in sorted(families.DIMENSIONS[k].lcd_witnesses.items()):
-        code = formats.systematic_code(formats.parse_binary_rows(rows, k))
-        good = code.n == n and code.min_weight() == d and code.is_lcd()
+        good = _is_lcd_witness(n, k, d, rows)
         ok &= good
         out.append(f"{'PASS' if good else 'FAIL'} lcd witness [{n},{k},{d}]")
     return ok
@@ -208,6 +210,9 @@ def _reproduce_checks(suite: str, full: bool, db_dir: str | None, jobs: int):
                 yield (f"classification [{n},{k},{d}]",
                        lambda n=n, k=k, d=d, strings=strings: _census_is(
                            n, k, d, strings, db_dir, jobs))
+    if full and suite in ("bounds", "all"):
+        yield ("ledger values below the family range",
+               lambda: _below_range_certified(db_dir, jobs))
 
 
 def _census_is(n, k, d, strings, db_dir, jobs) -> bool:
@@ -216,6 +221,28 @@ def _census_is(n, k, d, strings, db_dir, jobs) -> bool:
     fixtures = sorted(formats.code_from_octal(s, n, k).canonical_key()
                       for s in strings)
     return list(db.keys()) == fixtures and lcd_census(db).lcd_count == 0
+
+
+def _below_range_certified(db_dir, jobs) -> bool:
+    """Every exact k = 4, 5 value that names a witness or a census, not a
+    family member, is the Griesmer maximum, and an LCD code attains it:
+    the verified witness, or an LCD class in the level's census."""
+    checks = []
+    for k, dim in families.DIMENSIONS.items():
+        q = (1 << k) - 1
+        top = q * max(families.family_t_min(k, s) for s in range(q))
+        for n in range(k, top + q):
+            entry = bounds.known_lcd_d(n, k)
+            d = entry.exact
+            if entry.provenance == f"dimension-{k}-witness":
+                lcd = _is_lcd_witness(n, k, d, dim.lcd_witnesses[n][1])
+            elif entry.provenance == f"dimension-{k}-census":
+                db = classify(n, k, d, db_dir=db_dir, jobs=jobs)
+                lcd = lcd_census(db).lcd_count >= 1
+            else:
+                continue
+            checks.append(lcd and d == bounds.griesmer_dmax(n, k))
+    return bool(checks) and all(checks)
 
 
 def cmd_reproduce(args) -> int:
@@ -303,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("dim4", "dim5", "bounds", "all"),
                    default="all")
     p.add_argument("--full", action="store_true",
-                   help="include a census of every fixture level")
+                   help="also census every fixture level and check the "
+                        "ledger's short lengths")
     common(p, json_flag=False)
     p.set_defaults(func=cmd_reproduce)
     return ap

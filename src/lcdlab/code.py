@@ -4,18 +4,22 @@ A code is stored through the reduced row-echelon form of a generator
 matrix, which is unique per row space, so structural equality means
 equality of codes.  Weight data is computed once by a Gray-code walk
 over all 2^k codewords and cached; caches are filled idempotently and
-are safe to race.
+are safe to race.  The sign and message-weight tables over the 2^k
+column types, which families, classify and search share, live here.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
+import numpy as np
+
+from .canonical import canonical_key
 from .gf2 import BitMatrix, gram, nullspace, rref
 
 ENUMERATION_CAP = 28  # 2^k codewords are walked exhaustively
-CANONICAL_CAP = 6     # basis-orbit minimization is exponential in k
 
 
 @dataclass(frozen=True)
@@ -64,14 +68,25 @@ class TypeMultiplicity:
 
     def generator(self) -> BitMatrix:
         """A generator whose columns realize the multiset (types ascending, zeros last)."""
-        cols = []
-        for t, c in enumerate(self.counts):
-            if t:
-                cols.extend([t] * c)
-        cols.extend([0] * self.counts[0])
-        rows = tuple(sum(((t >> i) & 1) << j for j, t in enumerate(cols))
-                     for i in range(self.k))
-        return BitMatrix(self.k, len(cols), rows)
+        cols = [t for t, c in enumerate(self.counts) if t for _ in range(c)]
+        return BitMatrix.from_columns(self.k, cols + [0] * self.counts[0])
+
+
+@lru_cache(maxsize=None)
+def sign_matrix(k: int) -> np.ndarray:
+    """(2^k, 2^k) matrix of (-1)^(m . v)."""
+    idx = np.arange(1 << k, dtype=np.uint32)
+    par = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
+    return (1 - 2 * par.astype(np.int64))
+
+
+@lru_cache(maxsize=None)
+def message_weight_matrix(k: int) -> np.ndarray:
+    """(2^k - 1, 2^k - 1) 0/1 matrix: row m-1, column v-1 is [m . v = 1].
+
+    Row m-1 times the nonzero-type multiplicities is the weight of the
+    codeword of message m."""
+    return ((1 - sign_matrix(k)[1:, 1:]) >> 1).astype(np.int16)
 
 
 class LinearCode:
@@ -166,7 +181,6 @@ class LinearCode:
         return TypeMultiplicity(self.k, tuple(counts))
 
     def canonical_key(self) -> bytes:
-        from .canonical import canonical_key
         return canonical_key(self.column_types())
 
 

@@ -4,21 +4,27 @@ A family row fixes, per length residue s mod 2^k - 1, a vector of
 affine forms a_j(t) = t + c_j; the code of parameter t is generated by
 [I_k | M] where block j of M repeats a fixed nonzero column a_j(t)
 times, and has length (2^k - 1) t + s and minimum weight 2^(k-1) t plus
-the row's weight offset.  The weight enumerator and the integer
-determinant of G G^T are computed symbolically in t and must match the
-shipped reference rows.  Each dimension's tables sit in one k-keyed
-lookup, DIMENSIONS.
+the row's weight offset.  So the column types of [I_k | M] have
+multiplicities affine in t.  The weight enumerator's exponents are the
+message-weight matrix times those multiplicities, and the determinant
+of G G^T, of degree <= k in t, is interpolated from its integer values
+at t = 0..k; both must match the shipped reference rows.  Each
+dimension's tables sit in one k-keyed lookup, DIMENSIONS.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import factorial
+
+import numpy as np
 
 from . import tables
-from .code import LinearCode, make_code
+from .code import LinearCode, make_code, message_weight_matrix
 from .gf2 import BitMatrix, IntMatrix, det_int
 
-# -- affine forms and integer polynomials (coefficients ascending) ----------
+# -- affine forms ------------------------------------------------------------
 
 
 @dataclass(frozen=True, order=True)
@@ -38,91 +44,6 @@ class AffineForm:
         if self.offset == 0:
             return head
         return f"{head}{self.offset:+d}"
-
-
-def poly_trim(p: list[int]) -> tuple[int, ...]:
-    n = len(p)
-    while n and p[n - 1] == 0:
-        n -= 1
-    return tuple(p[:n])
-
-
-def poly_add(a, b) -> tuple[int, ...]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly_trim(out)
-
-
-def poly_sub(a, b) -> tuple[int, ...]:
-    return poly_add(a, tuple(-c for c in b))
-
-
-def poly_mul(a, b) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return poly_trim(out)
-
-
-def poly_divexact(a, b) -> tuple[int, ...]:
-    """Exact quotient in Z[t]; raises if the division leaves a remainder."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    out = [0] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    for i in range(len(rem) - len(b), -1, -1):
-        c = rem[i + len(b) - 1]
-        if c % lead:
-            raise ValueError("inexact polynomial division")
-        q = c // lead
-        out[i] = q
-        if q:
-            for j, cb in enumerate(b):
-                rem[i + j] -= q * cb
-    if any(rem):
-        raise ValueError("inexact polynomial division")
-    return poly_trim(out)
-
-
-def poly_eval(p, t: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * t + c
-    return acc
-
-
-def _poly_matrix_det(mat: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
-    """Determinant of a polynomial matrix by fraction-free elimination."""
-    n = len(mat)
-    if n == 0:
-        return (1,)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev: tuple[int, ...] = (1,)
-    for r in range(n - 1):
-        if not m[r][r]:
-            p = next((i for i in range(r + 1, n) if m[i][r]), None)
-            if p is None:
-                return ()
-            m[r], m[p] = m[p], m[r]
-            sign = -sign
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = poly_sub(poly_mul(m[r][r], m[i][j]),
-                               poly_mul(m[i][r], m[r][j]))
-                m[i][j] = poly_divexact(num, prev)
-            m[i][r] = ()
-        prev = m[r][r]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else tuple(-c for c in det)
 
 
 # -- column orders and construction ------------------------------------------
@@ -166,15 +87,10 @@ def build_generator(k: int, a) -> BitMatrix:
         raise ValueError(f"need {len(order)} multiplicities, got {len(a)}")
     if any(x < 0 for x in a):
         raise ValueError(f"negative multiplicity in {a}")
-    rows = [1 << i for i in range(k)]
-    pos = k
+    cols = [1 << i for i in range(k)]
     for mult, t in zip(a, order):
-        for _ in range(mult):
-            for i in range(k):
-                if (t >> i) & 1:
-                    rows[i] |= 1 << pos
-            pos += 1
-    return BitMatrix(k, pos, tuple(rows))
+        cols += [t] * mult
+    return BitMatrix.from_columns(k, cols)
 
 
 @dataclass(frozen=True)
@@ -235,14 +151,44 @@ class FamilyVerdict:
                 and self.is_lcd)
 
 
+def family_weight(k: int, n: int) -> tuple[int, int, int]:
+    """(s, t, d) with n = (2^k - 1) t + s and d = 2^(k-1) t plus row s's
+    weight offset: the minimum weight of the family member of length n,
+    which exists when t >= family_t_min(k, s)."""
+    t, s = divmod(n, (1 << k) - 1)
+    return s, t, (1 << (k - 1)) * t + DIMENSIONS[k].rows[s][1]
+
+
 def family_code(k: int, s: int, t: int) -> FamilyVerdict:
     """Build the family member and compare it with its claimed parameters."""
     vec = family_a_vector(k, s, t)
     code = make_code(build_generator(k, vec))
     claimed_n = ((1 << k) - 1) * t + s
-    claimed_d = (1 << (k - 1)) * t + DIMENSIONS[k].rows[s][1]
+    claimed_d = family_weight(k, claimed_n)[2]
     hull, lcd = code.lcd_status()
     return FamilyVerdict(code, claimed_n, claimed_d, code.min_weight(), hull, lcd)
+
+
+# -- column-type multiplicities in t -----------------------------------------
+
+
+def _type_counts(k: int, av: AffineVec) -> tuple[np.ndarray, np.ndarray]:
+    """Offset and slope multiplicities of the 2^k column types of
+    [I_k | M(av)]; the identity's unit columns count among the offsets."""
+    off = np.zeros(1 << k, dtype=np.int64)
+    slope = np.zeros(1 << k, dtype=np.int64)
+    off[1 << np.arange(k)] = 1
+    order = list(column_order(k))
+    off[order] += [e.offset for e in av.entries]
+    slope[order] = [e.slope for e in av.entries]
+    return off, slope
+
+
+def _gram(k: int, counts: np.ndarray) -> np.ndarray:
+    """The integer G G^T of a generator with these column-type
+    multiplicities: entry (i, j) counts the columns with ones in rows i, j."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    return bits.T @ (counts[:, None] * bits)
 
 
 # -- symbolic weight enumerator ----------------------------------------------
@@ -258,21 +204,13 @@ class SymbolicWE:
 
 
 def symbolic_weight_enumerator(k: int, av: AffineVec) -> SymbolicWE:
-    """Exponent for message m: wt(m) plus every block with m . v_j = 1."""
-    order = column_order(k)
-    acc: dict[tuple[int, int], int] = {}
-    for m in range(1, 1 << k):
-        off = m.bit_count()
-        slope = 0
-        for e, v in zip(av.entries, order):
-            if (m & v).bit_count() & 1:
-                off += e.offset
-                slope += e.slope
-        key = (slope, off)
-        acc[key] = acc.get(key, 0) + 1
-    terms = tuple((mult, AffineForm(off, slope))
-                  for (slope, off), mult in sorted(acc.items()))
-    return SymbolicWE(k, terms)
+    """Exponent for message m: row m-1 of message_weight_matrix(k) times
+    the offset and the slope multiplicities of [I_k | M(av)]."""
+    w = message_weight_matrix(k)
+    off, slope = _type_counts(k, av)
+    acc = Counter(zip((w @ slope[1:]).tolist(), (w @ off[1:]).tolist()))
+    return SymbolicWE(k, tuple((mult, AffineForm(o, sl))
+                               for (sl, o), mult in sorted(acc.items())))
 
 
 def expected_symbolic_we(k: int, s: int) -> SymbolicWE:
@@ -285,47 +223,34 @@ def expected_symbolic_we(k: int, s: int) -> SymbolicWE:
 # -- symbolic Gram determinant ------------------------------------------------
 
 
-def _gram_entry_polys(k: int, av: AffineVec) -> list[list[tuple[int, ...]]]:
-    # (i, j) entry: delta_ij from the identity block, plus every column
-    # type with ones in both rows i and j.
-    order = column_order(k)
-    mat = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            off = 1 if i == j else 0
-            slope = 0
-            for e, v in zip(av.entries, order):
-                if (v >> i) & 1 and (v >> j) & 1:
-                    off += e.offset
-                    slope += e.slope
-            row.append(poly_trim([off, slope]))
-        mat.append(row)
-    return mat
-
-
-def _matrix_at(mat: list[list[tuple[int, ...]]], t: int) -> IntMatrix:
-    return IntMatrix(len(mat), len(mat),
-                     tuple(tuple(poly_eval(p, t) for p in row) for row in mat))
-
-
 def symbolic_gram_det(k: int, av: AffineVec) -> tuple[int, ...]:
     """det(G G^T) as an integer polynomial in t (coefficients ascending).
 
-    Computed by fraction-free elimination over Z[t], then checked by
-    evaluation: its entries are affine in t, so the true determinant has
-    degree <= k; the result must too, and must equal det_int of the
-    integer Gram matrix at t = 0..k.  Two polynomials of degree <= k that
-    agree at k + 1 points are equal, so only the true determinant passes.
+    G G^T is its offset part plus t times its slope part, so the
+    determinant has degree <= k and is fixed by its values v_t, det_int
+    of the integer Gram matrix at t = 0..k.  Newton's forward differences
+    give it: p(t) = sum_j (D^j v_0 / j!) t(t-1)...(t-j+1).  For an
+    integer polynomial each D^j v_0 is a multiple of j!; a remainder
+    means the values are wrong, and raises AssertionError.
     """
-    mat = _gram_entry_polys(k, av)
-    det = _poly_matrix_det(mat)
-    if len(det) > k + 1:
-        raise AssertionError(f"determinant {det} has degree above {k}")
-    for t in range(k + 1):
-        if poly_eval(det, t) != det_int(_matrix_at(mat, t)):
-            raise AssertionError(f"determinant {det} is not det_int at t={t}")
-    return det
+    base, step = (_gram(k, c) for c in _type_counts(k, av))
+    diffs = [det_int(IntMatrix(k, k, tuple(map(tuple, g.tolist()))))
+             for g in (base + t * step for t in range(k + 1))]
+    coeffs = [0] * (k + 1)
+    falling = [1]  # t(t-1)...(t-j+1), coefficients ascending
+    for j in range(k + 1):
+        q, r = divmod(diffs[0], factorial(j))
+        if r:
+            raise AssertionError(
+                f"difference {j} of the determinants at t=0..{k} is "
+                f"{diffs[0]}, not a multiple of {j}!")
+        for i, c in enumerate(falling):
+            coeffs[i] += q * c
+        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def det_is_odd_everywhere(p: tuple[int, ...]) -> bool:

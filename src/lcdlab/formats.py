@@ -1,5 +1,5 @@
 """Bit-exact codecs: octal-packed generator matrices, plain binary row
-lists, the classification database file format, and JSON reports.
+lists, classification databases (CodeDB) and their files, and JSON reports.
 
 Octal convention: the k rows of the non-identity block M of a generator
 [I_k | M] are concatenated m_1 || ... || m_k, chunked into octal digits
@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 
-from .classify import CodeDB
 from .code import LinearCode, make_code
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, rref
 
 OCTAL_DIGITS = "01234567"
 LETTER_BITS = {"a": "0", "b": "1"}
@@ -52,8 +52,7 @@ def decode_octal(s: str, n: int, k: int) -> BitMatrix:
 
 def encode_octal(m: BitMatrix) -> str:
     """Inverse of decode_octal for a k x (n-k) block."""
-    flat = "".join("".join(str(m.get(i, j)) for j in range(m.cols))
-                   for i in range(m.rows))
+    flat = str(m).replace("\n", "")
     out = []
     i = 0
     while i + 3 <= len(flat):
@@ -91,6 +90,28 @@ def code_from_octal(s: str, n: int, k: int) -> LinearCode:
 # -- classification database files ----------------------------------------------
 
 
+@dataclass(frozen=True)
+class CodeDB:
+    """Deduplicated classification result: one representative per class."""
+
+    n: int
+    k: int
+    d: int
+    method: str
+    records: tuple[tuple[bytes, tuple[int, ...]], ...]  # (key, RREF rows), key-sorted
+
+    @property
+    def count(self) -> int:
+        return len(self.records)
+
+    def keys(self) -> tuple[bytes, ...]:
+        return tuple(key for key, _ in self.records)
+
+    def codes(self) -> list[LinearCode]:
+        return [LinearCode(BitMatrix(self.k, self.n, rows), _reduced=True)
+                for _, rows in self.records]
+
+
 def _row_hex(row: int, cols: int) -> str:
     return row.to_bytes((cols + 7) // 8, "little").hex()
 
@@ -115,7 +136,6 @@ def codedb_loads(text: str) -> CodeDB:
         raise ValueError(f"bad header {lines[0]!r}")
     n, k, d, count = (int(x) for x in head[:4])
     method = head[4]
-    from .gf2 import rref
     records = []
     for ln in lines[1:]:
         key_hex, _, rows_part = ln.partition(":")

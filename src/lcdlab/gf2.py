@@ -49,6 +49,13 @@ class BitMatrix:
         return cls(len(packed), 0 if cols is None else cols, tuple(packed))
 
     @classmethod
+    def from_columns(cls, rows: int, cols: list[int]) -> BitMatrix:
+        """Build from column ints: bit i of column j is entry (i, j)."""
+        return cls(rows, len(cols), tuple(
+            sum(((c >> i) & 1) << j for j, c in enumerate(cols))
+            for i in range(rows)))
+
+    @classmethod
     def identity(cls, k: int) -> BitMatrix:
         return cls(k, k, tuple(1 << i for i in range(k)))
 

@@ -48,8 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import griesmer_dmax
-from .classify import message_weight_matrix
-from .code import LinearCode, TypeMultiplicity
+from .code import LinearCode, TypeMultiplicity, message_weight_matrix
 
 SEARCH_CAP = 10  # 2^(5k) <= 2^53: move scores exact in float64
 BIG = 1 << 10  # score = BIG * minimum weight - messages at it

@@ -222,3 +222,11 @@ def instantiate(swe, t: int) -> dict[int, int]:
     for mult, e in swe.terms:
         out[e(t)] = out.get(e(t), 0) + mult
     return out
+
+
+def poly_eval(p, t: int) -> int:
+    """The integer polynomial p (coefficients ascending) at t."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * t + c
+    return acc

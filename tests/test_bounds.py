@@ -4,7 +4,7 @@ from lcdlab import tables
 from lcdlab.bounds import closed_form_bound, griesmer_dmax, known_lcd_d
 from lcdlab.classify import classify, classify_by_columns, lcd_census
 from lcdlab.code import make_code
-from lcdlab.families import family_code, family_t_min
+from lcdlab.families import family_code, family_t_min, family_weight
 from lcdlab.formats import parse_binary_rows, systematic_code
 from lcdlab.gf2 import BitMatrix
 
@@ -109,21 +109,21 @@ def test_exact_residues_are_the_papers():
 
 
 def test_exact_values_below_family_range_have_lcd_codes():
-    # where the rule claims exactness below a row's t_min there is no family
-    # member, so a census or a stored witness shows the LCD code instead
-    below = set()
+    # below a row's t_min there is no family member, so an exact value
+    # there names the census or the stored witness that shows its LCD code
+    named = {"residue": set(), "census": set(), "witness": set()}
     for k in (4, 5):
-        q = (1 << k) - 1
-        for n in range(k, 3 * q):
-            t, s = divmod(n, q)
+        for n in range(k, 3 * ((1 << k) - 1)):
+            s, t, _ = family_weight(k, n)
             entry = known_lcd_d(n, k)
-            if (entry.provenance == f"dimension-{k}-residue"
-                    and t < family_t_min(k, s)):
-                below.add((n, k, entry.exact))
+            how = entry.provenance.removeprefix(f"dimension-{k}-")
+            if how in named:
+                assert (how == "residue") == (t >= family_t_min(k, s)), (n, k)
+                named[how].add((n, k, entry.exact))
     censused = {(9, 4, 4), (10, 4, 4), (13, 4, 6), (11, 5, 4)}
     witnessed = {(n, 5, d) for n, (d, _) in tables.DIM5_LCD_WITNESSES.items()}
     assert witnessed == {(19, 5, 8), (20, 5, 9), (22, 5, 10), (26, 5, 12)}
-    assert below == censused | witnessed
+    assert (named["census"], named["witness"]) == (censused, witnessed)
     for n, k, d in sorted(censused):
         assert lcd_census(classify(n, k, d)).lcd_count >= 1, (n, k, d)
     for n, k, d in sorted(witnessed):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -105,6 +106,7 @@ DIM5_CHECKS = ["families dim5 (t<=3)", "weight enumerators dim5",
                "gram determinants dim5", "generator fixtures dim5",
                "lcd witnesses dim5", "counts dim5 (k<=3)"]
 BOUNDS_CHECKS = ["griesmer case formulas", "largest-minimum-weight ledger"]
+BELOW_RANGE = "ledger values below the family range"
 DIM4_CENSUSES = ["classification [22,4,11]", "classification [23,4,12]",
                  "classification [26,4,13]", "classification [27,4,14]",
                  "classification [30,4,16]", "classification [30,4,15]",
@@ -119,8 +121,9 @@ DIM5_CENSUSES = ["classification [25,5,12]", "classification [27,5,13]",
     ("dim4", False, DIM4_CHECKS),
     ("dim5", False, DIM5_CHECKS),
     ("all", True, DIM4_CHECKS + DIM5_CHECKS + BOUNDS_CHECKS
-     + DIM4_CENSUSES + DIM5_CENSUSES),
+     + DIM4_CENSUSES + DIM5_CENSUSES + [BELOW_RANGE]),
     ("dim5", True, DIM5_CHECKS + DIM5_CENSUSES),
+    ("bounds", True, BOUNDS_CHECKS + [BELOW_RANGE]),
 ])
 def test_reproduce_check_names_pinned(suite, full, names):
     got = [name for name, _ in cli._reproduce_checks(suite, full, None, 1)]
@@ -131,11 +134,30 @@ def test_full_censuses_compare_classes_with_fixtures(capsys, tmp_path):
     db = str(tmp_path / "db")
     code, out = run(capsys, "reproduce", "--suite", "all", "--full", "--db", db)
     assert code == 0
-    assert "FAIL" not in out and out.count("PASS") == 25
+    assert "FAIL" not in out and out.count("PASS") == 26
     # one fixture short of the level's classes is a failed check
     (n, d), strings = families.DIMENSIONS[4].generators[0]
     assert len(strings) == 2
     assert not cli._census_is(n, 4, d, strings[:1], db, 1)
+
+
+@pytest.mark.parametrize("witness_ok, census_lcd", [
+    (True, 1), (False, 1), (True, 0)])
+def test_below_range_check_needs_every_lcd_code(monkeypatch, witness_ok,
+                                                census_lcd):
+    # the ledger values below the family range name a witness or a census;
+    # the check fails as soon as one of them shows no LCD code
+    seen = []
+    monkeypatch.setattr(cli, "_is_lcd_witness", lambda n, k, d, rows:
+                        seen.append((n, k, d)) or witness_ok)
+    monkeypatch.setattr(cli, "classify",
+                        lambda n, k, d, **kw: seen.append((n, k, d)))
+    monkeypatch.setattr(cli, "lcd_census",
+                        lambda db: SimpleNamespace(lcd_count=census_lcd))
+    ok = cli._below_range_certified(None, 1)
+    assert ok == (witness_ok and census_lcd == 1)
+    assert sorted(seen) == [(9, 4, 4), (10, 4, 4), (11, 5, 4), (13, 4, 6),
+                            (19, 5, 8), (20, 5, 9), (22, 5, 10), (26, 5, 12)]
 
 
 def test_reproduce_checks_keep_their_dimension(monkeypatch):

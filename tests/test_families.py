@@ -2,16 +2,15 @@ import random
 
 import pytest
 
-from brute import instantiate, int_gram
+from brute import instantiate, int_gram, poly_eval
 from lcdlab import families, tables
 from lcdlab.code import make_code
 from lcdlab.families import (AffineForm, AffineVec, build_generator,
                              det_is_odd_everywhere, expected_symbolic_we,
                              family_a_vector, family_affine_vector,
-                             family_code, family_t_min, poly_add,
-                             poly_divexact, poly_eval, poly_mul,
-                             symbolic_gram_det, symbolic_weight_enumerator)
-from lcdlab.gf2 import BitMatrix, det_int
+                             family_code, family_t_min, symbolic_gram_det,
+                             symbolic_weight_enumerator)
+from lcdlab.gf2 import BitMatrix, IntMatrix, det_int
 
 
 def test_column_orders_complete():
@@ -95,20 +94,18 @@ def test_symbolic_gram_det_matches_tables():
 
 
 @pytest.mark.parametrize("k, s", [(4, 2), (5, 30)])
-@pytest.mark.parametrize("vanishing, why", [
-    (True, "degree above"),         # + t(t-1)...(t-k): agrees at t = 0..k
-    (False, "not det_int at t=0"),  # + 1
-])
-def test_gram_det_check_rejects_a_wrong_polynomial(monkeypatch, k, s,
-                                                   vanishing, why):
-    true_det = families._poly_matrix_det
-    extra = (1,)
-    for x in range(k + 1) if vanishing else ():
-        extra = poly_mul(extra, (-x, 1))
-    monkeypatch.setattr(families, "_poly_matrix_det",
-                        lambda mat: poly_add(true_det(mat), extra))
-    with pytest.raises(AssertionError, match=why):
+def test_gram_det_check_rejects_a_wrong_value(monkeypatch, k, s):
+    # det_int one too high at t = k moves the k-th difference by 1, which
+    # k! does not divide: no integer polynomial takes these values
+    calls = []
+
+    def off_by_one_at_k(m):
+        calls.append(m)
+        return det_int(m) + (len(calls) == k + 1)
+    monkeypatch.setattr(families, "det_int", off_by_one_at_k)
+    with pytest.raises(AssertionError, match=f"difference {k} .* of {k}!"):
         symbolic_gram_det(k, family_affine_vector(k, s))
+    assert len(calls) == k + 1
 
 
 def test_symbolic_gram_det_trivial():
@@ -117,40 +114,40 @@ def test_symbolic_gram_det_trivial():
 
 
 def test_gram_det_evaluations_match_construction():
+    # t = k + 1, k + 2 lie past the interpolation points t = 0..k
     for k, table in ((4, tables.DIM4_FAMILY), (5, tables.DIM5_FAMILY)):
         for s in table:
             av = family_affine_vector(k, s)
             poly = symbolic_gram_det(k, av)
-            for t in range(family_t_min(k, s), 5):
+            for t in range(family_t_min(k, s), k + 3):
                 g = build_generator(k, family_a_vector(k, s, t))
                 assert poly_eval(poly, t) == det_int(int_gram(g))
 
 
+def random_affine_vec(rng, top: int) -> AffineVec:
+    return AffineVec(tuple(AffineForm(rng.randint(0, top), rng.randint(0, 2))
+                           for _ in range(15)))
+
+
 def test_gram_entry_formulas_random_vectors():
-    # closed-form entries against the integer Gram of the built matrix
+    # the Gram of the column-type counts at t against the integer Gram of
+    # the built matrix
     rng = random.Random(2)
     for _ in range(100):
-        a = [rng.randint(0, 5) for _ in range(15)]
-        av = AffineVec(tuple(AffineForm(x, 0) for x in a))
-        entries = families._matrix_at(families._gram_entry_polys(4, av), 0)
-        assert entries == int_gram(build_generator(4, a))
+        av, t = random_affine_vec(rng, 5), rng.randint(0, 3)
+        off, slope = families._type_counts(4, av)
+        gram = families._gram(4, off + t * slope)
+        assert (IntMatrix(4, 4, tuple(map(tuple, gram.tolist())))
+                == int_gram(build_generator(4, av(t))))
 
 
 def test_we_exponents_random_vectors():
     rng = random.Random(4)
     for _ in range(60):
-        a = [rng.randint(0, 4) for _ in range(15)]
-        av = AffineVec(tuple(AffineForm(x, 0) for x in a))
+        av, t = random_affine_vec(rng, 4), rng.randint(0, 3)
         swe = symbolic_weight_enumerator(4, av)
-        code = make_code(build_generator(4, a))
-        assert instantiate(swe, 0) == dict(code.weight_enumerator().coeffs)
-
-
-def test_poly_helpers():
-    assert poly_mul((1, 1), (1, 1)) == (1, 2, 1)
-    assert poly_divexact((1, 2, 1), (1, 1)) == (1, 1)
-    with pytest.raises(ValueError):
-        poly_divexact((1, 1, 1), (1, 1))
+        code = make_code(build_generator(4, av(t)))
+        assert instantiate(swe, t) == dict(code.weight_enumerator().coeffs)
 
 
 def test_unknown_row_rejected():

@@ -1,6 +1,7 @@
 """Guards on the package layout that other code relies on."""
 
 import ast
+import graphlib
 import importlib
 import importlib.util
 import io
@@ -80,3 +81,23 @@ def test_public_names_have_a_caller():
             if d.name not in named | rest:
                 idle.append(f"{path.name}: {d.name}")
     assert not idle, idle
+
+
+def test_package_imports_at_module_level_without_cycles():
+    # an import of a package module inside a function hides a dependency;
+    # with every one at module level the import graph must be acyclic
+    nested, graph = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = ([node.module] if node.module
+                         else [alias.name for alias in node.names])
+                graph.setdefault(path.stem, set()).update(names)
+                if node not in tree.body:
+                    nested.append(f"{path.name}:{node.lineno} {' '.join(names)}")
+    assert not nested, nested
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        raise AssertionError(f"import cycle: {exc.args[1]}") from None
