@@ -227,23 +227,40 @@ def symbolic_gram_det(k: int, av: AffineVec) -> tuple[int, ...]:
     """det(G G^T) as an integer polynomial in t (coefficients ascending).
 
     G G^T is its offset part plus t times its slope part, so the
-    determinant has degree <= k and is fixed by its values v_t, det_int
-    of the integer Gram matrix at t = 0..k.  Newton's forward differences
-    give it: p(t) = sum_j (D^j v_0 / j!) t(t-1)...(t-j+1).  For an
-    integer polynomial each D^j v_0 is a multiple of j!; a remainder
-    means the values are wrong, and raises AssertionError.
+    determinant has degree <= k and is fixed by its values, det_int of
+    the integer Gram matrix at t = 0..k.  _interpolate builds it from
+    them; the result is then checked to have degree <= k and to equal
+    those values, so a faulty interpolation raises AssertionError.
     """
     base, step = (_gram(k, c) for c in _type_counts(k, av))
-    diffs = [det_int(IntMatrix(k, k, tuple(map(tuple, g.tolist()))))
-             for g in (base + t * step for t in range(k + 1))]
-    coeffs = [0] * (k + 1)
+    values = [det_int(IntMatrix(k, k, tuple(map(tuple, g.tolist()))))
+              for g in (base + t * step for t in range(k + 1))]
+    det = _interpolate(values)
+    if len(det) > k + 1:
+        raise AssertionError(f"determinant {det} has degree above {k}")
+    for t, v in enumerate(values):
+        if sum(c * t ** i for i, c in enumerate(det)) != v:
+            raise AssertionError(f"determinant {det} is not det_int at t={t}")
+    return det
+
+
+def _interpolate(values: list[int]) -> tuple[int, ...]:
+    """The integer polynomial taking values[t] at t = 0, 1, ...
+
+    Newton's forward differences give it: p(t) = sum_j (D^j v_0 / j!)
+    t(t-1)...(t-j+1).  For an integer polynomial each D^j v_0 is a
+    multiple of j!; a remainder means the values are wrong, and raises
+    AssertionError.
+    """
+    coeffs = [0] * len(values)
     falling = [1]  # t(t-1)...(t-j+1), coefficients ascending
-    for j in range(k + 1):
+    diffs = list(values)
+    for j in range(len(values)):
         q, r = divmod(diffs[0], factorial(j))
         if r:
             raise AssertionError(
-                f"difference {j} of the determinants at t=0..{k} is "
-                f"{diffs[0]}, not a multiple of {j}!")
+                f"difference {j} of the determinants at t=0..{len(values) - 1}"
+                f" is {diffs[0]}, not a multiple of {j}!")
         for i, c in enumerate(falling):
             coeffs[i] += q * c
         falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]

@@ -94,6 +94,28 @@ def test_symbolic_gram_det_matches_tables():
 
 
 @pytest.mark.parametrize("k, s", [(4, 2), (5, 30)])
+@pytest.mark.parametrize("vanishing, why", [
+    (True, "degree above"),         # + t(t-1)...(t-k): agrees at t = 0..k
+    (False, "not det_int at t=0"),  # + 1
+])
+def test_gram_det_check_rejects_a_wrong_polynomial(monkeypatch, k, s,
+                                                   vanishing, why):
+    true_interpolate = families._interpolate
+    extra = (1,)
+    for x in range(k + 1) if vanishing else ():
+        extra = tuple(a - x * b for a, b in zip((0,) + extra, extra + (0,)))
+
+    def wrong(values):
+        got = true_interpolate(values)
+        width = max(len(got), len(extra))
+        return tuple(sum(p[i] for p in (got, extra) if i < len(p))
+                     for i in range(width))
+    monkeypatch.setattr(families, "_interpolate", wrong)
+    with pytest.raises(AssertionError, match=why):
+        symbolic_gram_det(k, family_affine_vector(k, s))
+
+
+@pytest.mark.parametrize("k, s", [(4, 2), (5, 30)])
 def test_gram_det_check_rejects_a_wrong_value(monkeypatch, k, s):
     # det_int one too high at t = k moves the k-th difference by 1, which
     # k! does not divide: no integer polynomial takes these values
