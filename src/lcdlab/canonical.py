@@ -22,6 +22,7 @@ import numpy as np
 
 CANONICAL_CAP = 6  # basis-orbit minimization is exponential in k
 PAIR_SLICE = 1 << 16  # (partial basis, image) pairs scored per step; bounds memory
+GREEDY_BLOCK = 1 << 16  # rows canonical_classes moves to greedy form at once
 
 
 def _least_pairs(flat, q: int, owner, span, b):
@@ -98,6 +99,34 @@ def canonical_rows(rows, k: int) -> np.ndarray:
     _, first, back = np.unique(near.view(f"V{near.itemsize << k}").ravel(),
                                return_index=True, return_inverse=True)
     return _search(near[first], k)[back]
+
+
+def _distinct(rows: np.ndarray, k: int) -> np.ndarray:
+    """The distinct rows of an (R, 2^k) array."""
+    _, first = np.unique(rows.view(f"V{rows.itemsize << k}").ravel(),
+                         return_index=True)
+    return rows[first]
+
+
+def canonical_classes(arrays, k: int) -> np.ndarray:
+    """The distinct canonical forms among the rows of a list of (R, 2^k)
+    multiplicity arrays.
+
+    The forms are those of canonical_rows, but only the distinct ones
+    are kept at each stage: the greedy pass runs GREEDY_BLOCK rows of
+    the stacked arrays at a time and keeps each block's distinct
+    results, so besides that stack memory follows the number of
+    distinct greedy forms, not the number of rows."""
+    if k > CANONICAL_CAP:
+        raise ValueError(f"canonical form capped at k={CANONICAL_CAP}")
+    arrays = [a for a in arrays if len(a)]
+    if not arrays:
+        return np.empty((0, 1 << k), dtype=np.int32)
+    rows = np.vstack(arrays)
+    near = np.vstack([_distinct(_search(rows[lo:lo + GREEDY_BLOCK].astype(np.int32),
+                                        k, greedy=True), k)
+                      for lo in range(0, len(rows), GREEDY_BLOCK)])
+    return _distinct(_search(_distinct(near, k), k), k)
 
 
 def canonical_counts(counts: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -11,9 +11,15 @@ Two engines share one deduplication layer:
   [n-1, k-1, d' >= d] code, with v of coset weight >= d-1.  Up to
   equivalence v only matters through how many ones it puts on the seed
   columns of each type, and every coset weight is linear in those
-  counts, so the extensions are scored over the seed's type-multiplicity
-  box; the extended code has minimum weight min(d_seed, 1 + coset
-  weight).
+  counts, so the extensions are the rows of the seed's type-multiplicity
+  box whose least coset weight is >= d-1; the extended code has minimum
+  weight min(d_seed, 1 + coset weight).  The box is walked one type at
+  a time, widest type first, and a prefix is pruned as soon as some
+  message's partial coset weight, plus the most the remaining types can
+  add to it, falls below d-1.  That bound is exact (it is d-1 itself
+  once every type is placed), so the walk keeps exactly the rows a scan
+  of the whole box keeps, and returns them in the box's lexicographic
+  order.
 
 Equivalence classes are orbits of multiplicity vectors under basis
 change; deduplication puts all the candidates of a level into
@@ -25,13 +31,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from . import formats
 from .bounds import griesmer_dmax
-from .canonical import CANONICAL_CAP, canonical_rows, counts_key
+from .canonical import CANONICAL_CAP, canonical_classes, counts_key
 from .code import (LinearCode, TypeMultiplicity, message_weight_matrix,
                    sign_matrix)
 from .formats import CodeDB
@@ -95,13 +101,8 @@ def compositions(total: int, parts: int) -> np.ndarray:
 
 def _dedupe_canonical(vec_arrays: list[np.ndarray], k: int) -> list[tuple[int, ...]]:
     """Distinct canonical multiplicity vectors among the candidates."""
-    stacked = [a for a in vec_arrays if a.size]
-    if not stacked:
-        return []
-    canon = canonical_rows(np.vstack(stacked), k)
-    _, first = np.unique(canon.view(f"V{canon.itemsize << k}").ravel(),
-                         return_index=True)
-    return sorted(tuple(int(x) for x in row) for row in canon[first])
+    return sorted(tuple(int(x) for x in row)
+                  for row in canonical_classes(vec_arrays, k))
 
 
 def _build_db(n: int, k: int, d: int, method: str,
@@ -197,33 +198,36 @@ def classify_by_columns(n: int, k: int, d: int) -> CodeDB:
 # -- extension over the seed's column-type box -----------------------------------
 
 
-BOX_CHUNK = 1 << 16  # box rows scored per step; bounds the kernel's memory
-
-
-def _box_rows(radix: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the box of vectors 0 <= x < radix, last entry fastest."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, len(radix)), dtype=np.int32)
-    for j in range(len(radix) - 1, -1, -1):
-        idx, out[:, j] = np.divmod(idx, radix[j])
-    return out
+BOX_CHUNK = 1 << 16  # prefixes one block of the walk makes; bounds the kernel's memory
 
 
 def _extend_seed(gen_rows: tuple[int, ...], n1: int, k1: int,
                  seed_d: int, d: int):
     """Candidate extensions of one seed: multiplicity vectors and exact
     minimum weights of span((1|v), 0-prefixed seed rows), kept when the
-    minimum weight is >= d.
+    minimum weight is >= d, in the lexicographic order of the seed's
+    type box.
 
     Up to equivalence, (1|v) depends only on x_st, the number of ones v
     has among the c_st seed columns of type st, and
     wt((1|v) + c_m) = 1 + const_m + sum_st sign[m, st] x_st with
-    const_m = sum_{m.st=1} c_st.  So the box 0 <= x <= c is scored one
-    chunk at a time, as an outer part times a fixed inner block.
-    Translating v by the codeword c_m complements x_st on the types with
-    m.st = 1, so capping x at c/2 on the k1 unit types of the reduced
-    seed keeps at least one translate of every coset.  A translate spans
-    the same code, so deduplication merges the translates the cap keeps.
+    const_m = sum_{m.st=1} c_st.  Translating v by the codeword c_m
+    complements x_st on the types with m.st = 1, so capping x at c/2 on
+    the k1 unit types of the reduced seed keeps at least one translate
+    of every coset.  A translate spans the same code, so deduplication
+    merges the translates the cap keeps.
+
+    The box 0 <= x < radix is walked breadth first, one occupied type
+    at a time, widest type first, so the frontier stays narrow while it
+    is pruned hardest.  A frontier row holds the partial coset weights
+    w of its prefix, one per message, and the prefix's index in the
+    box's lexicographic order.  The types still to come can raise w[m]
+    by at most the sum of radix - 1 over those with sign[m, st] = +1
+    (a type with sign -1 only lowers it), so a prefix is dropped as
+    soon as some w[m] falls below d - 1 minus that gain: no box row
+    under it reaches coset weight d - 1.  After the last type the bound
+    is d - 1 itself, so the survivors are exactly the rows a scan of
+    the whole box keeps, and sorting them by index restores its order.
     """
     k = k1 + 1
     seed = LinearCode(BitMatrix(k1, n1, gen_rows))  # reduced; full rank
@@ -231,41 +235,46 @@ def _extend_seed(gen_rows: tuple[int, ...], n1: int, k1: int,
     radix = c + 1
     unit = 1 << np.arange(k1)  # the pivot columns' types
     radix[unit] = c[unit] // 2 + 1
-    sign = sign_matrix(k1).astype(np.int32)
-    const = (sign < 0).astype(np.int32) @ c.astype(np.int32)
+    sign = sign_matrix(k1)
     types = np.flatnonzero(radix > 1)
-    split, size = len(types), 1
-    while split and size * radix[types[split - 1]] <= BOX_CHUNK:
-        split -= 1
-        size *= int(radix[types[split]])
-    outer, inner = types[:split], types[split:]
-    x_in = _box_rows(radix[inner], 0, size)
-    w_in = sign[:, inner] @ x_in.T  # (messages, inner rows)
-    total = int(np.prod(radix[outer]))
-    step = max(1, BOX_CHUNK // size)
-    hists, minws = [], []
-    for lo in range(0, total, step):
-        x_out = _box_rows(radix[outer], lo, min(lo + step, total))
-        w_out = sign[:, outer] @ x_out.T + const[:, None]
-        coset_w = w_out[0][:, None] + w_in[0][None, :]
-        for m in range(1, 1 << k1):
-            np.minimum(coset_w, w_out[m][:, None] + w_in[m][None, :], out=coset_w)
-        oi, ii = np.nonzero(coset_w >= d - 1)
-        if not oi.size:
-            continue
-        x = np.zeros((oi.size, 1 << k1), dtype=np.int64)
-        x[:, outer] = x_out[oi]
-        x[:, inner] = x_in[ii]
-        hist = np.empty((oi.size, 1 << k), dtype=np.int16)
-        hist[:, 1::2] = x
-        hist[:, 0::2] = c - x
-        hist[:, 1] += 1  # the adjoined coordinate
-        hists.append(hist)
-        minws.append(np.minimum(seed_d, 1 + coset_w[oi, ii].astype(np.int64)))
-    if not hists:
-        return (np.empty((0, 1 << k), dtype=np.int16),
-                np.empty(0, dtype=np.int64))
-    return np.concatenate(hists), np.concatenate(minws)
+    if prod(int(r) for r in radix[types]) > np.iinfo(np.int64).max:
+        raise ValueError(f"the type box of an [{n1},{k1}] seed has more "
+                         "than 2^63 rows")
+    # place value of each type in the box's lexicographic order
+    stride = np.ones(1 << k1, dtype=np.int64)
+    stride[types[:-1]] = np.cumprod(radix[types[:0:-1]])[::-1]
+    order = types[np.argsort(-radix[types], kind="stable")]
+    # need[j, m]: the least w[m] a prefix of the first j types of order may hold
+    gain = np.where(sign[:, order] > 0, radix[order] - 1, 0)
+    left = np.zeros((1 << k1, len(order) + 1), dtype=np.int64)
+    left[:, :-1] = np.cumsum(gain[:, ::-1], axis=1)[:, ::-1]
+    need = (d - 1 - left).T.astype(np.int16)
+    w = ((sign < 0) @ c).astype(np.int16)[None, :]
+    w = w[(w >= need[0]).all(axis=1)]
+    idx = np.zeros(len(w), dtype=np.int64)
+    for j, st in enumerate(order, start=1):
+        if not len(w):
+            break
+        v = np.arange(radix[st])
+        step = (v[:, None] * sign[:, st]).astype(np.int16)  # (values, messages)
+        rows = max(1, BOX_CHUNK // len(v))
+        ws, idxs = [], []
+        for lo in range(0, len(w), rows):
+            child = (w[lo:lo + rows, None, :] + step).reshape(-1, 1 << k1)
+            keep = (child >= need[j]).all(axis=1)
+            ws.append(child[keep])
+            idxs.append((idx[lo:lo + rows, None] + v * stride[st]).ravel()[keep])
+        w, idx = np.concatenate(ws), np.concatenate(idxs)
+    at = np.argsort(idx)
+    w, idx = w[at], idx[at]
+    x = np.zeros((len(idx), 1 << k1), dtype=np.int64)
+    for st in types[::-1]:
+        idx, x[:, st] = np.divmod(idx, radix[st])
+    hist = np.empty((len(x), 1 << k), dtype=np.int16)
+    hist[:, 1::2] = x
+    hist[:, 0::2] = c - x
+    hist[:, 1] += 1  # the adjoined coordinate
+    return hist, np.minimum(seed_d, 1 + w.min(axis=1).astype(np.int64))
 
 
 def _validate_seeds(dbs, d: int):

@@ -3,7 +3,8 @@
 Nothing here shares enumeration logic with the package: compositions
 are read off bar positions, subspaces are walked through their unique
 reduced-echelon generators, one-step extensions through every vector
-of F2^n and every codeword, and equivalence is decided by trying every
+of F2^n and every codeword, or through every row of the seed's
+column-type box, and equivalence is decided by trying every
 column permutation.  For k <= 4 the whole group GL(k,2) is tabulated,
 so orbit minima are computed by brute force too.  Hill-climbing moves
 are scored by adding every move's weight change to every message.
@@ -17,11 +18,12 @@ from itertools import combinations, permutations
 import numpy as np
 
 from lcdlab.canonical import canonical_rows, counts_key
-from lcdlab.code import LinearCode
+from lcdlab.code import LinearCode, sign_matrix
 from lcdlab.gf2 import BitMatrix, IntMatrix, rref
 
 CHUNK_BITS = 18
 GL_TABLE_CAP = 4  # |GL(4,2)| = 20160 rows
+BOX_CHUNK = 1 << 16  # box rows box_scan scores per step
 
 
 def compositions_oracle(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -122,6 +124,63 @@ def extension_classes(gen_rows, n1: int, d: int) -> set[tuple[bytes, int]]:
     canon = canonical_rows([counts for counts, _ in found], k)
     return {(counts_key(n1 + 1, k, tuple(int(x) for x in c)), w)
             for c, (_, w) in zip(canon, found)}
+
+
+def _box_rows(radix: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the box of vectors 0 <= x < radix, last entry fastest."""
+    idx = np.arange(lo, hi, dtype=np.int64)
+    out = np.empty((hi - lo, len(radix)), dtype=np.int32)
+    for j in range(len(radix) - 1, -1, -1):
+        idx, out[:, j] = np.divmod(idx, radix[j])
+    return out
+
+
+def box_scan(gen_rows: tuple[int, ...], n1: int, k1: int, seed_d: int, d: int):
+    """What classify._extend_seed returns, by scoring every row of the
+    seed's type box 0 <= x <= c (x capped at c/2 on the unit types) in
+    lexicographic order: each chunk is an outer part times a fixed inner
+    block, and a row is kept when its least coset weight is >= d - 1."""
+    k = k1 + 1
+    seed = LinearCode(BitMatrix(k1, n1, gen_rows))
+    c = np.array(seed.column_types().counts, dtype=np.int64)
+    radix = c + 1
+    unit = 1 << np.arange(k1)
+    radix[unit] = c[unit] // 2 + 1
+    sign = sign_matrix(k1).astype(np.int32)
+    const = (sign < 0).astype(np.int32) @ c.astype(np.int32)
+    types = np.flatnonzero(radix > 1)
+    split, size = len(types), 1
+    while split and size * radix[types[split - 1]] <= BOX_CHUNK:
+        split -= 1
+        size *= int(radix[types[split]])
+    outer, inner = types[:split], types[split:]
+    x_in = _box_rows(radix[inner], 0, size)
+    w_in = sign[:, inner] @ x_in.T  # (messages, inner rows)
+    total = int(np.prod(radix[outer]))
+    step = max(1, BOX_CHUNK // size)
+    hists, minws = [], []
+    for lo in range(0, total, step):
+        x_out = _box_rows(radix[outer], lo, min(lo + step, total))
+        w_out = sign[:, outer] @ x_out.T + const[:, None]
+        coset_w = w_out[0][:, None] + w_in[0][None, :]
+        for m in range(1, 1 << k1):
+            np.minimum(coset_w, w_out[m][:, None] + w_in[m][None, :], out=coset_w)
+        oi, ii = np.nonzero(coset_w >= d - 1)
+        if not oi.size:
+            continue
+        x = np.zeros((oi.size, 1 << k1), dtype=np.int64)
+        x[:, outer] = x_out[oi]
+        x[:, inner] = x_in[ii]
+        hist = np.empty((oi.size, 1 << k), dtype=np.int16)
+        hist[:, 1::2] = x
+        hist[:, 0::2] = c - x
+        hist[:, 1] += 1  # the adjoined coordinate
+        hists.append(hist)
+        minws.append(np.minimum(seed_d, 1 + coset_w[oi, ii].astype(np.int64)))
+    if not hists:
+        return (np.empty((0, 1 << k), dtype=np.int16),
+                np.empty(0, dtype=np.int64))
+    return np.concatenate(hists), np.concatenate(minws)
 
 
 @cache

@@ -7,6 +7,7 @@ from lcdlab.code import make_code
 from lcdlab.families import family_code, family_t_min, family_weight
 from lcdlab.formats import parse_binary_rows, systematic_code
 from lcdlab.gf2 import BitMatrix
+from lcdlab.search import SearchBudget, search_lcd
 
 
 def test_griesmer_examples():
@@ -129,6 +130,28 @@ def test_exact_values_below_family_range_have_lcd_codes():
     for n, k, d in sorted(witnessed):
         code = systematic_code(parse_binary_rows(tables.DIM5_LCD_WITNESSES[n][1], k))
         assert (code.n, code.min_weight()) == (n, d) and code.is_lcd()
+
+
+def test_range_lower_ends_below_family_range_have_lcd_codes():
+    # below a row's t_min there is no family member, so the lower end of a
+    # range there is backed by an LCD code of its own: a census holding an
+    # LCD class at k = 4, a search witness at k = 5 (whose census is slow)
+    lower = {}
+    for k in (4, 5):
+        for n in range(k, 3 * ((1 << k) - 1)):
+            s, t, _ = family_weight(k, n)
+            entry = known_lcd_d(n, k)
+            if entry.status == "range" and t < family_t_min(k, s):
+                assert entry.provenance == f"dimension-{k}-range", (n, k)
+                lower[(n, k)] = min(entry.values)
+    assert lower == {(11, 4): 4, (12, 4): 5, (14, 4): 6, (10, 5): 3, (12, 5): 4}
+    for (n, k), d in sorted(lower.items()):
+        if k == 4:
+            assert lcd_census(classify(n, k, d)).lcd_count >= 1, (n, k, d)
+        else:
+            code = search_lcd(n, k, d, SearchBudget(rng_seed=1))
+            assert code is not None and (code.n, code.k) == (n, k), (n, k, d)
+            assert code.is_lcd() and code.min_weight() >= d, (n, k, d)
 
 
 def test_d_all_anchors():

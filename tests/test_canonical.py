@@ -7,8 +7,8 @@ import pytest
 from brute import (gl2_matrices, gl2_type_permutations, orbit_minimum,
                    perm_equivalent, type_permutation)
 from lcdlab import canonical
-from lcdlab.canonical import (canonical_counts, canonical_key, canonical_rows,
-                              counts_key)
+from lcdlab.canonical import (canonical_classes, canonical_counts, canonical_key,
+                              canonical_rows, counts_key)
 from lcdlab.code import TypeMultiplicity, make_code
 from lcdlab.formats import code_from_octal
 from lcdlab.gf2 import BitMatrix, rref
@@ -91,6 +91,26 @@ def test_batch_equals_row_at_a_time(monkeypatch):
     # steps, and ties and lower blocks are merged across them
     monkeypatch.setattr(canonical, "PAIR_SLICE", 256)
     assert all(batched(k) == one[k] for k in batches)
+
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_classes_are_the_distinct_canonical_rows(monkeypatch, block):
+    # each row next to its canonical form, in arrays of uneven length: the
+    # classes are the distinct forms, whichever blocks the greedy pass sees
+    if block:
+        monkeypatch.setattr(canonical, "GREEDY_BLOCK", block)
+    rng = random.Random(11)
+    for k in (3, 4, 5):
+        rows = [tuple(rng.randint(0, 3) for _ in range(1 << k)) for _ in range(40)]
+        rows += [canonical_counts(r, k) for r in rows]
+        rng.shuffle(rows)
+        arrays = [np.array(rows[:5], dtype=np.int16), np.empty((0, 1 << k), np.int16),
+                  np.array(rows[5:], dtype=np.int16)]
+        got = [tuple(int(x) for x in r) for r in canonical_classes(arrays, k)]
+        assert len(got) == len(set(got))
+        assert set(got) == {canonical_counts(r, k) for r in rows}
+    assert canonical_classes([], 4).shape == (0, 16)
 
 
 def test_canonical_counts_invariant_on_orbit():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brute import (compositions_oracle, extension_classes, min_weight,
-                   subspace_class_counts)
+from brute import (box_scan, compositions_oracle, extension_classes,
+                   min_weight, subspace_class_counts)
 from lcdlab.bounds import griesmer_dmax
 from lcdlab.canonical import canonical_rows, counts_key
 from lcdlab.classify import (MAX_LENGTH, _extend_all, _extend_seed, classify,
@@ -146,6 +146,61 @@ def test_extend_seed_matches_brute(seed):
     got = {(counts_key(n1 + 1, k, tuple(int(x) for x in c)), int(w))
            for c, w in zip(canonical_rows(hist, k), minw)}
     assert got == extension_classes(rows, n1, d)
+
+
+def assert_same_arrays(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@st.composite
+def wide_seeds(draw):
+    n1 = draw(st.integers(1, 14))
+    k1 = draw(st.integers(1, min(4, n1)))
+    rows = tuple(draw(st.integers(0, (1 << n1) - 1)) for _ in range(k1))
+    assume(rref(BitMatrix(k1, n1, rows)).rank == k1)
+    seed_d = min_weight(rows)
+    return rows, n1, k1, seed_d, draw(st.integers(1, seed_d + 1))
+
+
+@given(wide_seeds())
+@settings(max_examples=80, deadline=None)
+def test_extend_seed_matches_box_scan(seed):
+    # the pruned walk keeps exactly the rows a scan of the whole box keeps,
+    # in the box's order
+    assert_same_arrays(_extend_seed(*seed), box_scan(*seed))
+
+
+def rung_seeds(n: int, k: int, d: int):
+    """_extend_seed's arguments for every seed of the [n, k, d] rung."""
+    return [(rows, n - 1, k - 1, dd, d)
+            for dd in range(d, griesmer_dmax(n - 1, k - 1) + 1)
+            for _, rows in classify(n - 1, k - 1, dd).records]
+
+
+@pytest.mark.parametrize("chunk", [None, 16])
+def test_extend_seed_matches_box_scan_on_rungs(monkeypatch, chunk):
+    # with BOX_CHUNK at 16 the frontier is expanded a few rows at a time
+    if chunk:
+        monkeypatch.setattr(importlib.import_module("lcdlab.classify"),
+                            "BOX_CHUNK", chunk)
+    most = 0
+    for n, k, d in ((25, 5, 12), (27, 4, 14)):
+        for seed in rung_seeds(n, k, d):
+            got = _extend_seed(*seed)
+            assert_same_arrays(got, box_scan(*seed))
+            most = max(most, len(got[1]))
+    # more survivors than BOX_CHUNK rows: the last type split its frontier
+    assert most > 16
+
+
+def test_extend_seed_refuses_a_box_past_int64():
+    # every nonzero type of F2^5 five times: the box has 3^5 * 6^26 rows
+    simplex = [sum(((t >> i) & 1) << j for j, t in enumerate(range(1, 32)))
+               for i in range(5)]
+    rows = tuple(sum(r << (31 * rep) for rep in range(5)) for r in simplex)
+    with pytest.raises(ValueError, match="2\\^63"):
+        _extend_seed(rows, 155, 5, 80, 80)
 
 
 def test_extend_seed_rejects_rank_deficient():
