@@ -8,10 +8,35 @@ orbit: the zero-column count, then counts[T(x)] for x = 1 .. 2^k - 1.
 
 Choosing c = T(e_j) fixes positions 2^j .. 2^(j+1)-1 at once, to
 counts[c ^ T(x)] for x < 2^j.  So the search over basis images runs
-breadth-first, one level per basis vector: every partial basis still
+breadth first, one level per basis vector: every partial basis still
 tied for the least prefix tries every c outside its span, and only the
 least blocks go on (the prefix compare IS the pruning).  One call does
 this for a whole batch of vectors.
+
+The tied partial bases are pruned by the automorphisms of the row, the
+basis changes g with counts[g(x)] = counts[x] (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998).  Such a g maps a tied
+partial basis P to a tied one, gP, and every completion B of P to the
+completion gB of gP with the same serialization, so P and gP have the
+same least completion and one of them can go.  That holds for every
+automorphism, so pruning by any subgroup of the ones found keeps the
+least serialization, and with it every class key: a weaker prune only
+keeps more partial bases.
+
+The automorphisms come from probes.  Each tied partial basis of a row
+that holds several is completed greedily, along its first least-block
+path; two completions B1, B2 of one row that serialize alike give the
+automorphism B2 B1^-1, which maps the first partial basis to the
+second.  At each level, the partial bases of a row linked by equal
+completions, or siblings (children of one partial basis P) linked by a
+found automorphism that fixes P, keep one representative.  Probes run
+while at least three levels remain below the partial basis, and only
+for k >= 5: nearer the leaves a probe costs about what searching the
+subtree does, and for k <= 4 the whole of GL(k,2), at most 20160 bases,
+is searched faster than it is probed.  A row
+whose probes find no automorphism is not probed again: its ties are
+then mostly unlike one another, and probing them would cost more than
+it could save.
 """
 
 from __future__ import annotations
@@ -25,62 +50,258 @@ PAIR_SLICE = 1 << 16  # (partial basis, image) pairs scored per step; bounds mem
 GREEDY_BLOCK = 1 << 16  # rows canonical_classes moves to greedy form at once
 
 
-def _least_pairs(flat, q: int, owner, span, b):
-    """Pairs (b, c) of the partial bases b, sorted by owning row, and the
-    images c outside their spans that give their row's least block,
-    compared one position at a time."""
-    outside = np.ones((len(b), q), dtype=bool)
-    outside[np.arange(len(b))[:, None], span[b]] = False
-    i, c = np.nonzero(outside)
-    b, own = b[i], owner[b[i]]
-    lo = own[0]
-    least = np.empty(own[-1] - lo + 1, dtype=flat.dtype)
-    for x in range(span.shape[1]):
-        vals = flat[own * q + (c ^ span[b, x])]
-        least.fill(np.iinfo(flat.dtype).max)
-        np.minimum.at(least, own - lo, vals)
-        keep = vals == least[own - lo]
-        b, c, own = b[keep], c[keep], own[keep]
-    return b, c, own
+def _starts(g):
+    """Where each run of equal values of the sorted array g begins."""
+    start = np.empty(len(g), dtype=bool)
+    start[:1] = True
+    np.not_equal(g[1:], g[:-1], out=start[1:])
+    return start
+
+
+def _slice_pairs(flat, q: int, row, span, group):
+    """Pairs (i, c) of the nodes i (partial bases span[i] of rows row[i],
+    sorted by group) and the images c outside span[i] whose block
+    counts[row[i]][c ^ span[i, x]], x < width, is the least among the
+    pairs of i's group, compared one position at a time.  Every node has
+    the same number of images, so they are scored as one (node, image)
+    array; a node drops out once none of its images ties."""
+    n, size = span.shape
+    outside = np.ones((n, q), dtype=bool)
+    outside[np.arange(n)[:, None], span] = False
+    c = np.nonzero(outside)[1].reshape(n, q - size).astype(np.uint8)
+    node = np.arange(n)
+    base = row[:, None] * q
+    tie = np.ones(c.shape, dtype=bool)
+    top = np.iinfo(flat.dtype).max
+    start = _starts(group)
+    alone = start.all()  # one node per group, as on a greedy path
+    for x in range(size):
+        vals = np.where(tie, flat[base + (c ^ span[:, x, None])], top)
+        low = vals.min(axis=1)
+        if alone:
+            tie &= vals == low[:, None]
+            continue
+        least = np.minimum.reduceat(low, np.flatnonzero(start))[np.cumsum(start) - 1]
+        tie &= vals == least[:, None]
+        live = low == least
+        if not live.all():
+            node, c, span, base, group, tie = (
+                a[live] for a in (node, c, span, base, group, tie))
+            start = _starts(group)
+    at, image = np.nonzero(tie)
+    return node[at], c[at, image]
+
+
+def _least_pairs(flat, q: int, row, span, group):
+    """The pairs of _slice_pairs over all nodes, scored PAIR_SLICE pairs
+    at a time, and each group's least block (groups are 0 .. G-1).
+
+    A slice keeps its own least pairs per group; those of a slice that
+    came before the one that set the group's final least block, or that
+    were above the group's least block when scored, are dropped."""
+    n, size = span.shape
+    step = max(1, PAIR_SLICE // (q - size))
+    if n <= step:  # one slice: every group keeps its least pairs
+        i, c = _slice_pairs(flat, q, row, span, group)
+        lead = _starts(group[i])
+        return i, c, flat[row[i[lead], None] * q + (c[lead, None] ^ span[i[lead]])]
+    best = np.full((int(group[-1]) + 1, size), np.iinfo(flat.dtype).max)
+    stamp = np.full(len(best), -1)  # slice that last lowered a group's best
+    kept = []
+    for s, lo in enumerate(range(0, n, step)):
+        part = slice(lo, lo + step)
+        i, c = _slice_pairs(flat, q, row[part], span[part], group[part])
+        i += lo
+        g = group[i]
+        first = _starts(g)
+        at_first = i[first]
+        grp = g[first]
+        block = flat[row[at_first, None] * q + (c[first, None] ^ span[at_first])]
+        cur = best[grp]
+        at = np.arange(len(grp)), (block != cur).argmax(axis=1)
+        lower, higher = block[at] < cur[at], block[at] > cur[at]
+        best[grp[lower]] = block[lower]
+        stamp[grp[lower]] = s
+        ok = ~higher[np.cumsum(first) - 1]
+        kept.append((i[ok], c[ok], np.full(ok.sum(), s)))
+    i, c, s = (np.concatenate(a) for a in zip(*kept))
+    live = s >= stamp[group[i]]  # ties with the group's final least block
+    return i[live], c[live], best
+
+
+def _extend(span, c):
+    """The partial bases span + (c): T(x + 2^j) = c ^ T(x)."""
+    c = c.astype(np.uint8)[:, None]
+    return np.concatenate([span, c ^ span], axis=1)
+
+
+def _greedy_step(flat, q: int, row, span):
+    """Each partial basis extended by the least image c that gives its
+    least block: one level of its first least-block path."""
+    i, c, _ = _least_pairs(flat, q, row, span, np.arange(len(row)))
+    first = _starts(i)
+    return _extend(span[i[first]], c[first])
+
+
+def _greedy_bases(flat, q: int, row, span):
+    """Each partial basis completed along its first least-block path, as
+    a type permutation T, T[x] = T(x)."""
+    while span.shape[1] < q:
+        span = _greedy_step(flat, q, row, span)
+    return span
+
+
+def _components(n: int, a, b):
+    """Least member of each node's connected component, edges a -- b."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _distinct_rows(key, *arrays):
+    """First occurrence of each distinct row of the 2-D array key, in
+    order, and the arrays taken at those rows."""
+    key = np.ascontiguousarray(key)
+    _, first = np.unique(key.view(f"V{key.itemsize * key.shape[1]}").ravel(),
+                         return_index=True)
+    first.sort()
+    return [a[first] for a in arrays]
+
+
+def _probe(flat, q: int, row, span):
+    """Pairs (a, b) of tied partial bases of one row whose greedy
+    completions B1, B2 serialize alike, and the automorphisms B2 B1^-1
+    mapping each a to its b (type permutations, g[B1[x]] = B2[x]).
+
+    The completions advance together, one level at a time, and one that
+    serializes unlike every other of its row stops there: it can no
+    longer end like any of them."""
+    alive = np.arange(len(row))
+    group = row.copy()  # completions with equal serializations so far
+    while span.shape[1] < q and len(alive):
+        span = _greedy_step(flat, q, row[alive], span)
+        size = span.shape[1] // 2
+        block = flat[row[alive, None] * q + span[:, size:].astype(np.intp)]
+        key = np.column_stack([group, block])
+        _, group, count = np.unique(key.view(f"V{key.itemsize * key.shape[1]}").ravel(),
+                                    return_inverse=True, return_counts=True)
+        shared = count[group] > 1
+        alive, span, group = alive[shared], span[shared], group[shared]
+    order = np.argsort(group, kind="stable")
+    group, alive, span = group[order], alive[order], span[order].astype(np.intp)
+    start = _starts(group)
+    rep = np.flatnonzero(start)[np.cumsum(start) - 1]  # first of each group
+    dup = np.flatnonzero(rep != np.arange(len(group)))
+    auts = np.empty((len(dup), q), dtype=np.uint8)
+    auts[np.arange(len(dup))[:, None], span[rep[dup]]] = span[dup]
+    return alive[rep[dup]], alive[dup], auts
+
+
+def _pool(auts, aut_row):
+    """The distinct automorphisms other than the identity, sorted by row."""
+    moved = (auts != np.arange(auts.shape[1], dtype=np.uint8)).any(axis=1)
+    aut_row, auts = _distinct_rows(np.column_stack([aut_row[moved], auts[moved]]),
+                                   aut_row[moved], auts[moved])
+    order = np.argsort(aut_row, kind="stable")
+    return auts[order], aut_row[order]
+
+
+def _expand(start, count):
+    """For every o, the indices start[o] .. start[o] + count[o] - 1, with
+    the o each belongs to."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, start[owner] + np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+
+
+def _sibling_links(q: int, row, span, parent, c, several, auts, aut_row):
+    """Edges x -- y between children of one parent P, among the children
+    several, wherever a found automorphism that fixes P maps x to y.  The
+    (parent, automorphism) pairs are tried about PAIR_SLICE at a time."""
+    _, first_child, n_child = np.unique(parent[several], return_index=True,
+                                        return_counts=True)
+    first_child = several[first_child]
+    lo = np.searchsorted(aut_row, row[first_child], "left")
+    n_aut = np.searchsorted(aut_row, row[first_child], "right") - lo
+    key = parent * q + c  # sorted: children come sorted by (parent, c)
+    edges = []
+    step = max(1, PAIR_SLICE // max(1, int(n_aut.max())))
+    for part in (slice(at, at + step) for at in range(0, len(lo), step)):
+        first, count = first_child[part], n_child[part]
+        pair, g = _expand(lo[part], n_aut[part])  # (parent, automorphism of its row)
+        basis = span[first][:, 1 << np.arange(span.shape[1].bit_length() - 2)]
+        fixed = (auts[g[:, None], basis[pair]] == basis[pair]).all(axis=1)
+        pair, g = pair[fixed], g[fixed]
+        which, x = _expand(first[pair], count[pair])
+        edges.append((x, np.searchsorted(key, parent[x] * q + auts[g[which], c[x]])))
+    return edges
+
+
+def _prune(flat, q: int, row, span, parent, c, auts, aut_row, probed):
+    """The children (partial bases span, sorted by (parent, c), of rows
+    row) to keep, and the automorphisms found so far with their rows
+    (sorted by row).
+
+    probed marks the rows whose children may be probed, or is None when
+    none may.  Probes run on PAIR_SLICE children at a time, so two
+    children probed in different steps are linked only through an
+    automorphism.  A row whose probes find no automorphism is not probed
+    again: its ties are taken to be unlike one another, which costs
+    pruning, never exactness."""
+    start = _starts(row)
+    rid = np.cumsum(start) - 1
+    several = np.flatnonzero(np.bincount(rid)[rid] > 1)
+    if not len(several):
+        return np.arange(len(row)), auts, aut_row
+    links = [(np.empty(0, dtype=np.intp),) * 2]
+    if probed is not None:
+        chosen = several[probed[row[several]]]
+        for lo in range(0, len(chosen), PAIR_SLICE):
+            part = chosen[lo:lo + PAIR_SLICE]
+            a, b, new = _probe(flat, q, row[part], span[part])
+            links.append((part[a], part[b]))
+            auts, aut_row = _pool(np.concatenate([auts, new]),
+                                  np.concatenate([aut_row, row[part[a]]]))
+        fruitless = np.zeros(len(probed), dtype=bool)
+        fruitless[row[chosen]] = True
+        fruitless[aut_row] = False
+        probed[fruitless] = False
+    if len(auts):
+        links += _sibling_links(q, row, span, parent, c, several, auts, aut_row)
+    a, b = (np.concatenate(e) for e in zip(*links))
+    label = _components(len(row), a, b)
+    return np.flatnonzero(label == np.arange(len(row))), auts, aut_row
 
 
 def _search(counts: np.ndarray, k: int, greedy: bool = False) -> np.ndarray:
     """Canonical forms of the rows of a nonempty (R, 2^k) integer array;
-    or, greedy, each row serialized along the first least-block path."""
+    or, greedy, each row serialized along its first least-block path."""
     q = 1 << k
-    out = counts.copy()
     flat = counts.ravel()
-    owner = np.arange(len(counts))              # row of each tied partial basis
+    row = np.arange(len(counts))              # row of each tied partial basis
     span = np.zeros((len(counts), 1), dtype=np.uint8)  # span[b, x] = T(x), x < 2^j
+    if greedy:
+        return np.take_along_axis(
+            counts, _greedy_bases(flat, q, row, span).astype(np.intp), axis=1)
+    out = counts.copy()
+    auts = np.empty((0, q), dtype=np.uint8)  # automorphisms found, as permutations
+    aut_row = np.empty(0, dtype=np.intp)
+    probed = np.ones(len(counts), dtype=bool)  # rows whose children are probed
     for j in range(k):
-        size = 1 << j
-        best = np.full((len(counts), size), np.iinfo(counts.dtype).max)
-        stamp = np.full(len(counts), -1)  # slice that last lowered a row's best
-        kept = []
-        step = max(1, PAIR_SLICE // (q - size))
-        for s, lo in enumerate(range(0, len(owner), step)):
-            b, c, own = _least_pairs(flat, q, owner, span,
-                                     np.arange(lo, min(lo + step, len(owner))))
-            first = np.r_[True, own[1:] != own[:-1]]
-            row = own[first]
-            block = flat[row[:, None] * q + (c[first, None] ^ span[b[first]])]
-            cur = best[row]
-            at = np.arange(len(row)), (block != cur).argmax(axis=1)
-            lower, higher = block[at] < cur[at], block[at] > cur[at]
-            best[row[lower]] = block[lower]
-            stamp[row[lower]] = s
-            if j + 1 < k:  # the last level needs only the least block
-                ok = ~higher[np.cumsum(first) - 1]
-                if greedy:  # a single path: each row's first least pair
-                    ok &= first
-                kept.append((b[ok], c[ok], np.full(ok.sum(), s)))
-        out[:, size:2 * size] = best
-        if j + 1 < k:
-            b, c, s = (np.concatenate(a) for a in zip(*kept))
-            live = s >= stamp[owner[b]]  # ties with the row's final least block
-            b, c = b[live], c[live].astype(np.uint8)
-            owner = owner[b]
-            span = np.concatenate([span[b], c[:, None] ^ span[b]], axis=1)
+        b, c, out[:, 1 << j:2 << j] = _least_pairs(flat, q, row, span, row)
+        if j + 1 < k:  # the last level needs only the least block
+            span, row = _extend(span[b], c), row[b]
+            probe = k > 4 and j + 4 <= k
+            if len(row) > len(counts) and (probe or len(auts)):  # a row holds several
+                keep, auts, aut_row = _prune(flat, q, row, span, b, c, auts, aut_row,
+                                             probed if probe else None)
+                row, span = row[keep], span[keep]
     return out
 
 

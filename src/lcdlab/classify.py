@@ -45,6 +45,9 @@ from .gf2 import BitMatrix
 
 DEFAULT_LIMIT = 20_000_000  # candidate vectors one direct enumeration may make
 MAX_LENGTH = np.iinfo(np.int16).max  # multiplicity arrays are int16
+# rows one block of work makes: compositions scored by one message-weight
+# product, or prefixes of one step of the extension walk; bounds memory
+BOX_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,10 @@ def _column_candidates(n: int, k: int, d: int):
                 f"(limit {DEFAULT_LIMIT})")
         if n_direct <= n_wht:
             comps = compositions(s, q)
-            sel = comps[(comps @ weights_t).min(axis=1) == d]
+            sel = np.concatenate([
+                block[(block @ weights_t).min(axis=1) == d]
+                for block in (comps[lo:lo + BOX_CHUNK]
+                              for lo in range(0, len(comps), BOX_CHUNK))])
         else:
             ups = compositions(u_total, q)
             cap = s - d
@@ -196,9 +202,6 @@ def classify_by_columns(n: int, k: int, d: int) -> CodeDB:
 
 
 # -- extension over the seed's column-type box -----------------------------------
-
-
-BOX_CHUNK = 1 << 16  # prefixes one block of the walk makes; bounds the kernel's memory
 
 
 def _extend_seed(gen_rows: tuple[int, ...], n1: int, k1: int,

@@ -6,8 +6,11 @@ reduced-echelon generators, one-step extensions through every vector
 of F2^n and every codeword, or through every row of the seed's
 column-type box, and equivalence is decided by trying every
 column permutation.  For k <= 4 the whole group GL(k,2) is tabulated,
-so orbit minima are computed by brute force too.  Hill-climbing moves
-are scored by adding every move's weight change to every message.
+so orbit minima and automorphism group orders are computed by brute
+force too.  Canonical forms are also searched without automorphism
+pruning, every tied partial basis carried to the next level.
+Hill-climbing moves are scored by adding every move's weight change to
+every message.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from lcdlab.gf2 import BitMatrix, IntMatrix, rref
 CHUNK_BITS = 18
 GL_TABLE_CAP = 4  # |GL(4,2)| = 20160 rows
 BOX_CHUNK = 1 << 16  # box rows box_scan scores per step
+PAIR_SLICE = 1 << 16  # (partial basis, image) pairs tied_search scores per step
 
 
 def compositions_oracle(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -183,6 +187,70 @@ def box_scan(gen_rows: tuple[int, ...], n1: int, k1: int, seed_d: int, d: int):
     return np.concatenate(hists), np.concatenate(minws)
 
 
+def _least_pairs(flat, q: int, owner, span, b):
+    """Pairs (b, c) of the partial bases b, sorted by owning row, and the
+    images c outside their spans that give their row's least block,
+    compared one position at a time."""
+    outside = np.ones((len(b), q), dtype=bool)
+    outside[np.arange(len(b))[:, None], span[b]] = False
+    i, c = np.nonzero(outside)
+    b, own = b[i], owner[b[i]]
+    lo = own[0]
+    least = np.empty(own[-1] - lo + 1, dtype=flat.dtype)
+    for x in range(span.shape[1]):
+        vals = flat[own * q + (c ^ span[b, x])]
+        least.fill(np.iinfo(flat.dtype).max)
+        np.minimum.at(least, own - lo, vals)
+        keep = vals == least[own - lo]
+        b, c, own = b[keep], c[keep], own[keep]
+    return b, c, own
+
+
+def tied_search(counts: np.ndarray, k: int, greedy: bool = False) -> np.ndarray:
+    """Canonical forms of the rows of a nonempty (R, 2^k) integer array;
+    or, greedy, each row serialized along the first least-block path.
+
+    The breadth-first search over basis images with no automorphism
+    pruning: every partial basis tied for the least prefix goes on to
+    the next level, PAIR_SLICE (partial basis, image) pairs at a time."""
+    q = 1 << k
+    out = counts.copy()
+    flat = counts.ravel()
+    owner = np.arange(len(counts))              # row of each tied partial basis
+    span = np.zeros((len(counts), 1), dtype=np.uint8)  # span[b, x] = T(x), x < 2^j
+    for j in range(k):
+        size = 1 << j
+        best = np.full((len(counts), size), np.iinfo(counts.dtype).max)
+        stamp = np.full(len(counts), -1)  # slice that last lowered a row's best
+        kept = []
+        step = max(1, PAIR_SLICE // (q - size))
+        for s, lo in enumerate(range(0, len(owner), step)):
+            b, c, own = _least_pairs(flat, q, owner, span,
+                                     np.arange(lo, min(lo + step, len(owner))))
+            first = np.r_[True, own[1:] != own[:-1]]
+            row = own[first]
+            block = flat[row[:, None] * q + (c[first, None] ^ span[b[first]])]
+            cur = best[row]
+            at = np.arange(len(row)), (block != cur).argmax(axis=1)
+            lower, higher = block[at] < cur[at], block[at] > cur[at]
+            best[row[lower]] = block[lower]
+            stamp[row[lower]] = s
+            if j + 1 < k:  # the last level needs only the least block
+                ok = ~higher[np.cumsum(first) - 1]
+                if greedy:  # a single path: each row's first least pair
+                    ok &= first
+                kept.append((b[ok], c[ok], np.full(ok.sum(), s)))
+        out[:, size:2 * size] = best
+        if j + 1 < k:
+            b, c, s = (np.concatenate(a) for a in zip(*kept))
+            live = s >= stamp[owner[b]]  # ties with the row's final least block
+            b, c = b[live], c[live].astype(np.uint8)
+            owner = owner[b]
+            span = np.concatenate([span[b], c[:, None] ^ span[b]], axis=1)
+    return out
+
+
+
 @cache
 def gl2_matrices(k: int) -> tuple[tuple[int, ...], ...]:
     """All invertible k x k matrices over GF(2), rows bit-packed."""
@@ -209,6 +277,13 @@ def gl2_type_permutations(k: int) -> np.ndarray:
     parity = np.bitwise_count(rows & np.arange(1 << k, dtype=np.uint8)) & 1
     shift = np.arange(k, dtype=np.uint8)[:, None]
     return (parity << shift).sum(axis=1, dtype=np.uint8)
+
+
+def aut_order(counts, k: int) -> int:
+    """Number of basis changes that fix the multiplicity vector, over the
+    whole GL(k,2) table."""
+    perms = gl2_type_permutations(k)
+    return int((np.asarray(counts)[perms] == np.asarray(counts)).all(axis=1).sum())
 
 
 def orbit_minimum(counts, k: int) -> tuple[int, ...]:

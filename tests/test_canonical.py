@@ -3,9 +3,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute import (gl2_matrices, gl2_type_permutations, orbit_minimum,
-                   perm_equivalent, type_permutation)
+                   perm_equivalent, tied_search, type_permutation)
 from lcdlab import canonical
 from lcdlab.canonical import (canonical_classes, canonical_counts, canonical_key,
                               canonical_rows, counts_key)
@@ -50,6 +52,26 @@ PINNED = [
 ]
 
 
+# The 11 distinct greedy forms of the 242 [25,5,12] candidates (the
+# ladder-dim5 dedupe) with their canonical forms, one digit per count.
+# Their automorphism groups have orders 336, 2688, 120, 144, 384, 9216,
+# 144, 1152, 120, 384 and 64512 (the last row): the search must find the
+# same least serialization however many bases tie.
+PINNED_25_5_12 = [
+    ("00000000011111111111111211111112", "00000000011111111111111211111112"),
+    ("00000000111111111111111111111112", "00000000111111111111111111111112"),
+    ("00000001000101110111111211121222", "00000001000101110111111211121222"),
+    ("00000001011111120111111201111112", "00000001011111120111111201111112"),
+    ("00000001011111121111111111111111", "00000001011111121111111111111111"),
+    ("00000001111111111111111111111111", "00000001111111111111111111111111"),
+    ("00000111011101110111011101111222", "00000001011111120111111201111112"),
+    ("00000111011101111111111111111111", "00000111011101111111111111111111"),
+    ("00010101010101120101011201121212", "00000001000101110111111211121222"),
+    ("00010101010101121111111111111111", "00000001011111121111111111111111"),
+    ("10000000111111111111111111111111", "10000000111111111111111111111111"),
+]
+
+
 def test_group_sizes():
     assert len(gl2_matrices(2)) == 6
     assert len(gl2_matrices(3)) == 168
@@ -74,6 +96,77 @@ def test_backtracking_matches_table_minimum(k):
 @pytest.mark.parametrize("k, counts, canon", PINNED)
 def test_pinned_canonical_forms(k, counts, canon):
     assert canonical_counts(counts, k) == canon
+
+
+@pytest.mark.parametrize("counts, canon", PINNED_25_5_12)
+def test_pinned_25_5_12_forms(counts, canon):
+    assert canonical_counts(tuple(map(int, counts)), 5) == tuple(map(int, canon))
+
+
+def _same_as_tied_search(k, rows):
+    got = canonical_rows(rows, k)
+    want = tied_search(np.array(rows, dtype=np.int32), k)
+    assert np.array_equal(got, want), (k, rows)
+
+
+@st.composite
+def random_rows(draw):
+    k = draw(st.integers(2, 5))
+    return k, draw(st.lists(st.lists(st.integers(0, 3), min_size=1 << k,
+                                     max_size=1 << k), min_size=1, max_size=6))
+
+
+@st.composite
+def sparse_rows(draw):
+    # 1-4 occupied types: every basis of an all-empty flat ties
+    k = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = [draw(st.integers(0, 2))] + [0] * ((1 << k) - 1)
+        for t in draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=4,
+                               unique=True)):
+            row[t] = draw(st.integers(1, 3))
+        rows.append(row)
+    return k, rows
+
+
+@st.composite
+def symmetric_rows(draw):
+    # multiples of the simplex and weight-class patterns (the count of x
+    # depends only on its weight), with an extra count on one subspace;
+    # at k = 5 the nonzero weights get distinct counts, so that the
+    # oracle's tied bases (all of GL(5,2) for the simplex) stay few
+    k = draw(st.integers(2, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if k == 5:
+            w = [draw(st.integers(0, 3))] + draw(st.permutations(range(1, 6)))
+            sub = 0
+        else:
+            w = draw(st.lists(st.integers(0, 3), min_size=k + 1, max_size=k + 1))
+            if draw(st.booleans()):
+                w[1:] = [w[1]] * k  # a multiple of the simplex
+            sub = draw(st.integers(0, (1 << k) - 1))
+        rows.append([w[x.bit_count()] + (x & sub == x) for x in range(1 << k)])
+    return k, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_rows())
+def test_search_matches_tied_search_on_random_rows(case):
+    _same_as_tied_search(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rows())
+def test_search_matches_tied_search_on_sparse_rows(case):
+    _same_as_tied_search(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_rows())
+def test_search_matches_tied_search_on_symmetric_rows(case):
+    _same_as_tied_search(*case)
 
 
 def test_batch_equals_row_at_a_time(monkeypatch):

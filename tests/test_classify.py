@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brute import (box_scan, compositions_oracle, extension_classes,
-                   min_weight, subspace_class_counts)
+from brute import (aut_order, box_scan, compositions_oracle, extension_classes,
+                   gl2_matrices, min_weight, subspace_class_counts)
 from lcdlab.bounds import griesmer_dmax
-from lcdlab.canonical import canonical_rows, counts_key
-from lcdlab.classify import (MAX_LENGTH, _extend_all, _extend_seed, classify,
-                             classify_by_columns, compositions,
-                             extend_by_inverse_shortening, lcd_census)
+from lcdlab.canonical import canonical_classes, canonical_rows, counts_key
+from lcdlab.classify import (MAX_LENGTH, _column_candidates, _extend_all,
+                             _extend_seed, classify, classify_by_columns,
+                             compositions, extend_by_inverse_shortening,
+                             lcd_census)
 from lcdlab.code import make_code
 from lcdlab.gf2 import BitMatrix, rref
 
@@ -338,3 +339,37 @@ def test_stretch_counts_near_griesmer():
     db = classify_by_columns(30, 4, 16)
     assert db.count == 1 and lcd_census(db).lcd_count == 0
     assert classify_by_columns(31, 4, 16).count == 5
+
+
+def _labelled_count(classes, k: int) -> int:
+    """Sum over classes of |GL(k,2)| / |Aut|: the vectors their orbits hold."""
+    group = len(gl2_matrices(k))
+    return sum(group // aut_order(counts, k) for counts in classes)
+
+
+@pytest.mark.parametrize("n, k, d, classes, labelled",
+                         [(10, 4, 4, 24, 31_636), (12, 4, 5, 13, 48_300)])
+def test_classes_account_for_every_labelled_candidate(n, k, d, classes, labelled):
+    # orbit-stabilizer: the direct candidates are every vector of the
+    # level, so the orbits of the classes must cover them exactly
+    arrays = [vecs for _, vecs in _column_candidates(n, k, d)]
+    assert sum(len(vecs) for vecs in arrays) == labelled
+    found = [tuple(int(x) for x in row) for row in canonical_classes(arrays, k)]
+    assert len(found) == classes
+    assert _labelled_count(found, k) == labelled
+    # a census that missed a class would break the identity
+    for i in range(len(found)):
+        assert _labelled_count(found[:i] + found[i + 1:], k) < labelled
+
+
+@pytest.mark.parametrize("n, k, d, chunk", [(10, 4, 4, 3000), (14, 3, 6, 7), (60, 2, 8, 7)])
+def test_direct_candidates_do_not_depend_on_block_size(monkeypatch, n, k, d, chunk):
+    # compositions are scored BOX_CHUNK rows at a time; the blocks here
+    # split every zero-column count's compositions
+    whole = list(_column_candidates(n, k, d))
+    module = importlib.import_module("lcdlab.classify")
+    monkeypatch.setattr(module, "BOX_CHUNK", chunk)
+    blocked = list(_column_candidates(n, k, d))
+    assert [z for z, _ in blocked] == [z for z, _ in whole]
+    for (_, a), (_, b) in zip(blocked, whole):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
