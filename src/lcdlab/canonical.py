@@ -165,14 +165,10 @@ def _components(n: int, a, b):
         label = new
 
 
-def _distinct_rows(key, *arrays):
-    """First occurrence of each distinct row of the 2-D array key, in
-    order, and the arrays taken at those rows."""
-    key = np.ascontiguousarray(key)
-    _, first = np.unique(key.view(f"V{key.itemsize * key.shape[1]}").ravel(),
-                         return_index=True)
-    first.sort()
-    return [a[first] for a in arrays]
+def _rows(a):
+    """The rows of a 2-D array as single values, for np.unique."""
+    a = np.ascontiguousarray(a)
+    return a.view(f"V{a.itemsize * a.shape[1]}").ravel()
 
 
 def _probe(flat, q: int, row, span):
@@ -190,8 +186,7 @@ def _probe(flat, q: int, row, span):
         size = span.shape[1] // 2
         block = flat[row[alive, None] * q + span[:, size:].astype(np.intp)]
         key = np.column_stack([group, block])
-        _, group, count = np.unique(key.view(f"V{key.itemsize * key.shape[1]}").ravel(),
-                                    return_inverse=True, return_counts=True)
+        _, group, count = np.unique(_rows(key), return_inverse=True, return_counts=True)
         shared = count[group] > 1
         alive, span, group = alive[shared], span[shared], group[shared]
     order = np.argsort(group, kind="stable")
@@ -207,10 +202,10 @@ def _probe(flat, q: int, row, span):
 def _pool(auts, aut_row):
     """The distinct automorphisms other than the identity, sorted by row."""
     moved = (auts != np.arange(auts.shape[1], dtype=np.uint8)).any(axis=1)
-    aut_row, auts = _distinct_rows(np.column_stack([aut_row[moved], auts[moved]]),
-                                   aut_row[moved], auts[moved])
-    order = np.argsort(aut_row, kind="stable")
-    return auts[order], aut_row[order]
+    auts, aut_row = auts[moved], aut_row[moved]
+    _, first = np.unique(_rows(np.column_stack([aut_row, auts])), return_index=True)
+    first = first[np.argsort(aut_row[first], kind="stable")]
+    return auts[first], aut_row[first]
 
 
 def _expand(start, count):
@@ -317,15 +312,13 @@ def canonical_rows(rows, k: int) -> np.ndarray:
     if not len(counts):
         return counts
     near = _search(counts, k, greedy=True)
-    _, first, back = np.unique(near.view(f"V{near.itemsize << k}").ravel(),
-                               return_index=True, return_inverse=True)
+    _, first, back = np.unique(_rows(near), return_index=True, return_inverse=True)
     return _search(near[first], k)[back]
 
 
-def _distinct(rows: np.ndarray, k: int) -> np.ndarray:
-    """The distinct rows of an (R, 2^k) array."""
-    _, first = np.unique(rows.view(f"V{rows.itemsize << k}").ravel(),
-                         return_index=True)
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array."""
+    _, first = np.unique(_rows(rows), return_index=True)
     return rows[first]
 
 
@@ -345,9 +338,9 @@ def canonical_classes(arrays, k: int) -> np.ndarray:
         return np.empty((0, 1 << k), dtype=np.int32)
     rows = np.vstack(arrays)
     near = np.vstack([_distinct(_search(rows[lo:lo + GREEDY_BLOCK].astype(np.int32),
-                                        k, greedy=True), k)
+                                        k, greedy=True))
                       for lo in range(0, len(rows), GREEDY_BLOCK)])
-    return _distinct(_search(_distinct(near, k), k), k)
+    return _distinct(_search(_distinct(near), k))
 
 
 def canonical_counts(counts: tuple[int, ...], k: int) -> tuple[int, ...]:
