@@ -30,13 +30,13 @@ automorphism B2 B1^-1, which maps the first partial basis to the
 second.  At each level, the partial bases of a row linked by equal
 completions, or siblings (children of one partial basis P) linked by a
 found automorphism that fixes P, keep one representative.  Probes run
-while at least three levels remain below the partial basis, and only
-for k >= 5: nearer the leaves a probe costs about what searching the
-subtree does, and for k <= 4 the whole of GL(k,2), at most 20160 bases,
-is searched faster than it is probed.  A row
-whose probes find no automorphism is not probed again: its ties are
-then mostly unlike one another, and probing them would cost more than
-it could save.
+only for k >= 5, at the levels with at least three more below them;
+the levels below are still pruned by the automorphisms found there.
+Both gates were chosen by timing (CHANGES.md has the numbers): probes
+at k = 4 made the ladder-dim4 dedupe slower, probes one level deeper
+made the k = 5 and k = 6 rows slower, and one level shallower made
+sparse k = 5 rows slower and let the sparse k = 6 rows of
+classify(9, 6, 2) run out of 1.5 GB.
 """
 
 from __future__ import annotations
@@ -74,20 +74,18 @@ def _slice_pairs(flat, q: int, row, span, group):
     tie = np.ones(c.shape, dtype=bool)
     top = np.iinfo(flat.dtype).max
     start = _starts(group)
-    alone = start.all()  # one node per group, as on a greedy path
+    heads, owner = np.flatnonzero(start), np.cumsum(start) - 1
     for x in range(size):
         vals = np.where(tie, flat[base + (c ^ span[:, x, None])], top)
         low = vals.min(axis=1)
-        if alone:
-            tie &= vals == low[:, None]
-            continue
-        least = np.minimum.reduceat(low, np.flatnonzero(start))[np.cumsum(start) - 1]
+        least = np.minimum.reduceat(low, heads)[owner]
         tie &= vals == least[:, None]
         live = low == least
         if not live.all():
             node, c, span, base, group, tie = (
                 a[live] for a in (node, c, span, base, group, tie))
             start = _starts(group)
+            heads, owner = np.flatnonzero(start), np.cumsum(start) - 1
     at, image = np.nonzero(tie)
     return node[at], c[at, image]
 
@@ -101,7 +99,7 @@ def _least_pairs(flat, q: int, row, span, group):
     were above the group's least block when scored, are dropped."""
     n, size = span.shape
     step = max(1, PAIR_SLICE // (q - size))
-    if n <= step:  # one slice: every group keeps its least pairs
+    if n <= step:  # one slice, as in most calls: no merging across slices
         i, c = _slice_pairs(flat, q, row, span, group)
         lead = _starts(group[i])
         return i, c, flat[row[i[lead], None] * q + (c[lead, None] ^ span[i[lead]])]
@@ -238,35 +236,27 @@ def _sibling_links(q: int, row, span, parent, c, several, auts, aut_row):
     return edges
 
 
-def _prune(flat, q: int, row, span, parent, c, auts, aut_row, probed):
+def _prune(flat, q: int, row, span, parent, c, auts, aut_row, probe: bool):
     """The children (partial bases span, sorted by (parent, c), of rows
     row) to keep, and the automorphisms found so far with their rows
     (sorted by row).
 
-    probed marks the rows whose children may be probed, or is None when
-    none may.  Probes run on PAIR_SLICE children at a time, so two
-    children probed in different steps are linked only through an
-    automorphism.  A row whose probes find no automorphism is not probed
-    again: its ties are taken to be unlike one another, which costs
-    pruning, never exactness."""
+    With probe, the children of every row that has several are probed,
+    PAIR_SLICE at a time, so two children probed in different steps are
+    linked only through an automorphism."""
     start = _starts(row)
     rid = np.cumsum(start) - 1
     several = np.flatnonzero(np.bincount(rid)[rid] > 1)
     if not len(several):
         return np.arange(len(row)), auts, aut_row
     links = [(np.empty(0, dtype=np.intp),) * 2]
-    if probed is not None:
-        chosen = several[probed[row[several]]]
-        for lo in range(0, len(chosen), PAIR_SLICE):
-            part = chosen[lo:lo + PAIR_SLICE]
+    if probe:
+        for lo in range(0, len(several), PAIR_SLICE):
+            part = several[lo:lo + PAIR_SLICE]
             a, b, new = _probe(flat, q, row[part], span[part])
             links.append((part[a], part[b]))
             auts, aut_row = _pool(np.concatenate([auts, new]),
                                   np.concatenate([aut_row, row[part[a]]]))
-        fruitless = np.zeros(len(probed), dtype=bool)
-        fruitless[row[chosen]] = True
-        fruitless[aut_row] = False
-        probed[fruitless] = False
     if len(auts):
         links += _sibling_links(q, row, span, parent, c, several, auts, aut_row)
     a, b = (np.concatenate(e) for e in zip(*links))
@@ -287,15 +277,13 @@ def _search(counts: np.ndarray, k: int, greedy: bool = False) -> np.ndarray:
     out = counts.copy()
     auts = np.empty((0, q), dtype=np.uint8)  # automorphisms found, as permutations
     aut_row = np.empty(0, dtype=np.intp)
-    probed = np.ones(len(counts), dtype=bool)  # rows whose children are probed
     for j in range(k):
         b, c, out[:, 1 << j:2 << j] = _least_pairs(flat, q, row, span, row)
         if j + 1 < k:  # the last level needs only the least block
             span, row = _extend(span[b], c), row[b]
             probe = k > 4 and j + 4 <= k
             if len(row) > len(counts) and (probe or len(auts)):  # a row holds several
-                keep, auts, aut_row = _prune(flat, q, row, span, b, c, auts, aut_row,
-                                             probed if probe else None)
+                keep, auts, aut_row = _prune(flat, q, row, span, b, c, auts, aut_row, probe)
                 row, span = row[keep], span[keep]
     return out
 

@@ -77,26 +77,64 @@ def compositions(total: int, parts: int) -> np.ndarray:
         raise ValueError("need at least one part")
     if total < 0:
         raise ValueError("need total >= 0")
-    out = np.empty((comb(total + parts - 1, parts - 1), parts), dtype=np.int16)
-    rest = np.array([total], dtype=np.int16)  # what each prefix leaves
+    return _compositions(total, parts, 0, total, ())
+
+
+def _compositions(total: int, parts: int, low: int, high: int, prefix: tuple):
+    """The rows of compositions(total, parts) whose first part lies in
+    low .. high (consecutive rows of it), each after the fixed prefix."""
+    m = len(prefix)
+    if parts == 1:
+        return np.array([prefix + (total,)], dtype=np.int16)
+    n = comb(total - low + parts - 1, parts - 1) - comb(total - high + parts - 2, parts - 1)
+    out = np.empty((n, m + parts), dtype=np.int16)
+    out[:, :m] = prefix
+    value = np.arange(low, high + 1, dtype=np.int16)  # the first parts
+    rest = total - value  # what each prefix leaves
     for j in range(parts - 1):
-        size = rest.astype(np.int64) + 1  # children per prefix
-        # child value 0..r within each prefix: ones, reset at each prefix start
-        value = np.ones(int(size.sum()), dtype=np.int16)
-        value[0] = 0
-        value[np.cumsum(size[:-1])] = 1 - size[:-1]
-        np.cumsum(value, dtype=np.int16, out=value)
-        rest = np.repeat(rest, size)
-        rest -= value
+        if j:
+            size = rest.astype(np.int64) + 1  # children per prefix
+            # child value 0..r within each prefix: ones, reset at each prefix start
+            value = np.ones(int(size.sum()), dtype=np.int16)
+            value[0] = 0
+            value[np.cumsum(size[:-1])] = 1 - size[:-1]
+            np.cumsum(value, dtype=np.int16, out=value)
+            rest = np.repeat(rest, size)
+            rest -= value
         left = parts - 1 - j  # columns after column j
         if left > 1:
             cover = np.array([comb(r + left - 1, left - 1)
                               for r in range(total + 1)], dtype=np.int64)
-            out[:, j] = np.repeat(value, cover[rest])
+            out[:, m + j] = np.repeat(value, cover[rest])
         else:
-            out[:, j] = value
+            out[:, m + j] = value
     out[:, -1] = rest
     return out
+
+
+def composition_blocks(total: int, parts: int, rows: int, prefix: tuple = ()):
+    """compositions(total, parts) in order, each row after the fixed
+    prefix, as consecutive blocks of at most rows rows.
+
+    A run of first parts whose compositions fit in rows makes one block;
+    a first part with more is split the same way by its second part, and
+    so on, so memory follows rows, not the number of compositions."""
+    if parts == 1 or comb(total + parts - 1, parts - 1) <= rows:
+        yield _compositions(total, parts, 0, total, prefix)
+        return
+    low = 0
+    while low <= total:
+        size = comb(total - low + parts - 2, parts - 2)  # rows with first part low
+        if size > rows:
+            yield from composition_blocks(total - low, parts - 1, rows, prefix + (low,))
+            low += 1
+            continue
+        high = low
+        while high < total and size + comb(total - high - 1 + parts - 2, parts - 2) <= rows:
+            high += 1
+            size += comb(total - high + parts - 2, parts - 2)
+        yield _compositions(total, parts, low, high, prefix)
+        low = high + 1
 
 
 # -- deduplication -------------------------------------------------------------
@@ -149,11 +187,8 @@ def _column_candidates(n: int, k: int, d: int):
                 f"~{min(n_direct, n_wht):.3e} candidate vectors "
                 f"(limit {DEFAULT_LIMIT})")
         if n_direct <= n_wht:
-            comps = compositions(s, q)
-            sel = np.concatenate([
-                block[(block @ weights_t).min(axis=1) == d]
-                for block in (comps[lo:lo + BOX_CHUNK]
-                              for lo in range(0, len(comps), BOX_CHUNK))])
+            sel = np.concatenate([block[(block @ weights_t).min(axis=1) == d]
+                                  for block in composition_blocks(s, q, BOX_CHUNK)])
         else:
             ups = compositions(u_total, q)
             cap = s - d

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -13,8 +14,8 @@ from lcdlab.bounds import griesmer_dmax
 from lcdlab.canonical import canonical_classes, canonical_rows, counts_key
 from lcdlab.classify import (MAX_LENGTH, _column_candidates, _extend_all,
                              _extend_seed, classify, classify_by_columns,
-                             compositions, extend_by_inverse_shortening,
-                             lcd_census)
+                             composition_blocks, compositions,
+                             extend_by_inverse_shortening, lcd_census)
 from lcdlab.code import make_code
 from lcdlab.gf2 import BitMatrix, rref
 
@@ -48,6 +49,27 @@ def test_compositions_match_stars_and_bars(total, parts):
     assert c.dtype == np.int16
     assert c.shape == (comb(total + parts - 1, parts - 1), parts)
     assert [tuple(row) for row in c.tolist()] == compositions_oracle(total, parts)
+
+
+@given(st.integers(0, 12), st.integers(1, 7), st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_composition_blocks_split_compositions_in_order(total, parts, rows):
+    blocks = list(composition_blocks(total, parts, rows))
+    assert all(b.dtype == np.int16 and 1 <= len(b) <= rows for b in blocks)
+    assert [tuple(row) for row in np.concatenate(blocks).tolist()] == \
+        compositions_oracle(total, parts)
+
+
+def test_composition_blocks_bound_memory():
+    # compositions(10, 15) is 59 MB; its blocks of 4096 rows are 123 kB
+    tracemalloc.start()
+    try:
+        rows = sum(len(b) for b in composition_blocks(10, 15, 4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == comb(24, 14)
+    assert peak < 2 << 20
 
 
 def test_compositions_domain_errors():
