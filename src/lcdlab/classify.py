@@ -163,6 +163,21 @@ def _build_db(n: int, k: int, d: int, method: str,
 # -- direct classification over column multisets -------------------------------
 
 
+def _least_weight(block: np.ndarray, cover: list[np.ndarray]) -> np.ndarray:
+    """The least message weight of each row of a block of compositions:
+    every message's weight summed from the block's columns for the types
+    it covers, taken from one transposed copy of the block (numpy has no
+    BLAS path for an integer matrix product)."""
+    cols = block.T.copy()
+    least = None
+    for types in cover:
+        w = cols[types[0]].copy()
+        for t in types[1:]:
+            w += cols[t]
+        least = w if least is None else np.minimum(least, w, out=least)
+    return least
+
+
 def _column_candidates(n: int, k: int, d: int):
     """Yield (z, vecs) arrays of full multiplicity vectors with min weight
     exactly d, z zero columns among n.  As d >= 1, the supported types
@@ -170,9 +185,9 @@ def _column_candidates(n: int, k: int, d: int):
     so every vector is the column multiset of an [n, k, d] code."""
     q = (1 << k) - 1
     half = 1 << (k - 1)
-    # an int16 product is exact: the int16 compositions hold s, and no
-    # message weight exceeds s
-    weights_t = message_weight_matrix(k).T
+    # the types each message covers (m . v = 1): its weight is the sum of
+    # their multiplicities, exact in int16, as it is at most s
+    cover = [row.nonzero()[0] for row in message_weight_matrix(k)]
     sign = sign_matrix(k)
     for z in range(0, n - k + 1):
         s = n - z
@@ -187,7 +202,7 @@ def _column_candidates(n: int, k: int, d: int):
                 f"~{min(n_direct, n_wht):.3e} candidate vectors "
                 f"(limit {DEFAULT_LIMIT})")
         if n_direct <= n_wht:
-            sel = np.concatenate([block[(block @ weights_t).min(axis=1) == d]
+            sel = np.concatenate([block[_least_weight(block, cover) == d]
                                   for block in composition_blocks(s, q, BOX_CHUNK)])
         else:
             ups = compositions(u_total, q)

@@ -67,9 +67,21 @@ class TypeMultiplicity:
         return sum(self.counts)
 
     def generator(self) -> BitMatrix:
-        """A generator whose columns realize the multiset (types ascending, zeros last)."""
-        cols = [t for t, c in enumerate(self.counts) if t for _ in range(c)]
-        return BitMatrix.from_columns(self.k, cols + [0] * self.counts[0])
+        """A generator whose columns realize the multiset (types ascending, zeros last).
+
+        The c columns of type t are one run of c bits, set in row i when
+        bit i of t is set."""
+        rows = [0] * self.k
+        start = 0  # column of the next run
+        for t, c in enumerate(self.counts):
+            if c and t:
+                run = ((1 << c) - 1) << start
+                start += c
+                while t:
+                    low = t & -t
+                    rows[low.bit_length() - 1] |= run
+                    t ^= low
+        return BitMatrix(self.k, start + self.counts[0], tuple(rows))
 
 
 @lru_cache(maxsize=None)

@@ -7,11 +7,11 @@ acceptance, random restarts under a fixed seed.  Targets need d >= 1,
 which makes every state with minimum weight >= d a full-rank code.  Not
 finding a code proves nothing.
 
-A move's score is its new minimum weight, less the number of messages
-at it.  A move i -> j changes the weight of message m by
+A move is ranked by its new minimum weight, then by the number of
+messages at it.  A move i -> j changes the weight of message m by
 a[m, j] - a[m, i], one of -1, 0 or 1, so with c the current minimum the
 new minimum is c - 1, c or c + 1, and messages of weight above c + 2
-can neither set it nor reach it.  The moves of a step are scored at once
+can neither set it nor reach it.  The moves of a step are valued at once
 as base B = 2^k digit counts: with u_m = B^(c + 2 - w_m) for
 w_m <= c + 2 and 0 otherwise (a 4-entry table indexed by
 min(w_m - c, 3)),
@@ -19,20 +19,30 @@ min(w_m - c, 3)),
     f[i, j] = sum_m B^a[m, i] * u_m * B^(1 - a[m, j]),
 
 whose digit p counts the messages of new weight c + 3 - p.  A count is
-at most 2^k - 1 < B, so digits never carry, and the top nonzero digit
-gives the new minimum and the number of messages at it.  f is one
-float64 matrix product of two fixed tables; it stays below
-B^5 = 2^(5k), exact in float64 for k <= SEARCH_CAP = 10.  The score
-weight 2^10 also needs fewer than 2^10 messages at the minimum.
+at most 2^k - 1 < B, so digits never carry.  f is one float64 matrix
+product of two fixed tables; it stays below B^5 = 2^(5k), exact in
+float64 for k <= SEARCH_CAP = 10.
+
+The best move is then read off f without scoring each move.  Every
+message of weight c moves to c - 1, c or c + 1, so the top nonzero digit
+of a move's f is digit 4, 3 or 2: a higher new minimum puts it lower,
+and at the same minimum fewer messages make it smaller.  So the best moves are
+those whose f shares the top digit of the least f.  With p the position
+of that digit in bits (2k, 3k or 4k, by comparing the least f with B^3
+and B^4), best = least with its lower p bits cleared, and a move ties
+with it exactly when f < best + 2^p: its top digit is the same, and a
+digit below 2^k keeps best + 2^p <= B^(p/k + 1), so the lower digits
+never change the rank.  The state itself has minimum c with
+#{w = c} messages at it, which is the value #{w = c} * B^3 in the same
+digits: a step improves if best is below it, and ties if equal.
 
 Only a type that holds a column can give one up, so only the rows i of
 the occupied types are built: at most n of the 2^k - 1, in ascending
-order, so that ties still fall in row-major order over all moves.  The
-no-op moves i -> i score BIG * (c - 2), below every real move (those
-score more than BIG * (c - 1) - BIG), so even at c = 0, where real moves
-can score below 0, a step never stands still.  The message weights w
-are kept across the steps of a restart: a move i -> j adds
-a[m, j] - a[m, i] to w_m.
+order, so that the first tied move is the first in row-major order over
+all moves.  The no-op moves i -> i are set to inf, so they are never
+tied (for k = 1 every move is a no-op, and the step is stuck).  The
+message weights w are kept across the steps of a restart: a move
+i -> j adds a[m, j] - a[m, i] to w_m.
 
 A state's LCD check depends on the state alone, so each restart keeps
 the states it has rejected and checks none of them twice: the plateau
@@ -50,8 +60,7 @@ import numpy as np
 from .bounds import griesmer_dmax
 from .code import LinearCode, TypeMultiplicity, message_weight_matrix
 
-SEARCH_CAP = 10  # 2^(5k) <= 2^53: move scores exact in float64
-BIG = 1 << 10  # score = BIG * minimum weight - messages at it
+SEARCH_CAP = 10  # 2^(5k) <= 2^53: move values exact in float64
 
 
 @dataclass(frozen=True)
@@ -76,20 +85,25 @@ def _digit_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 
 
 def move_scores(counts: np.ndarray, w: np.ndarray,
-                k: int) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """(minimum weight c, score of the state, occupied types occ, score of
-    every move occ[r] -> j at [r, j]) for nonzero-type multiplicities
-    counts with message weights w; the no-op moves occ[r] -> occ[r] score
-    BIG * (c - 2), below every real move."""
+                k: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(minimum weight c, occupied types occ, digit counts f of every move
+    occ[r] -> j at [r, j]) for nonzero-type multiplicities counts with
+    message weights w; the no-op moves occ[r] -> occ[r] are inf."""
     _, x, y, level = _digit_tables(k)
     c = int(w.min())
-    now = BIG * c - int(np.count_nonzero(w == c))
     occ = counts.nonzero()[0]
-    f = ((x[occ] * level[np.minimum(w - c, 3)]) @ y).astype(np.int64)
-    drop = (f >= 1 << 3 * k).astype(np.int64) + (f >= 1 << 4 * k)
-    score = BIG * (c + 1 - drop) - (f >> k * (2 + drop))
-    score[np.arange(len(occ)), occ] = BIG * (c - 2)
-    return c, now, occ, score
+    f = (x[occ] * level.take(w - c, mode="clip")) @ y
+    f[np.arange(len(occ)), occ] = np.inf
+    return c, occ, f
+
+
+def tie_range(least: int, k: int) -> tuple[int, int]:
+    """(best, bound) for the least digit count of a step: best keeps only
+    the top base-2^k digit of least, and a move ties with it exactly when
+    its f is below bound."""
+    p = k * (2 + (least >= 1 << 3 * k) + (least >= 1 << 4 * k))
+    best = least >> p << p
+    return best, best + (1 << p)
 
 
 def search_lcd(n: int, k: int, d: int,
@@ -122,19 +136,24 @@ def search_lcd(n: int, k: int, d: int,
         rejected: set[bytes] = set()  # states of this restart that are not LCD
         while steps < budget.max_iterations:
             steps += 1
-            cur_min, cur_score, occ, score = move_scores(counts, w, k)
+            cur_min, occ, f = move_scores(counts, w, k)
             if cur_min >= d and (state := counts.tobytes()) not in rejected:
                 code = LinearCode(TypeMultiplicity(k, (0, *counts.tolist())).generator())
                 if code.is_lcd() and code.min_weight() >= d:
                     return code
                 rejected.add(state)
-            move = int(score.argmax())  # the first best move, row-major
-            best = int(score.flat[move])
-            if best == cur_score and plateau > 0:  # sideways: a random tie
+            least = f.min()
+            if least == np.inf:
+                break  # no real move (k = 1): stuck
+            best, bound = tie_range(int(least), k)
+            now = int(np.count_nonzero(w == cur_min)) << 3 * k
+            if best < now:  # improve: the first best move, row-major
+                move = int((f < bound).argmax())
+            elif best == now and plateau > 0:  # sideways: a random tie
                 plateau -= 1
-                ties = (score == best).ravel().nonzero()[0]  # row-major
+                ties = (f < bound).ravel().nonzero()[0]  # row-major
                 move = int(ties[rng.randrange(len(ties))])
-            elif best <= cur_score:
+            else:
                 break  # stuck: restart
             r, j = divmod(move, q)
             i = occ[r]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import matmul
-from lcdlab.code import LinearCode, make_code
+from lcdlab.code import LinearCode, TypeMultiplicity, make_code
 from lcdlab.families import build_generator, family_a_vector
 from lcdlab.gf2 import BitMatrix, rref
 
@@ -176,6 +176,17 @@ def test_type_multiplicity_generator_roundtrip():
         rebuilt = make_code(tm.generator())
         assert rebuilt.column_types() == tm
         assert rebuilt.weight_enumerator() == c.weight_enumerator()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda k: st.lists(st.integers(0, 5), min_size=1 << k, max_size=1 << k).map(
+        lambda counts: TypeMultiplicity(k, tuple(counts)))))
+def test_type_multiplicity_generator_matches_column_list(tm):
+    """The generator built from runs equals the one built column by column:
+    types ascending, each repeated by its multiplicity, zeros last."""
+    cols = [t for t, c in enumerate(tm.counts) if t for _ in range(c)]
+    assert tm.generator() == BitMatrix.from_columns(tm.k, cols + [0] * tm.counts[0])
 
 
 def test_equivalence_basics():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from brute import neighbour_scores
 from lcdlab import search
-from lcdlab.search import SearchBudget, move_scores, search_lcd
+from lcdlab.search import SearchBudget, move_scores, search_lcd, tie_range
 
 # generator rows of the codes found under each budget, one per
 # (n, k, d, budget); any change in move scoring, tie-breaking or RNG use
@@ -38,20 +40,47 @@ def test_deterministic_under_seed():
         assert code is not None and tuple(code.generator.data) == rows, (n, k, d, budget)
 
 
+# sha256 of every state the search passes to move_scores in a 2,000-step
+# miss; any change in move ranking, tie-breaking, plateau use, restarts or
+# RNG use moves them
+PINNED_PATHS = {
+    (22, 4, 11): "3ec419e782762b2020731a81bd2c3e6a9d31771e5e559625b46f23704fa90fe6",
+    (21, 5, 10): "9287142f63665af0936d0665da6ee34393628a7227e8f3bcd983c718aca94063",
+    (21, 6, 9): "5667792c1c7365e773e93473456d62189f2fcdfc961eb94e8f4203bc2ac298f9",
+}
+
+
+def record_states(monkeypatch):
+    """Route move_scores through a wrapper that hashes and counts every
+    state it is passed; returns the running (hash, [count])."""
+    digest, calls = hashlib.sha256(), [0]
+
+    def recording(counts, w, k):
+        calls[0] += 1
+        digest.update(counts.tobytes())
+        return move_scores(counts, w, k)
+
+    monkeypatch.setattr(search, "move_scores", recording)
+    return digest, calls
+
+
+@pytest.mark.parametrize("target", list(PINNED_PATHS))
+def test_search_paths_pinned(monkeypatch, target):
+    digest, calls = record_states(monkeypatch)
+    n, k, d = target
+    assert search_lcd(n, k, d, SearchBudget(2000, rng_seed=1, restarts=2000)) is None
+    assert calls[0] == 2000
+    assert digest.hexdigest() == PINNED_PATHS[target]
+
+
 def test_rank_deficient_state_keeps_moving(monkeypatch):
-    """At minimum weight 0 every real move may score below 0; the no-op
-    moves must still lose to them, or the search repeats one state until
-    its budget of 1,000,000 steps runs out."""
-    calls = 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return move_scores(*args)
-
-    monkeypatch.setattr(search, "move_scores", counting)
+    """At minimum weight 0 every real move may leave the minimum at 0 or
+    lower the messages at it only a little; the no-op moves must never tie
+    with them, or the search repeats one state until its budget of
+    1,000,000 steps runs out."""
+    _, calls = record_states(monkeypatch)
     search_lcd(4, 3, 2, SearchBudget(rng_seed=7))
-    assert calls < 10_000
+    assert calls[0] < 10_000
 
 
 @st.composite
@@ -73,17 +102,27 @@ def states(draw):
 @example((np.array([1, 0, 4], dtype=np.int32), 2))  # 0 -> 2: one message drops, alone
 @example((np.array([3, 0, 0, 0, 0, 0, 0], dtype=np.int32), 3))  # rank 1: all moves -1
 def test_move_scores_match_brute(state):
+    """The moves tied under the least digit count are exactly the oracle's
+    best real moves, the step's verdict matches the oracle's, and the
+    no-op moves are inf."""
     counts, k = state
     nonzero = np.arange(1, 1 << k)
     w = ((np.bitwise_count(nonzero[:, None] & nonzero) & 1) @ counts).astype(np.int32)
-    c, now, occ, score = move_scores(counts, w, k)
+    c, occ, f = move_scores(counts, w, k)
+    assert c == w.min()
     assert occ.tolist() == np.flatnonzero(counts).tolist()
-    real = np.ones(score.shape, dtype=bool)
+    real = np.ones(f.shape, dtype=bool)
     real[np.arange(len(occ)), occ] = False  # the no-op moves occ[r] -> occ[r]
-    assert score[real].tolist() == neighbour_scores(counts, k)[occ][real].tolist()
-    if real.any():
-        assert score[~real].max() < score[real].min()
-    assert (c, now) == (w.min(), (1 << 10) * w.min() - (w == w.min()).sum())
+    assert (f[~real] == np.inf).all()
+    if not real.any():  # no real move (k = 1 or no column): nothing to rank
+        return
+    oracle = neighbour_scores(counts, k)[occ]
+    top = oracle[real].max()
+    best, bound = tie_range(int(f.min()), k)
+    assert ((f < bound) == (real & (oracle == top))).all()
+    at_min = int((w == c).sum())
+    # improve / sideways / stuck, as the search decides and as the oracle does
+    assert np.sign((at_min << 3 * k) - best) == np.sign(top - ((1 << 10) * c - at_min))
 
 
 def test_above_griesmer_rejected():
@@ -104,6 +143,8 @@ def test_d_below_one_rejected():
 def test_nonexistent_not_found():
     budget = SearchBudget(max_iterations=3000, rng_seed=5, restarts=40)
     assert search_lcd(22, 4, 11, budget) is None
+    # k = 1: every move is a no-op, so each restart is stuck at once
+    assert search_lcd(6, 1, 6, budget) is None
 
 
 def test_budget_caps_work():
