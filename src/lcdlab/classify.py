@@ -21,10 +21,14 @@ Two engines share one deduplication layer:
   of the whole box keeps, and returns them in the box's lexicographic
   order.
 
-Equivalence classes are orbits of multiplicity vectors under basis
-change; deduplication puts all the candidates of a level into
-canonical form in one batch, for every k.  A stored level is read only
-once it matches what building it would store.
+Both engines build a whole rung, every level d' >= d of an [n, k]
+pair, at once.  Equivalence classes are orbits of multiplicity vectors
+under basis change; deduplication puts all the candidates of the rung
+into canonical form in one batch, for every k.  Each class is filed at
+the least message weight of its canonical vector, which is an
+invariant of the class, and each level is then verified on its own by
+_build_db.  A stored level is read only once it matches what building
+it would store.
 """
 
 from __future__ import annotations
@@ -160,6 +164,25 @@ def _build_db(n: int, k: int, d: int, method: str,
     return CodeDB(n, k, d, method, tuple(records))
 
 
+def _file_levels(n: int, k: int, d: int, top: int, method: str,
+                 vec_arrays: list[np.ndarray]) -> dict[int, CodeDB]:
+    """The [n, k, d'] databases for every d <= d' <= top from candidates
+    whose least message weights lie in that range: one dedupe for the
+    whole rung, each class filed at the least message weight of its
+    canonical vector, then every level built and verified on its own."""
+    canon = _dedupe_canonical(vec_arrays, k)
+    levels: dict[int, list[tuple[int, ...]]] = {dd: [] for dd in range(d, top + 1)}
+    if canon:
+        weights = (np.array(canon, dtype=np.int64)[:, 1:]
+                   @ message_weight_matrix(k).T).min(axis=1)
+        for counts, w in zip(canon, weights.tolist()):
+            if w not in levels:
+                raise AssertionError(f"class {counts} has minimum weight {w}, "
+                                     f"outside {d}..{top}")
+            levels[w].append(counts)
+    return {dd: _build_db(n, k, dd, method, found) for dd, found in levels.items()}
+
+
 # -- direct classification over column multisets -------------------------------
 
 
@@ -178,11 +201,18 @@ def _least_weight(block: np.ndarray, cover: list[np.ndarray]) -> np.ndarray:
     return least
 
 
-def _column_candidates(n: int, k: int, d: int):
+def _column_candidates(n: int, k: int, d: int, top: int | None = None):
     """Yield (z, vecs) arrays of full multiplicity vectors with min weight
-    exactly d, z zero columns among n.  As d >= 1, the supported types
-    span F2^k (a message orthogonal to all of them would have weight 0),
-    so every vector is the column multiset of an [n, k, d] code."""
+    in d..top (top defaults to d), z zero columns among n.  As d >= 1,
+    the supported types span F2^k (a message orthogonal to all of them
+    would have weight 0), so every vector is the column multiset of an
+    [n, k, d'] code.
+
+    In the Walsh-Hadamard branch a vector is its excess message weights
+    u = wt - d, a composition of u_total(d); those with min(u) = j are
+    exactly the level d + j ones, so keeping min(u) <= top - d
+    enumerates every level of the range at once."""
+    top = d if top is None else top
     q = (1 << k) - 1
     half = 1 << (k - 1)
     # the types each message covers (m . v = 1): its weight is the sum of
@@ -202,12 +232,15 @@ def _column_candidates(n: int, k: int, d: int):
                 f"~{min(n_direct, n_wht):.3e} candidate vectors "
                 f"(limit {DEFAULT_LIMIT})")
         if n_direct <= n_wht:
-            sel = np.concatenate([block[_least_weight(block, cover) == d]
-                                  for block in composition_blocks(s, q, BOX_CHUNK)])
+            sel = []
+            for block in composition_blocks(s, q, BOX_CHUNK):
+                least = _least_weight(block, cover)
+                sel.append(block[(least >= d) & (least <= top)])
+            sel = np.concatenate(sel)
         else:
             ups = compositions(u_total, q)
             cap = s - d
-            keep = (ups.max(axis=1) <= cap) & (ups.min(axis=1) == 0)
+            keep = (ups.max(axis=1) <= cap) & (ups.min(axis=1) <= top - d)
             ups = ups[keep]
             if not len(ups):
                 continue
@@ -232,6 +265,23 @@ def _check_length(n: int):
         raise ValueError(f"need n <= {MAX_LENGTH} (int16 multiplicities), got n={n}")
 
 
+def _direct_levels(n: int, k: int, d: int, top: int | None) -> dict[int, CodeDB]:
+    """Every [n, k, d'] level for d <= d' <= top (the Griesmer maximum
+    when top is None) from one direct enumeration and one dedupe."""
+    _check_length(n)
+    if d < 1:
+        raise ValueError("need d >= 1")
+    if not 1 <= k <= min(n, CANONICAL_CAP):
+        raise ValueError(
+            f"need 1 <= k <= min(n, {CANONICAL_CAP}), got n={n}, k={k}")
+    if top is None:
+        top = griesmer_dmax(n, k)
+        if top < d:
+            return {}
+    arrays = [vecs for _, vecs in _column_candidates(n, k, d, top)]
+    return _file_levels(n, k, d, top, "columns", arrays)
+
+
 def classify_by_columns(n: int, k: int, d: int) -> CodeDB:
     """All inequivalent [n, k, d] codes by direct multiset enumeration.
 
@@ -240,15 +290,16 @@ def classify_by_columns(n: int, k: int, d: int) -> CodeDB:
     level whose enumeration would make more than DEFAULT_LIMIT candidate
     vectors is refused with an estimate of their number.
     """
-    _check_length(n)
-    if d < 1:
-        raise ValueError("need d >= 1")
-    if not 1 <= k <= min(n, CANONICAL_CAP):
-        raise ValueError(
-            f"need 1 <= k <= min(n, {CANONICAL_CAP}), got n={n}, k={k}")
-    arrays = [vecs for _, vecs in _column_candidates(n, k, d)]
-    canon = _dedupe_canonical(arrays, k)
-    return _build_db(n, k, d, "columns", canon)
+    return _direct_levels(n, k, d, d)[d]
+
+
+def levels_by_columns(n: int, k: int, d: int) -> dict[int, CodeDB]:
+    """classify_by_columns(n, k, d') for every d <= d' <= griesmer_dmax(n, k),
+    keyed by d', from one enumeration and one dedupe: the direct
+    counterpart of a whole extension rung.  Empty when d is above the
+    Griesmer maximum; the limits are those of classify_by_columns(n, k, d).
+    """
+    return _direct_levels(n, k, d, None)
 
 
 # -- extension over the seed's column-type box -----------------------------------
@@ -360,19 +411,8 @@ def _extend_all(dbs, d: int, jobs: int = 1) -> dict[int, CodeDB]:
             results = list(ex.map(_extend_seed, *zip(*args)))
     else:
         results = [_extend_seed(*a) for a in args]
-    top = griesmer_dmax(n, k)
-    buckets: dict[int, list[np.ndarray]] = {dd: [] for dd in range(d, top + 1)}
-    for hist, minw in results:
-        if minw.size:
-            assert int(minw.max()) <= top, "extension exceeded the Griesmer maximum"
-        for dd in buckets:
-            sel = hist[minw == dd]
-            if sel.size:
-                buckets[dd].append(sel)
-    out = {}
-    for dd, arrays in buckets.items():
-        out[dd] = _build_db(n, k, dd, "extension", _dedupe_canonical(arrays, k))
-    return out
+    return _file_levels(n, k, d, griesmer_dmax(n, k), "extension",
+                        [hist for hist, _ in results if len(hist)])
 
 
 def extend_by_inverse_shortening(seed_dbs, d: int, *, jobs: int = 1) -> CodeDB:
@@ -446,9 +486,8 @@ def classify(n: int, k: int, d: int, *, db_dir: str | None = None,
 
     def rung(nn: int, kk: int) -> dict[int, CodeDB]:
         """Every [nn, kk, d' >= d] level."""
-        ds = range(d, griesmer_dmax(nn, kk) + 1)
         if kk == base_k:
-            return {dd: classify_by_columns(nn, kk, dd) for dd in ds}
+            return levels_by_columns(nn, kk, d)
         seeds = _load_or_build(db_dir, nn - 1, kk - 1,
                                range(d, griesmer_dmax(nn - 1, kk - 1) + 1),
                                lambda: rung(nn - 1, kk - 1))

@@ -50,10 +50,23 @@ class BitMatrix:
 
     @classmethod
     def from_columns(cls, rows: int, cols: list[int]) -> BitMatrix:
-        """Build from column ints: bit i of column j is entry (i, j)."""
-        return cls(rows, len(cols), tuple(
-            sum(((c >> i) & 1) << j for j, c in enumerate(cols))
-            for i in range(rows)))
+        """Build from column ints: bit i of column j is entry (i, j).
+
+        Equal columns are gathered into one mask of their positions, and
+        each mask is set in the rows of its column's set bits (bits at
+        i >= rows are ignored)."""
+        where: dict[int, int] = {}
+        for j, c in enumerate(cols):
+            where[c] = where.get(c, 0) | 1 << j
+        data = [0] * rows
+        mask = (1 << rows) - 1
+        for c, at in where.items():
+            c &= mask
+            while c:
+                low = c & -c
+                data[low.bit_length() - 1] |= at
+                c ^= low
+        return cls(rows, len(cols), tuple(data))
 
     @classmethod
     def identity(cls, k: int) -> BitMatrix:

@@ -15,8 +15,10 @@ from lcdlab.canonical import canonical_classes, canonical_rows, counts_key
 from lcdlab.classify import (MAX_LENGTH, _column_candidates, _extend_all,
                              _extend_seed, classify, classify_by_columns,
                              composition_blocks, compositions,
-                             extend_by_inverse_shortening, lcd_census)
+                             extend_by_inverse_shortening, lcd_census,
+                             levels_by_columns)
 from lcdlab.code import make_code
+from lcdlab.formats import save_codedb
 from lcdlab.gf2 import BitMatrix, rref
 
 # sha256 of the level files written by cold ladders (bench/golden.json)
@@ -129,6 +131,31 @@ def test_oracle_settlement_small():
         oracle = subspace_class_counts(n, k)
         for d in range(1, griesmer_dmax(n, k) + 1):
             assert classify_by_columns(n, k, d).count == oracle.get(d, 0), (n, k, d)
+
+
+@pytest.mark.parametrize("n, k, d", [
+    (14, 3, 5),   # plain compositions at z <= 2, the WHT branch at z = 3..5
+    (20, 2, 11),  # the WHT branch only
+    (9, 3, 1),    # plain compositions only, d = 1
+    (12, 2, 1),   # d = 1, eight levels, both branches
+    (21, 3, 12),  # d at the Griesmer maximum
+])
+def test_levels_by_columns_equal_single_levels(tmp_path, n, k, d):
+    top = griesmer_dmax(n, k)
+    levels = levels_by_columns(n, k, d)
+    assert list(levels) == list(range(d, top + 1))
+    for dd, db in levels.items():
+        single = classify_by_columns(n, k, dd)
+        assert db == single, dd
+        save_codedb(db, str(tmp_path / "rung.codedb"))
+        save_codedb(single, str(tmp_path / "single.codedb"))
+        assert (tmp_path / "rung.codedb").read_bytes() == \
+            (tmp_path / "single.codedb").read_bytes(), dd
+    # classes with zero columns are filed too, except at the maximum
+    zeros = sum(code.column_types().counts[0] > 0
+                for db in levels.values() for code in db.codes())
+    assert zeros or d == top
+    assert levels_by_columns(n, k, top + 1) == {}
 
 
 def test_extension_degenerate_322():
@@ -387,11 +414,18 @@ def test_classes_account_for_every_labelled_candidate(n, k, d, classes, labelled
 @pytest.mark.parametrize("n, k, d, chunk", [(10, 4, 4, 3000), (14, 3, 6, 7), (60, 2, 8, 7)])
 def test_direct_candidates_do_not_depend_on_block_size(monkeypatch, n, k, d, chunk):
     # compositions are scored BOX_CHUNK rows at a time; the blocks here
-    # split every zero-column count's compositions
-    whole = list(_column_candidates(n, k, d))
+    # split every zero-column count's compositions.  The levels d..dmax of
+    # a rung are kept from the same blocks.
+    tops = sorted({d, griesmer_dmax(n, k)})
+    whole = [list(_column_candidates(n, k, d, top)) for top in tops]
     module = importlib.import_module("lcdlab.classify")
     monkeypatch.setattr(module, "BOX_CHUNK", chunk)
-    blocked = list(_column_candidates(n, k, d))
-    assert [z for z, _ in blocked] == [z for z, _ in whole]
-    for (_, a), (_, b) in zip(blocked, whole):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert_same_candidates(list(_column_candidates(n, k, d)), whole[0])
+    if len(tops) > 1:
+        assert sum(len(v) for _, v in whole[1]) > sum(len(v) for _, v in whole[0])
+        assert_same_candidates(list(_column_candidates(n, k, d, tops[1])), whole[1])
+
+
+def assert_same_candidates(got, want):
+    assert [z for z, _ in got] == [z for z, _ in want]
+    assert_same_arrays([vecs for _, vecs in got], [vecs for _, vecs in want])

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from lcdlab import cli, families
+from lcdlab.bounds import griesmer_dmax
 from lcdlab.cli import main
 
 
@@ -166,11 +167,13 @@ def test_reproduce_checks_keep_their_dimension(monkeypatch):
     seen = []
 
     def spy(module, name, pos):
+        """Record argument pos of each call, or (args, result) for None."""
         real = getattr(module, name)
 
         def wrapped(*args):
-            seen.append(args[pos] if pos is not None else args)
-            return real(*args)
+            result = real(*args)
+            seen.append(args[pos] if pos is not None else (args, result))
+            return result
         monkeypatch.setattr(module, name, wrapped)
 
     for name in ("family_code", "family_t_min", "family_affine_vector",
@@ -179,7 +182,8 @@ def test_reproduce_checks_keep_their_dimension(monkeypatch):
         spy(families, name, 0)
     spy(cli, "_verify_octal_table", 1)
     spy(cli, "_verify_lcd_witnesses", 0)
-    spy(cli, "classify_by_columns", None)
+    spy(cli, "levels_by_columns", None)
+    above = 0
     for name, check in checks:
         seen.clear()
         assert check(), name
@@ -187,13 +191,26 @@ def test_reproduce_checks_keep_their_dimension(monkeypatch):
         if dim is None:
             continue
         k = int(dim.group(1))
-        if name.startswith("counts"):  # [n-k+kk, kk, d+j] for kk = 3, 2
-            assert set(seen) == {
-                (n - k + kk, kk, d + j)
-                for (n, d), row in families.DIMENSIONS[k].counts.items()
-                for kk in (3, 2) for j in range(len(row[f"k{kk}"]))}, name
+        if name.startswith("counts"):
+            # one rung [n-k+kk, kk, d' >= d] per table row and kk = 3, 2,
+            # holding every level up to the Griesmer maximum
+            rows = families.DIMENSIONS[k].counts.items()
+            assert sorted(args for args, _ in seen) == sorted(
+                (n - k + kk, kk, d) for (n, d), _ in rows for kk in (3, 2)), name
+            for (nn, kk, d), levels in seen:
+                assert list(levels) == list(
+                    range(d, griesmer_dmax(nn, kk) + 1)), (name, nn, kk, d)
+            # so a table entry above the maximum must read 0
+            for (n, d), row in rows:
+                for kk in (3, 2):
+                    top = griesmer_dmax(n - k + kk, kk)
+                    for j, v in enumerate(row[f"k{kk}"]):
+                        if d + j > top:
+                            above += 1
+                            assert v == 0, (name, n, d, kk, j)
         else:
             assert seen and set(seen) == {k}, (name, set(seen))
+    assert above
 
 
 def test_manifest_digest_reproducible(capsys, tmp_path):

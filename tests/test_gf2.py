@@ -115,3 +115,18 @@ def test_nullspace_is_orthogonal_complement(m):
     for v in ns.data:
         for r in m.data:
             assert (v & r).bit_count() % 2 == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(0, (1 << (k + 2)) - 1), max_size=120))))
+def test_from_columns_matches_row_by_row(case):
+    # the k-pass construction: row i gathers bit i of every column, and
+    # column bits at i >= k are dropped
+    k, cols = case
+    rows = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols))
+                 for i in range(k))
+    m = BitMatrix.from_columns(k, cols)
+    assert m == BitMatrix(k, len(cols), rows)
+    assert [m.column(j) for j in range(len(cols))] == \
+        [c & ((1 << k) - 1) for c in cols]
