@@ -44,9 +44,22 @@ tied (for k = 1 every move is a no-op, and the step is stuck).  The
 message weights w are kept across the steps of a restart: a move
 i -> j adds a[m, j] - a[m, i] to w_m.
 
-A state's LCD check depends on the state alone, so each restart keeps
-the states it has rejected and checks none of them twice: the plateau
-walk returns to the same states often.
+So are c and #{w = c}, which a restart computes once.  Every move the
+step may take ties with best, so its f has best's top digit: digit p/k,
+which counts the messages of new weight c + 3 - p/k, and whose value is
+best >> p.  As that digit is the move's top one, no message falls below
+c + 3 - p/k: the new minimum is exactly c + 3 - p/k, held by best >> p
+messages.  (A sideways step has p = 3k and keeps both.)
+
+A state is checked for LCD only once its minimum reaches d.  By Massey
+(1992) a full-rank code is LCD exactly when G G^T is nonsingular, and
+each column of type t adds t t^T to G G^T, so over GF(2)
+G G^T = sum of t t^T over the types t of odd count: the k x k
+TypeMultiplicity.gram, whose rank gf2.rref gives without building a
+code.  Only a state of rank k becomes a LinearCode, which is checked
+again, LCD and weight, before it is returned.  The check depends on the
+state alone, so each restart keeps the states it has rejected and checks
+none of them twice: the plateau walk returns to the same states often.
 """
 
 from __future__ import annotations
@@ -59,6 +72,7 @@ import numpy as np
 
 from .bounds import griesmer_dmax
 from .code import LinearCode, TypeMultiplicity, message_weight_matrix
+from .gf2 import MAX_DIM, rref
 
 SEARCH_CAP = 10  # 2^(5k) <= 2^53: move values exact in float64
 
@@ -84,17 +98,16 @@ def _digit_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
             np.array([1 << 2 * k, 1 << k, 1, 0], dtype=np.float64))
 
 
-def move_scores(counts: np.ndarray, w: np.ndarray,
-                k: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(minimum weight c, occupied types occ, digit counts f of every move
-    occ[r] -> j at [r, j]) for nonzero-type multiplicities counts with
-    message weights w; the no-op moves occ[r] -> occ[r] are inf."""
+def move_scores(counts: np.ndarray, w: np.ndarray, k: int,
+                c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(occupied types occ, digit counts f of every move occ[r] -> j at
+    [r, j]) for nonzero-type multiplicities counts with message weights w
+    of minimum c; the no-op moves occ[r] -> occ[r] are inf."""
     _, x, y, level = _digit_tables(k)
-    c = int(w.min())
     occ = counts.nonzero()[0]
     f = (x[occ] * level.take(w - c, mode="clip")) @ y
     f[np.arange(len(occ)), occ] = np.inf
-    return c, occ, f
+    return occ, f
 
 
 def tie_range(least: int, k: int) -> tuple[int, int]:
@@ -118,6 +131,8 @@ def search_lcd(n: int, k: int, d: int,
         raise ValueError("need d >= 1")
     if k > SEARCH_CAP:
         raise ValueError(f"search capped at k={SEARCH_CAP}")
+    if n > MAX_DIM:
+        raise ValueError(f"need n <= {MAX_DIM}, the most columns a generator holds")
     if d > griesmer_dmax(n, k):
         raise ValueError(
             f"d={d} exceeds the Griesmer maximum {griesmer_dmax(n, k)} for [{n},{k}]")
@@ -132,21 +147,25 @@ def search_lcd(n: int, k: int, d: int,
         for _ in range(n):
             counts[rng.randrange(q)] += 1
         w = a @ counts
+        cur_min = int(w.min())
+        at_min = int(np.count_nonzero(w == cur_min))
         plateau = 8 * n
         rejected: set[bytes] = set()  # states of this restart that are not LCD
         while steps < budget.max_iterations:
             steps += 1
-            cur_min, occ, f = move_scores(counts, w, k)
+            occ, f = move_scores(counts, w, k, cur_min)
             if cur_min >= d and (state := counts.tobytes()) not in rejected:
-                code = LinearCode(TypeMultiplicity(k, (0, *counts.tolist())).generator())
-                if code.is_lcd() and code.min_weight() >= d:
-                    return code
+                types = TypeMultiplicity(k, (0, *counts.tolist()))
+                if rref(types.gram()).rank == k:
+                    code = LinearCode(types.generator())
+                    if code.is_lcd() and code.min_weight() >= d:
+                        return code
                 rejected.add(state)
             least = f.min()
             if least == np.inf:
                 break  # no real move (k = 1): stuck
             best, bound = tie_range(int(least), k)
-            now = int(np.count_nonzero(w == cur_min)) << 3 * k
+            now = at_min << 3 * k
             if best < now:  # improve: the first best move, row-major
                 move = int((f < bound).argmax())
             elif best == now and plateau > 0:  # sideways: a random tie
@@ -160,4 +179,7 @@ def search_lcd(n: int, k: int, d: int,
             counts[i] -= 1
             counts[j] += 1
             w += a[j] - a[i]  # a is symmetric: row t is column t
+            p = (bound - best).bit_length() - 1  # bound = best + 2^p
+            cur_min += 3 - p // k  # digit p / k counts weight c + 3 - p / k
+            at_min = best >> p
     return None

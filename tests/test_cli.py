@@ -239,6 +239,7 @@ def test_usage_error_exit_2():
     "family --k 4 --s 3 --t 0",      # below the family's range of t
     "bounds --n 3 --k 5",            # k > n
     "search --n 40 --k 11 --d 5",    # above the search's k cap
+    "search --n 100000 --k 3 --d 2 --iters 5",  # above gf2.MAX_DIM columns
     "classify --n 10 --k 7 --d 2",   # above the canonical form's k cap
     "classify --n 70000 --k 2 --d 46666",    # above the int16 length cap
     "classify --n 100000 --k 2 --d 66666",

@@ -1,13 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brute import matmul
 from lcdlab.code import LinearCode, TypeMultiplicity, make_code
 from lcdlab.families import build_generator, family_a_vector
-from lcdlab.gf2 import BitMatrix, rref
+from lcdlab.gf2 import BitMatrix, gram, rref
 
 
 def bitmat(rows):
@@ -187,6 +187,32 @@ def test_type_multiplicity_generator_matches_column_list(tm):
     types ascending, each repeated by its multiplicity, zeros last."""
     cols = [t for t, c in enumerate(tm.counts) if t for _ in range(c)]
     assert tm.generator() == BitMatrix.from_columns(tm.k, cols + [0] * tm.counts[0])
+
+
+@st.composite
+def full_rank_multiplicities(draw):
+    """Multiplicities at k <= 7 that hold every unit type, so that the
+    generator has rank k; a full-rank multiset is GL(k,2)-equivalent to
+    one of these, and GL(k,2) keeps the rank of G G^T."""
+    k = draw(st.integers(1, 7))
+    counts = draw(st.lists(st.integers(0, 4), min_size=1 << k, max_size=1 << k))
+    for i in range(k):
+        counts[1 << i] = draw(st.integers(1, 4))
+    return TypeMultiplicity(k, tuple(counts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_rank_multiplicities())
+@example(TypeMultiplicity(3, (0, 2, 2, 4, 2, 0, 2, 2)))  # all even: G G^T = 0
+@example(TypeMultiplicity(3, (1, 1, 1, 0, 1, 0, 0, 0)))  # the identity and a zero column
+@example(TypeMultiplicity(1, (0, 1)))  # [1,1]: LCD
+@example(TypeMultiplicity(1, (3, 2)))  # [5,1] of weight 2: self-orthogonal
+def test_parity_gram_decides_lcd(tm):
+    """The Gram of the odd types is G G^T of the built generator, and it
+    has rank k exactly when the code is LCD."""
+    g = tm.generator()
+    assert tm.gram() == gram(g)
+    assert (rref(tm.gram()).rank == tm.k) == LinearCode(g).is_lcd()
 
 
 def test_equivalence_basics():

@@ -47,18 +47,24 @@ PINNED_PATHS = {
     (22, 4, 11): "3ec419e782762b2020731a81bd2c3e6a9d31771e5e559625b46f23704fa90fe6",
     (21, 5, 10): "9287142f63665af0936d0665da6ee34393628a7227e8f3bcd983c718aca94063",
     (21, 6, 9): "5667792c1c7365e773e93473456d62189f2fcdfc961eb94e8f4203bc2ac298f9",
+    # 475 of its states reach d = 8 without being LCD: a wrong LCD "yes"
+    # builds a code, which this test forbids
+    (18, 5, 8): "7dcb8ff6603c82a3080710cd8e0c37b0123a2c9448346556b18a226c2beb590c",
 }
 
 
 def record_states(monkeypatch):
     """Route move_scores through a wrapper that hashes and counts every
-    state it is passed; returns the running (hash, [count])."""
+    state it is passed, and checks that the minimum the search carries
+    from step to step is the least message weight; returns the running
+    (hash, [count])."""
     digest, calls = hashlib.sha256(), [0]
 
-    def recording(counts, w, k):
+    def recording(counts, w, k, c):
+        assert c == int(w.min())
         calls[0] += 1
         digest.update(counts.tobytes())
-        return move_scores(counts, w, k)
+        return move_scores(counts, w, k, c)
 
     monkeypatch.setattr(search, "move_scores", recording)
     return digest, calls
@@ -66,7 +72,10 @@ def record_states(monkeypatch):
 
 @pytest.mark.parametrize("target", list(PINNED_PATHS))
 def test_search_paths_pinned(monkeypatch, target):
+    """Each pinned miss also builds no code: its states at weight d are
+    all rejected by their parity Gram."""
     digest, calls = record_states(monkeypatch)
+    monkeypatch.setattr(search, "LinearCode", None)  # building one raises
     n, k, d = target
     assert search_lcd(n, k, d, SearchBudget(2000, rng_seed=1, restarts=2000)) is None
     assert calls[0] == 2000
@@ -108,8 +117,8 @@ def test_move_scores_match_brute(state):
     counts, k = state
     nonzero = np.arange(1, 1 << k)
     w = ((np.bitwise_count(nonzero[:, None] & nonzero) & 1) @ counts).astype(np.int32)
-    c, occ, f = move_scores(counts, w, k)
-    assert c == w.min()
+    c = int(w.min())
+    occ, f = move_scores(counts, w, k, c)
     assert occ.tolist() == np.flatnonzero(counts).tolist()
     real = np.ones(f.shape, dtype=bool)
     real[np.arange(len(occ)), occ] = False  # the no-op moves occ[r] -> occ[r]
@@ -133,6 +142,17 @@ def test_above_griesmer_rejected():
 def test_k_above_cap_rejected():
     with pytest.raises(ValueError, match="k=10"):
         search_lcd(40, 11, 5)
+
+
+def test_n_above_max_dim_rejected(monkeypatch):
+    """A generator holds at most gf2.MAX_DIM columns: a longer code is
+    rejected before the first step, not after the budget is spent."""
+    _, calls = record_states(monkeypatch)
+    with pytest.raises(ValueError, match="need n <= 65536"):
+        search_lcd((1 << 16) + 1, 3, 2, SearchBudget(max_iterations=5))
+    assert calls[0] == 0
+    search_lcd(1 << 16, 1, 1 << 16, SearchBudget(max_iterations=1))  # the largest n
+    assert calls[0] == 1
 
 
 def test_d_below_one_rejected():
