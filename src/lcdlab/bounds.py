@@ -28,17 +28,20 @@ def griesmer_sum(d: int, k: int) -> int:
 
 
 def griesmer_dmax(n: int, k: int) -> int:
-    """Largest d with sum_{i<k} ceil(d / 2^i) <= n."""
+    """Largest d with sum_{i<k} ceil(d / 2^i) <= n.
+
+    As ceil(x) >= x, griesmer_sum(d, k) >= d (2^k - 1) / 2^(k-1), so every
+    feasible d is at most d0 = floor(n 2^(k-1) / (2^k - 1)), and the scan
+    steps down from d0.  It takes at most k - 1 steps: the k - 1 ceilings
+    with i >= 1 each add less than 1, so griesmer_sum(d, k) <
+    d (2^k - 1) / 2^(k-1) + k - 1, which is at most n at d = d0 - (k - 1).
+    It stops at d >= 1, as griesmer_sum(1, k) = k <= n."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if griesmer_sum(mid, k) <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    d = (n << (k - 1)) // ((1 << k) - 1)
+    while griesmer_sum(d, k) > n:
+        d -= 1
+    return d
 
 
 def closed_form_bound(n: int, k: int) -> int:

@@ -22,13 +22,16 @@ Two engines share one deduplication layer:
   order.
 
 Both engines build a whole rung, every level d' >= d of an [n, k]
-pair, at once.  Equivalence classes are orbits of multiplicity vectors
-under basis change; deduplication puts all the candidates of the rung
-into canonical form in one batch, for every k.  Each class is filed at
-the least message weight of its canonical vector, which is an
-invariant of the class, and each level is then verified on its own by
-_build_db.  A stored level is read only once it matches what building
-it would store.
+pair, at once, and direct enumeration may build the rungs of several
+lengths of one dimension in one call.  Equivalence classes are orbits
+of multiplicity vectors under basis change; deduplication puts all the
+candidates of the call into canonical form in one batch, for every k,
+so one dedupe may span several lengths.  Each class is filed at
+(length, least weight): the sum and the least message weight of its
+canonical vector, both invariants of the class, so classes of
+different lengths never merge.  Each level is then verified on its
+own by _build_db.  A stored level is read only once it matches what
+building it would store.
 """
 
 from __future__ import annotations
@@ -164,23 +167,28 @@ def _build_db(n: int, k: int, d: int, method: str,
     return CodeDB(n, k, d, method, tuple(records))
 
 
-def _file_levels(n: int, k: int, d: int, top: int, method: str,
-                 vec_arrays: list[np.ndarray]) -> dict[int, CodeDB]:
-    """The [n, k, d'] databases for every d <= d' <= top from candidates
-    whose least message weights lie in that range: one dedupe for the
-    whole rung, each class filed at the least message weight of its
-    canonical vector, then every level built and verified on its own."""
+def _file_levels(k: int, ranges: dict[int, tuple[int, int]], method: str,
+                 vec_arrays: list[np.ndarray]) -> dict[tuple[int, int], CodeDB]:
+    """The [n, k, d'] databases, keyed by (n, d'), for every length n of
+    ranges and every d <= d' <= top with (d, top) = ranges[n], from
+    candidates whose lengths and least message weights lie in those
+    ranges: one dedupe for all of them, each class filed at the sum of
+    its canonical vector and its least message weight (both invariants
+    of the class, so classes of different lengths never merge), then
+    every level built and verified on its own."""
     canon = _dedupe_canonical(vec_arrays, k)
-    levels: dict[int, list[tuple[int, ...]]] = {dd: [] for dd in range(d, top + 1)}
+    levels: dict[tuple[int, int], list[tuple[int, ...]]] = {
+        (n, dd): [] for n, (d, top) in ranges.items() for dd in range(d, top + 1)}
     if canon:
-        weights = (np.array(canon, dtype=np.int64)[:, 1:]
-                   @ message_weight_matrix(k).T).min(axis=1)
-        for counts, w in zip(canon, weights.tolist()):
-            if w not in levels:
-                raise AssertionError(f"class {counts} has minimum weight {w}, "
-                                     f"outside {d}..{top}")
-            levels[w].append(counts)
-    return {dd: _build_db(n, k, dd, method, found) for dd, found in levels.items()}
+        vecs = np.array(canon, dtype=np.int64)
+        weights = (vecs[:, 1:] @ message_weight_matrix(k).T).min(axis=1)
+        for counts, n, w in zip(canon, vecs.sum(axis=1).tolist(), weights.tolist()):
+            if (n, w) not in levels:
+                raise AssertionError(f"class {counts} has length {n} and minimum "
+                                     f"weight {w}, outside every range")
+            levels[n, w].append(counts)
+    return {(n, dd): _build_db(n, k, dd, method, found)
+            for (n, dd), found in levels.items()}
 
 
 # -- direct classification over column multisets -------------------------------
@@ -265,21 +273,22 @@ def _check_length(n: int):
         raise ValueError(f"need n <= {MAX_LENGTH} (int16 multiplicities), got n={n}")
 
 
-def _direct_levels(n: int, k: int, d: int, top: int | None) -> dict[int, CodeDB]:
-    """Every [n, k, d'] level for d <= d' <= top (the Griesmer maximum
-    when top is None) from one direct enumeration and one dedupe."""
+def _check_direct(n: int, k: int, d: int):
     _check_length(n)
     if d < 1:
         raise ValueError("need d >= 1")
     if not 1 <= k <= min(n, CANONICAL_CAP):
         raise ValueError(
             f"need 1 <= k <= min(n, {CANONICAL_CAP}), got n={n}, k={k}")
-    if top is None:
-        top = griesmer_dmax(n, k)
-        if top < d:
-            return {}
-    arrays = [vecs for _, vecs in _column_candidates(n, k, d, top)]
-    return _file_levels(n, k, d, top, "columns", arrays)
+
+
+def _direct_levels(k: int, ranges: dict[int, tuple[int, int]]
+                   ) -> dict[tuple[int, int], CodeDB]:
+    """Every [n, k, d'] level for n in ranges and d <= d' <= top with
+    (d, top) = ranges[n]: one direct enumeration per length, one dedupe."""
+    arrays = [vecs for n, (d, top) in ranges.items()
+              for _, vecs in _column_candidates(n, k, d, top)]
+    return _file_levels(k, ranges, "columns", arrays)
 
 
 def classify_by_columns(n: int, k: int, d: int) -> CodeDB:
@@ -290,16 +299,26 @@ def classify_by_columns(n: int, k: int, d: int) -> CodeDB:
     level whose enumeration would make more than DEFAULT_LIMIT candidate
     vectors is refused with an estimate of their number.
     """
-    return _direct_levels(n, k, d, d)[d]
+    _check_direct(n, k, d)
+    return _direct_levels(k, {n: (d, d)})[n, d]
 
 
-def levels_by_columns(n: int, k: int, d: int) -> dict[int, CodeDB]:
-    """classify_by_columns(n, k, d') for every d <= d' <= griesmer_dmax(n, k),
-    keyed by d', from one enumeration and one dedupe: the direct
-    counterpart of a whole extension rung.  Empty when d is above the
-    Griesmer maximum; the limits are those of classify_by_columns(n, k, d).
+def levels_by_columns(k: int, lengths: dict[int, int]
+                      ) -> dict[tuple[int, int], CodeDB]:
+    """classify_by_columns(n, k, d') for every length n of lengths and
+    every lengths[n] <= d' <= griesmer_dmax(n, k), keyed by (n, d'), from
+    one enumeration per length and one dedupe over all of them: the
+    direct counterpart of whole extension rungs of one dimension.  A
+    length whose d is above its Griesmer maximum gives no level; the
+    limits are those of classify_by_columns(n, k, lengths[n]).
     """
-    return _direct_levels(n, k, d, None)
+    ranges = {}
+    for n, d in lengths.items():
+        _check_direct(n, k, d)
+        top = griesmer_dmax(n, k)
+        if d <= top:
+            ranges[n] = (d, top)
+    return _direct_levels(k, ranges) if ranges else {}
 
 
 # -- extension over the seed's column-type box -----------------------------------
@@ -411,8 +430,9 @@ def _extend_all(dbs, d: int, jobs: int = 1) -> dict[int, CodeDB]:
             results = list(ex.map(_extend_seed, *zip(*args)))
     else:
         results = [_extend_seed(*a) for a in args]
-    return _file_levels(n, k, d, griesmer_dmax(n, k), "extension",
-                        [hist for hist, _ in results if len(hist)])
+    levels = _file_levels(k, {n: (d, griesmer_dmax(n, k))}, "extension",
+                          [hist for hist, _ in results if len(hist)])
+    return {dd: db for (_, dd), db in levels.items()}
 
 
 def extend_by_inverse_shortening(seed_dbs, d: int, *, jobs: int = 1) -> CodeDB:
@@ -487,7 +507,7 @@ def classify(n: int, k: int, d: int, *, db_dir: str | None = None,
     def rung(nn: int, kk: int) -> dict[int, CodeDB]:
         """Every [nn, kk, d' >= d] level."""
         if kk == base_k:
-            return levels_by_columns(nn, kk, d)
+            return {dd: db for (_, dd), db in levels_by_columns(kk, {nn: d}).items()}
         seeds = _load_or_build(db_dir, nn - 1, kk - 1,
                                range(d, griesmer_dmax(nn - 1, kk - 1) + 1),
                                lambda: rung(nn - 1, kk - 1))

@@ -194,8 +194,7 @@ def _reproduce_checks(suite: str, full: bool, db_dir: str | None, jobs: int):
             yield (f"lcd witnesses dim{k}",
                    lambda k=k: _verify_lcd_witnesses(k, []))
         yield (f"counts dim{k} (k<=3)", lambda k=k, dim=dim: all(
-            _counts_are(n - k + kk, kk, d, row[f"k{kk}"])
-            for kk in (3, 2) for (n, d), row in dim.counts.items()))
+            _counts_are(k, kk, dim.counts) for kk in (3, 2)))
     if suite in ("bounds", "all"):
         yield ("griesmer case formulas", lambda: all(
             bounds.closed_form_bound(n, k) == bounds.griesmer_dmax(n, k)
@@ -214,12 +213,19 @@ def _reproduce_checks(suite: str, full: bool, db_dir: str | None, jobs: int):
                lambda: _below_range_certified(db_dir, jobs))
 
 
-def _counts_are(n, k, d, want) -> bool:
-    """The [n, k, d + j] levels hold want[j] classes, from one direct
-    enumeration of the rung; a level above the Griesmer maximum holds none."""
-    levels = levels_by_columns(n, k, d)
-    return all((levels[d + j].count if d + j in levels else 0) == v
-               for j, v in enumerate(want))
+def _counts_are(k, kk, counts) -> bool:
+    """For each row (n, d) of a DIMENSIONS counts table, the
+    [n - k + kk, kk, d + j] levels hold row[f"k{kk}"][j] classes, from one
+    direct call over all the rows' lengths, each enumerated once from its
+    least d; a level above the Griesmer maximum holds none."""
+    lengths: dict[int, int] = {}
+    for n, d in counts:
+        lengths[n - k + kk] = min(d, lengths.get(n - k + kk, d))
+    levels = levels_by_columns(kk, lengths)
+    return all((levels[n - k + kk, d + j].count
+                if (n - k + kk, d + j) in levels else 0) == v
+               for (n, d), row in counts.items()
+               for j, v in enumerate(row[f"k{kk}"]))
 
 
 def _census_is(n, k, d, strings, db_dir, jobs) -> bool:

@@ -10,7 +10,7 @@ so orbit minima and automorphism group orders are computed by brute
 force too.  Canonical forms are also searched without automorphism
 pruning, every tied partial basis carried to the next level.
 Hill-climbing moves are scored by adding every move's weight change to
-every message.
+every message.  The Griesmer maximum is found by bisection over 1..n.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from lcdlab.bounds import griesmer_sum
 from lcdlab.canonical import canonical_rows, counts_key
 from lcdlab.code import LinearCode, sign_matrix
 from lcdlab.gf2 import BitMatrix, IntMatrix, rref
@@ -28,6 +29,19 @@ CHUNK_BITS = 18
 GL_TABLE_CAP = 4  # |GL(4,2)| = 20160 rows
 BOX_CHUNK = 1 << 16  # box rows box_scan scores per step
 PAIR_SLICE = 1 << 16  # (partial basis, image) pairs tied_search scores per step
+
+
+def griesmer_dmax_bisect(n: int, k: int) -> int:
+    """Largest d in 1..n with griesmer_sum(d, k) <= n, by bisection
+    (the sum grows with d)."""
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if griesmer_sum(mid, k) <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def compositions_oracle(total: int, parts: int) -> list[tuple[int, ...]]:

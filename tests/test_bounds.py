@@ -1,5 +1,6 @@
 import pytest
 
+from brute import griesmer_dmax_bisect
 from lcdlab import tables
 from lcdlab.bounds import closed_form_bound, griesmer_dmax, known_lcd_d
 from lcdlab.classify import classify, classify_by_columns, lcd_census
@@ -16,6 +17,12 @@ def test_griesmer_examples():
     assert griesmer_dmax(35, 5) == 16
     with pytest.raises(ValueError):
         griesmer_dmax(3, 4)
+
+
+def test_griesmer_scan_equals_bisection():
+    for k in range(1, 12):
+        for n in range(k, 700):
+            assert griesmer_dmax(n, k) == griesmer_dmax_bisect(n, k), (n, k)
 
 
 def test_closed_form_examples():

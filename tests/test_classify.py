@@ -18,6 +18,7 @@ from lcdlab.classify import (MAX_LENGTH, _column_candidates, _extend_all,
                              extend_by_inverse_shortening, lcd_census,
                              levels_by_columns)
 from lcdlab.code import make_code
+from lcdlab.families import DIMENSIONS
 from lcdlab.formats import save_codedb
 from lcdlab.gf2 import BitMatrix, rref
 
@@ -133,6 +134,15 @@ def test_oracle_settlement_small():
             assert classify_by_columns(n, k, d).count == oracle.get(d, 0), (n, k, d)
 
 
+def assert_same_level(tmp_path, db, single, where):
+    """Equal databases that also save to the same bytes."""
+    assert db == single, where
+    save_codedb(db, str(tmp_path / "batch.codedb"))
+    save_codedb(single, str(tmp_path / "single.codedb"))
+    assert (tmp_path / "batch.codedb").read_bytes() == \
+        (tmp_path / "single.codedb").read_bytes(), where
+
+
 @pytest.mark.parametrize("n, k, d", [
     (14, 3, 5),   # plain compositions at z <= 2, the WHT branch at z = 3..5
     (20, 2, 11),  # the WHT branch only
@@ -142,20 +152,38 @@ def test_oracle_settlement_small():
 ])
 def test_levels_by_columns_equal_single_levels(tmp_path, n, k, d):
     top = griesmer_dmax(n, k)
-    levels = levels_by_columns(n, k, d)
-    assert list(levels) == list(range(d, top + 1))
-    for dd, db in levels.items():
-        single = classify_by_columns(n, k, dd)
-        assert db == single, dd
-        save_codedb(db, str(tmp_path / "rung.codedb"))
-        save_codedb(single, str(tmp_path / "single.codedb"))
-        assert (tmp_path / "rung.codedb").read_bytes() == \
-            (tmp_path / "single.codedb").read_bytes(), dd
+    levels = levels_by_columns(k, {n: d})
+    assert list(levels) == [(n, dd) for dd in range(d, top + 1)]
+    for (_, dd), db in levels.items():
+        assert_same_level(tmp_path, db, classify_by_columns(n, k, dd), dd)
     # classes with zero columns are filed too, except at the maximum
     zeros = sum(code.column_types().counts[0] > 0
                 for db in levels.values() for code in db.codes())
     assert zeros or d == top
-    assert levels_by_columns(n, k, top + 1) == {}
+    assert levels_by_columns(k, {n: top + 1}) == {}
+
+
+@pytest.mark.parametrize("k", sorted(DIMENSIONS))
+def test_batched_levels_equal_single_levels(tmp_path, k):
+    # one call per kk over the lengths of a counts table, as reproduce
+    # makes them: every level equals its own direct classification
+    for kk in (3, 2):
+        lengths = {}
+        for n, d in DIMENSIONS[k].counts:
+            lengths[n - k + kk] = min(d, lengths.get(n - k + kk, d))
+        levels = levels_by_columns(kk, lengths)
+        assert list(levels) == [(nn, dd) for nn, d in lengths.items()
+                                for dd in range(d, griesmer_dmax(nn, kk) + 1)]
+        for (nn, dd), db in levels.items():
+            assert_same_level(tmp_path, db, classify_by_columns(nn, kk, dd),
+                              (nn, kk, dd))
+
+
+def test_batched_length_above_griesmer_gives_no_level():
+    alone = levels_by_columns(3, {21: 11})
+    batch = levels_by_columns(3, {14: griesmer_dmax(14, 3) + 1, 21: 11})
+    assert list(batch) == list(alone) == [(21, 11), (21, 12)]
+    assert batch == alone
 
 
 def test_extension_degenerate_322():
