@@ -21,6 +21,25 @@ Two engines share one deduplication layer:
   of the whole box keeps, and returns them in the box's lexicographic
   order.
 
+Direct enumeration keeps, for k >= 2, only the vectors that meet the
+orbit rule: message e1 has the least weight, and message e2 the least
+weight of the others (ties allowed on both sides).  No class is lost.
+A basis change T maps each column type x to Tx, so the new vector
+gives message m the weight the old one gave T^t m.  For k >= 2 any two
+distinct nonzero messages a and b are independent, so they extend to a
+basis, and some invertible T has T^t e1 = a and T^t e2 = b: GL(k,2) is
+2-transitive on the nonzero messages.  Taking a of least weight and b
+of least weight among the others, the image of any vector meets the
+rule, so every class keeps at least one candidate.  The other tests a
+candidate passes (its length, zero columns, least and largest message
+weight, and the integrality of the Walsh-Hadamard inverse) are the
+same for every vector of a class, so the dedupe, which keeps the
+canonical vector of each class it meets, returns the same classes and
+every level file is unchanged.  For k = 1 there is one message and no
+rule.  The group is not 3-transitive (a T^t that maps e1, e2 to a, b
+maps e1 + e2 to a + b), so the rule cannot ask the same of message
+3 = e1 + e2.
+
 Both engines build a whole rung, every level d' >= d of an [n, k]
 pair, at once, and direct enumeration may build the rungs of several
 lengths of one dimension in one call.  Equivalence classes are orbits
@@ -76,9 +95,11 @@ def compositions(total: int, parts: int) -> np.ndarray:
     its left remaining columns, so each column is written straight into
     the preallocated int16 output by one repeat of the child values.  The
     last two columns are the children of the final prefixes and what they
-    leave.  Besides the output, the work arrays are a few vectors no
-    longer than the output has rows, so the peak stays a small multiple
-    of the output (1.5x for compositions(30, 7)).
+    leave.  The output is column-major, so each column is one contiguous
+    write and a scorer reads the columns in place.  Besides the output,
+    the work arrays are a few vectors no longer than the output has
+    rows, so the peak stays a small multiple of the output (1.5x for
+    compositions(30, 7)).
     """
     if parts < 1:
         raise ValueError("need at least one part")
@@ -94,7 +115,7 @@ def _compositions(total: int, parts: int, low: int, high: int, prefix: tuple):
     if parts == 1:
         return np.array([prefix + (total,)], dtype=np.int16)
     n = comb(total - low + parts - 1, parts - 1) - comb(total - high + parts - 2, parts - 1)
-    out = np.empty((n, m + parts), dtype=np.int16)
+    out = np.empty((n, m + parts), dtype=np.int16, order="F")
     out[:, :m] = prefix
     value = np.arange(low, high + 1, dtype=np.int16)  # the first parts
     rest = total - value  # what each prefix leaves
@@ -195,30 +216,60 @@ def _file_levels(k: int, ranges: dict[int, tuple[int, int]], method: str,
 
 
 def _least_weight(block: np.ndarray, cover: list[np.ndarray]) -> np.ndarray:
-    """The least message weight of each row of a block of compositions:
-    every message's weight summed from the block's columns for the types
-    it covers, taken from one transposed copy of the block (numpy has no
-    BLAS path for an integer matrix product)."""
-    cols = block.T.copy()
-    least = None
-    for types in cover:
-        w = cols[types[0]].copy()
+    """The least message weight of each row of a block of compositions
+    that meets the orbit rule (k >= 2: message e1 has the least weight,
+    and message e2 the least of the rest), and -1, below every d, for
+    each row that does not.  Every message's weight is summed from the
+    block's columns for the types it covers (numpy has no BLAS path for
+    an integer matrix product), read in place from a column-major block;
+    the messages after e1 and e2 only lower one running least."""
+    cols = np.ascontiguousarray(block.T)
+    w = []  # e1, e2, the least of the rest
+    for i, types in enumerate(cover):
+        wt = cols[types[0]].copy()
         for t in types[1:]:
-            w += cols[t]
-        least = w if least is None else np.minimum(least, w, out=least)
-    return least
+            wt += cols[t]
+        if i < 3:
+            w.append(wt)
+        else:
+            np.minimum(w[2], wt, out=w[2])
+    if len(w) == 1:  # k = 1: a single message, no rule
+        return w[0]
+    e1, e2, rest = w
+    e1[(e1 > e2) | (e2 > rest)] = -1
+    return e1
+
+
+def _ordered_compositions(total: int, parts: int, most: int) -> np.ndarray:
+    """The compositions u of total into parts >= 3 parts with
+    u[0] <= most that meet the orbit rule, u[0] <= u[1] <= u[i] for
+    every i >= 2, in lexicographic order: u = (j, j + l, j + l + r) for
+    each composition r of total - parts j - (parts - 1) l into parts - 2
+    parts, one call of compositions per (j, l)."""
+    blocks = []
+    for j in range(min(most, total // parts) + 1):
+        for l in range((total - parts * j) // (parts - 1) + 1):
+            r = compositions(total - parts * j - (parts - 1) * l, parts - 2)
+            u = np.empty((len(r), parts), dtype=np.int16)
+            u[:, 0] = j
+            u[:, 1] = j + l
+            u[:, 2:] = r + (j + l)
+            blocks.append(u)
+    return np.concatenate(blocks)
 
 
 def _column_candidates(n: int, k: int, d: int, top: int | None = None):
     """Yield (z, vecs) arrays of full multiplicity vectors with min weight
-    in d..top (top defaults to d), z zero columns among n.  As d >= 1,
-    the supported types span F2^k (a message orthogonal to all of them
-    would have weight 0), so every vector is the column multiset of an
-    [n, k, d'] code.
+    in d..top (top defaults to d), z zero columns among n, that meet the
+    orbit rule of the module docstring, so at least one vector of every
+    class.  As d >= 1, the supported types span F2^k (a message
+    orthogonal to all of them would have weight 0), so every vector is
+    the column multiset of an [n, k, d'] code.
 
     In the Walsh-Hadamard branch a vector is its excess message weights
     u = wt - d, a composition of u_total(d); those with min(u) = j are
-    exactly the level d + j ones, so keeping min(u) <= top - d
+    exactly the level d + j ones.  Under the rule min(u) = u[0], so
+    building only the ordered compositions with u[0] <= top - d
     enumerates every level of the range at once."""
     top = d if top is None else top
     q = (1 << k) - 1
@@ -245,11 +296,9 @@ def _column_candidates(n: int, k: int, d: int, top: int | None = None):
                 least = _least_weight(block, cover)
                 sel.append(block[(least >= d) & (least <= top)])
             sel = np.concatenate(sel)
-        else:
-            ups = compositions(u_total, q)
-            cap = s - d
-            keep = (ups.max(axis=1) <= cap) & (ups.min(axis=1) <= top - d)
-            ups = ups[keep]
+        else:  # k >= 2: at k = 1 both counts are 1
+            ups = _ordered_compositions(u_total, q, top - d)
+            ups = ups[ups.max(axis=1) <= s - d]
             if not len(ups):
                 continue
             t = np.empty((len(ups), 1 << k), dtype=np.int64)

@@ -7,8 +7,10 @@ of F2^n and every codeword, or through every row of the seed's
 column-type box, and equivalence is decided by trying every
 column permutation.  For k <= 4 the whole group GL(k,2) is tabulated,
 so orbit minima and automorphism group orders are computed by brute
-force too.  Canonical forms are also searched without automorphism
-pruning, every tied partial basis carried to the next level.
+force too.  Every labelled vector of a level is walked type by type,
+with no orbit rule, for the orbit-stabilizer count.  Canonical forms
+are also searched without automorphism pruning, every tied partial
+basis carried to the next level.
 Hill-climbing moves are scored by adding every move's weight change to
 every message.  The Griesmer maximum is found by bisection over 1..n.
 """
@@ -54,6 +56,45 @@ def compositions_oracle(total: int, parts: int) -> list[tuple[int, ...]]:
         edges = (-1,) + bars + (total + parts - 1,)
         out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
     return out
+
+
+def labelled_vectors(n: int, k: int, d: int) -> np.ndarray:
+    """Every multiplicity vector (zero columns, then types 1 .. 2^k - 1)
+    of n columns whose least message weight is exactly d, with no orbit
+    rule, as an int16 array.
+
+    The zero columns are placed first and then the types from the last
+    down, each with every count the columns left allow, so the types
+    still to come span ever smaller subspaces and the messages
+    orthogonal to all of them are complete early.  Each of the L columns
+    still to place adds 1 to the weight of exactly 2^(k-1) messages, so
+    a prefix is dropped once the weights it leaves below d, summed, need
+    more than 2^(k-1) L, once some message can no longer reach d (by L
+    if a type to come covers it, else not at all), or once every
+    message is already above d."""
+    q = 1 << k
+    order = [0] + list(range(q - 1, 0, -1))
+    messages = np.arange(1, q)
+    covers = (np.bitwise_count(messages[:, None] & np.arange(q)) & 1).T.astype(np.int16)
+    counts = np.zeros((1, 0), dtype=np.int16)
+    weights = np.zeros((1, q - 1), dtype=np.int16)
+    left = np.array([n], dtype=np.int16)
+    for i, t in enumerate(order):
+        if i < q - 1:
+            size = left.astype(np.int64) + 1
+            parent = np.repeat(np.arange(len(left)), size)
+            c = (np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)).astype(np.int16)
+        else:  # the last type takes every column left
+            parent, c = np.arange(len(left)), left
+        counts = np.column_stack([counts[parent], c])
+        weights = weights[parent] + c[:, None] * covers[t]
+        left = left[parent] - c
+        reach = covers[order[i + 1:]].any(axis=0) * left[:, None]  # the most each message gains
+        short = np.maximum(d - weights, 0)
+        live = ((short.sum(axis=1) <= (q >> 1) * left.astype(np.int64))
+                & (short <= reach).all(axis=1) & (weights.min(axis=1) <= d))
+        counts, weights, left = counts[live], weights[live], left[live]
+    return counts[weights.min(axis=1) == d][:, np.argsort(order)]
 
 
 def subspace_class_counts(n: int, k: int) -> dict[int, int]:

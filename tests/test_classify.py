@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brute import (aut_order, box_scan, compositions_oracle, extension_classes,
-                   gl2_matrices, min_weight, subspace_class_counts)
+                   gl2_matrices, labelled_vectors, min_weight,
+                   subspace_class_counts)
 from lcdlab.bounds import griesmer_dmax
 from lcdlab.canonical import canonical_classes, canonical_rows, counts_key
 from lcdlab.classify import (MAX_LENGTH, _column_candidates, _extend_all,
@@ -33,6 +34,13 @@ LADDER_DIGESTS = {
         "n22k3d12.codedb": "689e40fbb9a2c86603b665739b9476c40c6430d54628ca627f1a463ff3d872a3",
         "n23k4d12.codedb": "e80b686f7f763f30a1db284ef7a773b2af13ee25c186293d1282eb81cc86dbb5",
     },
+}
+# sha256 of saved classify_by_columns levels: [10,4,3] takes the plain
+# branch at z = 0..3 (and the Walsh-Hadamard one at z = 4), [16,4,8] the
+# Walsh-Hadamard branch at both its zero-column counts
+DIRECT_DIGESTS = {
+    (10, 4, 3): "7e90b74677d9dff7edecc95b6d0c500f15713a3610618028bc62037fc6bdfbe3",
+    (16, 4, 8): "ddfd51ab773ef16a9fd2b46d0b975912c24e8871f7d67b4a4979d3b0630323c7",
 }
 
 
@@ -424,19 +432,73 @@ def _labelled_count(classes, k: int) -> int:
     return sum(group // aut_order(counts, k) for counts in classes)
 
 
+def distinct_rows(arrays) -> set[tuple[int, ...]]:
+    return {tuple(row) for vecs in arrays for row in vecs.tolist()}
+
+
+def class_list(arrays, k: int) -> list[tuple[int, ...]]:
+    return sorted(tuple(int(x) for x in row) for row in canonical_classes(arrays, k))
+
+
 @pytest.mark.parametrize("n, k, d, classes, labelled",
                          [(10, 4, 4, 24, 31_636), (12, 4, 5, 13, 48_300)])
 def test_classes_account_for_every_labelled_candidate(n, k, d, classes, labelled):
-    # orbit-stabilizer: the direct candidates are every vector of the
+    # orbit-stabilizer: the oracle's vectors are every vector of the
     # level, so the orbits of the classes must cover them exactly
-    arrays = [vecs for _, vecs in _column_candidates(n, k, d)]
-    assert sum(len(vecs) for vecs in arrays) == labelled
-    found = [tuple(int(x) for x in row) for row in canonical_classes(arrays, k)]
+    vectors = labelled_vectors(n, k, d)
+    assert len(vectors) == len(distinct_rows([vectors])) == labelled
+    found = class_list([vectors], k)
     assert len(found) == classes
     assert _labelled_count(found, k) == labelled
     # a census that missed a class would break the identity
     for i in range(len(found)):
         assert _labelled_count(found[:i] + found[i + 1:], k) < labelled
+    # the direct candidates are some of those vectors, with every class
+    arrays = [vecs for _, vecs in _column_candidates(n, k, d)]
+    assert distinct_rows(arrays) <= distinct_rows([vectors])
+    assert class_list(arrays, k) == found
+
+
+def message_weights(vecs: np.ndarray, k: int) -> np.ndarray:
+    """(R, 2^k - 1) weights of messages 1 .. 2^k - 1, from the parity of
+    each message against each type."""
+    types = np.arange(1 << k)
+    covers = np.bitwise_count(types[1:, None] & types) & 1
+    return vecs.astype(np.int64) @ covers.T
+
+
+@pytest.mark.parametrize("n, k, d", [
+    (6, 1, 3),    # a single message: no rule
+    (60, 2, 8),   # plain compositions to z = 36, the WHT branch from z = 37
+    (20, 2, 11),  # the WHT branch only
+    (7, 3, 2),    # plain compositions, the WHT branch at z = 3
+    (14, 3, 6),   # plain compositions at z = 0, the WHT branch from z = 1
+    (21, 3, 11),  # the WHT branch only
+    (10, 4, 4),   # plain compositions, the WHT branch at z = 2
+    (5, 5, 1),    # plain compositions: 83,328 vectors of one class
+])
+def test_direct_candidates_meet_the_orbit_rule(n, k, d):
+    # every level d..dmax at once: each candidate has its least weight at
+    # message e1 and the least of the rest at e2, and the candidates are
+    # some of the level's labelled vectors with every class among them
+    top = griesmer_dmax(n, k)
+    arrays = [vecs for _, vecs in _column_candidates(n, k, d, top)]
+    w = message_weights(np.concatenate(arrays), k)
+    if k > 1:
+        assert (w[:, 0] == w.min(axis=1)).all()
+        assert (w[:, 1] == w[:, 1:].min(axis=1)).all()
+    vectors = [labelled_vectors(n, k, dd) for dd in range(d, top + 1)]
+    assert distinct_rows(arrays) <= distinct_rows(vectors)
+    assert class_list(arrays, k) == class_list(vectors, k)
+    if k > 1:  # the rule keeps fewer vectors than the levels hold
+        assert sum(map(len, arrays)) < sum(map(len, vectors))
+
+
+def test_direct_level_bytes_pinned(tmp_path):
+    for (n, k, d), digest in DIRECT_DIGESTS.items():
+        path = tmp_path / f"n{n}k{k}d{d}.codedb"
+        save_codedb(classify_by_columns(n, k, d), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (n, k, d)
 
 
 @pytest.mark.parametrize("n, k, d, chunk", [(10, 4, 4, 3000), (14, 3, 6, 7), (60, 2, 8, 7)])
