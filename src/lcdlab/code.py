@@ -83,21 +83,6 @@ class TypeMultiplicity:
                     t ^= low
         return BitMatrix(self.k, start + self.counts[0], tuple(rows))
 
-    def gram(self) -> BitMatrix:
-        """G G^T over GF(2) for every generator G realizing the multiset.
-
-        Each column of type t adds t t^T, so only the types of odd count
-        are left: row i is the sum of the odd types t with bit i set."""
-        rows = [0] * self.k
-        for t, c in enumerate(self.counts):
-            if c & 1:
-                bits = t
-                while bits:
-                    low = bits & -bits
-                    rows[low.bit_length() - 1] ^= t
-                    bits ^= low
-        return BitMatrix(self.k, self.k, tuple(rows))
-
 
 @lru_cache(maxsize=None)
 def sign_matrix(k: int) -> np.ndarray:

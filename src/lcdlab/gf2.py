@@ -118,22 +118,27 @@ def rref(m: BitMatrix) -> RrefResult:
     preserved; no column pivoting.
     """
     rows = list(m.data)
+    height = m.rows
     pivots = []
     r = 0
     for c in range(m.cols):
-        if r == m.rows:
+        if r == height:
             break
         bit = 1 << c
-        p = next((i for i in range(r, m.rows) if rows[i] & bit), None)
-        if p is None:
+        for p in range(r, height):
+            if rows[p] & bit:
+                break
+        else:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        for i in range(m.rows):
+        piv = rows[p]
+        rows[p] = rows[r]
+        rows[r] = piv
+        for i in range(height):
             if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
+                rows[i] ^= piv
         pivots.append(c)
         r += 1
-    return RrefResult(BitMatrix(m.rows, m.cols, tuple(rows)), len(pivots), tuple(pivots))
+    return RrefResult(BitMatrix(m.rows, m.cols, tuple(rows)), r, tuple(pivots))
 
 
 def gram(g: BitMatrix) -> BitMatrix:

@@ -40,9 +40,13 @@ Only a type that holds a column can give one up, so only the rows i of
 the occupied types are built: at most n of the 2^k - 1, in ascending
 order, so that the first tied move is the first in row-major order over
 all moves.  The no-op moves i -> i are set to inf, so they are never
-tied (for k = 1 every move is a no-op, and the step is stuck).  The
-message weights w are kept across the steps of a restart: a move
-i -> j adds a[m, j] - a[m, i] to w_m.
+tied (for k = 1 every move is a no-op, and the step is stuck); row r of
+f starts at flat offset r (2^k - 1), so they are set through one flat
+index per row.  The message weights are kept across the steps of a
+restart as their excess e = w - c over the minimum, whose least entry is
+0, so that e indexes u's table directly: a move i -> j adds
+a[m, j] - a[m, i] to e_m, and a step that changes c shifts e back by the
+change.
 
 So are c and #{w = c}, which a restart computes once.  Every move the
 step may take ties with best, so its f has best's top digit: digit p/k,
@@ -54,12 +58,15 @@ messages.  (A sideways step has p = 3k and keeps both.)
 A state is checked for LCD only once its minimum reaches d.  By Massey
 (1992) a full-rank code is LCD exactly when G G^T is nonsingular, and
 each column of type t adds t t^T to G G^T, so over GF(2)
-G G^T = sum of t t^T over the types t of odd count: the k x k
-TypeMultiplicity.gram, whose rank gf2.rref gives without building a
-code.  Only a state of rank k becomes a LinearCode, which is checked
-again, LCD and weight, before it is returned.  The check depends on the
-state alone, so each restart keeps the states it has rejected and checks
-none of them twice: the plateau walk returns to the same states often.
+G G^T = sum of t t^T over the types t of odd count.  The search carries
+that k x k matrix as one int, row i in bits ik .. ik + k - 1: a move
+i -> j flips the parity of both types, so it XORs in the packed t t^T of
+each.  The rank depends on the Gram alone, so each restart keeps the
+verdict of every Gram it has met, keyed by that int, and only a Gram not
+met before is unpacked and reduced by gf2.rref: the plateau walk returns
+to the same states often.  Only a state whose Gram has rank k becomes a
+LinearCode, which is checked again, LCD and weight, before it is
+returned.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ import numpy as np
 
 from .bounds import griesmer_dmax
 from .code import LinearCode, TypeMultiplicity, message_weight_matrix
-from .gf2 import MAX_DIM, rref
+from .gf2 import MAX_DIM, BitMatrix, rref
 
 SEARCH_CAP = 10  # 2^(5k) <= 2^53: move values exact in float64
 
@@ -89,25 +96,49 @@ class SearchBudget:
 
 
 @lru_cache(maxsize=None)
-def _digit_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The message-weight matrix a (symmetric), the float64 tables
-    x[i, m] = B^a[m, i] and y[m, j] = B^(1 - a[m, j]), and u's values
-    (B^2, B, 1, 0) indexed by min(w_m - c, 3)."""
-    a = message_weight_matrix(k).astype(np.int32)
-    return (a, np.exp2(k * a.T), np.exp2(k * (1 - a)),
-            np.array([1 << 2 * k, 1 << k, 1, 0], dtype=np.float64))
+def _digit_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                   np.ndarray, tuple[int, ...]]:
+    """The message-weight matrix a (symmetric; intp, so that the excess
+    weights it gives index u's table without a cast), the float64 tables
+    x[i, m] = B^a[m, i] and y[m, j] = B^(1 - a[m, j]), u's values
+    (B^2, B, 1, 0) indexed by min(e_m, 3), the flat offsets r (2^k - 1)
+    of the rows of f, and the packed t t^T of each nonzero type t (row i
+    in bits ik .. ik + k - 1: t where bit i of t is set)."""
+    a = message_weight_matrix(k).astype(np.intp)
+    q = len(a)
+    outer = tuple(sum(t << i * k for i in range(k) if t >> i & 1) for t in range(1, q + 1))
+    # a is symmetric, so x = B^(a^T) is B^a, whose rows C order keeps contiguous
+    return (a, np.exp2(k * a), np.exp2(k * (1 - a)),
+            np.array([1 << 2 * k, 1 << k, 1, 0], dtype=np.float64),
+            np.arange(q) * q, outer)
 
 
-def move_scores(counts: np.ndarray, w: np.ndarray, k: int,
-                c: int) -> tuple[np.ndarray, np.ndarray]:
+def move_scores(counts: np.ndarray, e: np.ndarray,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
     """(occupied types occ, digit counts f of every move occ[r] -> j at
-    [r, j]) for nonzero-type multiplicities counts with message weights w
-    of minimum c; the no-op moves occ[r] -> occ[r] are inf."""
-    _, x, y, level = _digit_tables(k)
+    [r, j]) for nonzero-type multiplicities counts whose message weights
+    exceed their minimum by e; the no-op moves occ[r] -> occ[r] are inf."""
+    _, x, y, level, rows, _ = _digit_tables(k)
     occ = counts.nonzero()[0]
-    f = (x[occ] * level.take(w - c, mode="clip")) @ y
-    f[np.arange(len(occ)), occ] = np.inf
+    f = (x.take(occ, axis=0) * level.take(e, mode="clip")) @ y
+    f.ravel()[rows[:len(occ)] + occ] = np.inf
     return occ, f
+
+
+def _parity_gram(counts: np.ndarray, k: int) -> int:
+    """G G^T over GF(2) for nonzero-type multiplicities counts, packed:
+    the XOR of the packed t t^T of the types t of odd count."""
+    outer = _digit_tables(k)[-1]
+    gram = 0
+    for t in np.flatnonzero(counts & 1).tolist():
+        gram ^= outer[t]
+    return gram
+
+
+def _full_rank(gram: int, k: int) -> bool:
+    """Whether the packed k x k Gram has rank k."""
+    rows = tuple(gram >> b & ((1 << k) - 1) for b in range(0, k * k, k))
+    return rref(BitMatrix(k, k, rows)).rank == k
 
 
 def tie_range(least: int, k: int) -> tuple[int, int]:
@@ -137,7 +168,7 @@ def search_lcd(n: int, k: int, d: int,
         raise ValueError(
             f"d={d} exceeds the Griesmer maximum {griesmer_dmax(n, k)} for [{n},{k}]")
     q = (1 << k) - 1
-    a = _digit_tables(k)[0]
+    a, *_, outer = _digit_tables(k)
     rng = random.Random(budget.rng_seed)
     steps = 0
     for _restart in range(budget.restarts):
@@ -146,21 +177,25 @@ def search_lcd(n: int, k: int, d: int,
         counts = np.zeros(q, dtype=np.int32)
         for _ in range(n):
             counts[rng.randrange(q)] += 1
-        w = a @ counts
-        cur_min = int(w.min())
-        at_min = int(np.count_nonzero(w == cur_min))
+        e = a @ counts
+        cur_min = int(e.min())
+        e -= cur_min
+        at_min = int(np.count_nonzero(e == 0))
+        gram = _parity_gram(counts, k)
         plateau = 8 * n
-        rejected: set[bytes] = set()  # states of this restart that are not LCD
+        verdicts: dict[int, bool] = {}  # full rank, by this restart's Grams
         while steps < budget.max_iterations:
             steps += 1
-            occ, f = move_scores(counts, w, k, cur_min)
-            if cur_min >= d and (state := counts.tobytes()) not in rejected:
-                types = TypeMultiplicity(k, (0, *counts.tolist()))
-                if rref(types.gram()).rank == k:
+            occ, f = move_scores(counts, e, k)
+            if cur_min >= d:
+                lcd = verdicts.get(gram)
+                if lcd is None:
+                    lcd = verdicts[gram] = _full_rank(gram, k)
+                if lcd:
+                    types = TypeMultiplicity(k, (0, *counts.tolist()))
                     code = LinearCode(types.generator())
                     if code.is_lcd() and code.min_weight() >= d:
                         return code
-                rejected.add(state)
             least = f.min()
             if least == np.inf:
                 break  # no real move (k = 1): stuck
@@ -175,11 +210,14 @@ def search_lcd(n: int, k: int, d: int,
             else:
                 break  # stuck: restart
             r, j = divmod(move, q)
-            i = occ[r]
+            i = int(occ[r])
             counts[i] -= 1
             counts[j] += 1
-            w += a[j] - a[i]  # a is symmetric: row t is column t
+            gram ^= outer[i] ^ outer[j]  # both types change parity
+            e += a[j] - a[i]  # a is symmetric: row t is column t
             p = (bound - best).bit_length() - 1  # bound = best + 2^p
-            cur_min += 3 - p // k  # digit p / k counts weight c + 3 - p / k
+            if shift := 3 - p // k:  # digit p / k counts weight c + 3 - p / k
+                cur_min += shift
+                e -= shift
             at_min = best >> p
     return None

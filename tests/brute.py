@@ -12,7 +12,10 @@ with no orbit rule, for the orbit-stabilizer count.  Canonical forms
 are also searched without automorphism pruning, every tied partial
 basis carried to the next level.
 Hill-climbing moves are scored by adding every move's weight change to
-every message.  The Griesmer maximum is found by bisection over 1..n.
+every message, and the parity Gram of a column multiset is summed type
+by type.  Reduced echelon forms are found on lists of bits, by forward
+elimination and then back substitution.  The Griesmer maximum is found
+by bisection over 1..n.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from lcdlab.bounds import griesmer_sum
 from lcdlab.canonical import canonical_rows, counts_key
-from lcdlab.code import LinearCode, sign_matrix
+from lcdlab.code import LinearCode, TypeMultiplicity, sign_matrix
 from lcdlab.gf2 import BitMatrix, IntMatrix, rref
 
 CHUNK_BITS = 18
@@ -370,6 +373,43 @@ def type_permutation(mat_rows: tuple[int, ...], k: int) -> tuple[int, ...]:
     for v in range(1, 1 << k):
         perm[v] = sum(((mat_rows[i] & v).bit_count() & 1) << i for i in range(k))
     return tuple(perm)
+
+
+def parity_gram(tm: TypeMultiplicity) -> BitMatrix:
+    """G G^T over GF(2) for every generator G realizing the multiset.
+
+    Each column of type t adds t t^T, so only the types of odd count
+    are left: row i is the sum of the odd types t with bit i set."""
+    rows = [0] * tm.k
+    for t, c in enumerate(tm.counts):
+        if c & 1:
+            for i in range(tm.k):
+                if t >> i & 1:
+                    rows[i] ^= t
+    return BitMatrix(tm.k, tm.k, tuple(rows))
+
+
+def rref_lists(m: BitMatrix) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    """(reduced row-echelon form as 0/1 lists, rank, pivot columns) of m:
+    forward elimination clears each pivot's column below it, then back
+    substitution, from the last pivot up, clears it above."""
+    a = to_lists(m)
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        below = [i for i in range(r, m.rows) if a[i][c]]
+        if not below:
+            continue
+        a[r], a[below[0]] = a[below[0]], a[r]
+        for i in range(r + 1, m.rows):
+            if a[i][c]:
+                a[i] = [x ^ y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    for r in reversed(range(len(pivots))):
+        for i in range(r):
+            if a[i][pivots[r]]:
+                a[i] = [x ^ y for x, y in zip(a[i], a[r])]
+    return a, len(pivots), tuple(pivots)
 
 
 def transpose(m: BitMatrix) -> BitMatrix:

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import int_gram, matmul, mod2, to_lists, transpose
+from brute import int_gram, matmul, mod2, rref_lists, to_lists, transpose
 from lcdlab.families import build_generator
 from lcdlab.gf2 import BitMatrix, IntMatrix, det_int, gram, nullspace, rref
 
@@ -79,6 +79,38 @@ def test_det_int_bareiss():
     assert det_int(m) == 2 * (1 * 4 - 0 * 3) - 0 + 1 * (3 - 0)
     assert det_int(IntMatrix(2, 2, ((0, 1), (1, 0)))) == -1
     assert det_int(IntMatrix(2, 2, ((1, 2), (2, 4)))) == 0
+
+
+@st.composite
+def rref_cases(draw):
+    """Random rows, then rows that are sums of some of them (so the rank
+    falls short of the rows), shuffled; no rows at all is a case too."""
+    cols = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=7))
+    for mask in draw(st.lists(st.integers(0, (1 << len(rows)) - 1),
+                              max_size=4 if rows else 0)):
+        acc = 0
+        for i, r in enumerate(rows):
+            if mask >> i & 1:
+                acc ^= r
+        rows.append(acc)
+    rows = draw(st.permutations(rows))
+    return BitMatrix(len(rows), cols, tuple(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rref_cases())
+@example(BitMatrix(0, 5, ()))  # no rows
+@example(BitMatrix(3, 0, (0, 0, 0)))  # no columns
+@example(BitMatrix(3, 4, (0, 0, 0)))  # all zero
+@example(BitMatrix(3, 4, (0b0110, 0b0110, 0b1010)))  # a repeated row
+def test_rref_matches_elimination_oracle(m):
+    """rref equals an elimination on lists of bits, zero rows last."""
+    red = rref(m)
+    want, rank, pivots = rref_lists(m)
+    assert (red.rank, red.pivots) == (rank, pivots)
+    assert to_lists(red.matrix) == want
+    assert (red.matrix.rows, red.matrix.cols) == (m.rows, m.cols)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import neighbour_scores
+from brute import neighbour_scores, parity_gram
 from lcdlab import search
+from lcdlab.code import LinearCode, TypeMultiplicity
+from lcdlab.gf2 import rref
 from lcdlab.search import SearchBudget, move_scores, search_lcd, tie_range
 
 # generator rows of the codes found under each budget, one per
@@ -56,15 +58,16 @@ PINNED_PATHS = {
 def record_states(monkeypatch):
     """Route move_scores through a wrapper that hashes and counts every
     state it is passed, and checks that the minimum the search carries
-    from step to step is the least message weight; returns the running
+    from step to step is the least message weight: the weights it passes
+    are their excess over it, so their least is 0; returns the running
     (hash, [count])."""
     digest, calls = hashlib.sha256(), [0]
 
-    def recording(counts, w, k, c):
-        assert c == int(w.min())
+    def recording(counts, e, k):
+        assert int(e.min()) == 0
         calls[0] += 1
         digest.update(counts.tobytes())
-        return move_scores(counts, w, k, c)
+        return move_scores(counts, e, k)
 
     monkeypatch.setattr(search, "move_scores", recording)
     return digest, calls
@@ -80,6 +83,64 @@ def test_search_paths_pinned(monkeypatch, target):
     assert search_lcd(n, k, d, SearchBudget(2000, rng_seed=1, restarts=2000)) is None
     assert calls[0] == 2000
     assert digest.hexdigest() == PINNED_PATHS[target]
+
+
+def test_rank_checked_once_per_gram(monkeypatch):
+    """The pinned (18,5,8) miss is at weight d = 8 on 1,909 of its 2,000
+    steps, on 475 states that are not LCD, as the plateau walk returns to
+    them; each restart reduces a Gram only the first time it meets it, so
+    no more than 475 eliminations run."""
+    calls = [0]
+
+    def counting(m):
+        calls[0] += 1
+        return rref(m)
+
+    monkeypatch.setattr(search, "rref", counting)
+    monkeypatch.setattr(search, "LinearCode", None)  # building one raises
+    assert search_lcd(18, 5, 8, SearchBudget(2000, rng_seed=1, restarts=2000)) is None
+    assert 0 < calls[0] <= 475
+
+
+@st.composite
+def walks(draw):
+    """Multiplicities at k <= 7 and moves i -> j between nonzero types."""
+    k = draw(st.integers(1, 7))
+    q = (1 << k) - 1
+    counts = draw(st.lists(st.integers(0, 3), min_size=q, max_size=q))
+    moves = draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)),
+                          max_size=20))
+    return k, np.array(counts, dtype=np.int32), moves
+
+
+@settings(max_examples=200, deadline=None)
+@given(walks())
+@example((1, np.array([2], dtype=np.int32), [(0, 0)]))  # [2,1]: Gram 0
+# I_3 and 111 (not LCD), then I_3 and 011 (LCD), and back
+@example((3, np.array([1, 1, 0, 1, 0, 0, 1], dtype=np.int32), [(6, 2), (2, 6)]))
+def test_carried_gram_matches_brute(walk):
+    """The packed Gram the search carries, XORed with the packed t t^T of
+    both types of each move, unpacks to the oracle's parity Gram after
+    every move, and on states of full rank its verdict is is_lcd's."""
+    k, counts, moves = walk
+    outer = search._digit_tables(k)[-1]
+    gram = search._parity_gram(counts, k)
+
+    def check():
+        types = TypeMultiplicity(k, (0, *counts.tolist()))
+        rows = tuple(gram >> b & ((1 << k) - 1) for b in range(0, k * k, k))
+        assert rows == parity_gram(types).data
+        g = types.generator()
+        if rref(g).rank == k:
+            assert search._full_rank(gram, k) == LinearCode(g).is_lcd()
+
+    check()
+    for i, j in moves:
+        if counts[i]:  # only an occupied type gives up a column
+            counts[i] -= 1
+            counts[j] += 1
+            gram ^= outer[i] ^ outer[j]
+            check()
 
 
 def test_rank_deficient_state_keeps_moving(monkeypatch):
@@ -118,7 +179,7 @@ def test_move_scores_match_brute(state):
     nonzero = np.arange(1, 1 << k)
     w = ((np.bitwise_count(nonzero[:, None] & nonzero) & 1) @ counts).astype(np.int32)
     c = int(w.min())
-    occ, f = move_scores(counts, w, k, c)
+    occ, f = move_scores(counts, w - c, k)
     assert occ.tolist() == np.flatnonzero(counts).tolist()
     real = np.ones(f.shape, dtype=bool)
     real[np.arange(len(occ)), occ] = False  # the no-op moves occ[r] -> occ[r]
