@@ -51,6 +51,11 @@ canonical vector, both invariants of the class, so classes of
 different lengths never merge.  Each level is then verified on its
 own by _build_db.  A stored level is read only once it matches what
 building it would store.
+
+In the Walsh-Hadamard branch the lengths and zero-column counts of one
+direct call often ask for the same ordered compositions.  Each table
+is built once per call, from arrays of its (j, l) pairs, and kept in a
+dict that the call drops when it returns, so no array outlives it.
 """
 
 from __future__ import annotations
@@ -86,8 +91,10 @@ class CensusResult:
     lcd_keys: tuple[bytes, ...]
 
 
-def compositions(total: int, parts: int) -> np.ndarray:
-    """All vectors in Z_{>=0}^parts with the given sum, lexicographic order.
+def compositions(total: int | np.ndarray, parts: int) -> np.ndarray:
+    """All vectors in Z_{>=0}^parts with the given sum, lexicographic
+    order, as int16; for a 1-d array of totals, those of each total in
+    turn.
 
     Built one column at a time over all prefixes at once: a prefix with
     r left to place has the children 0..r in its next column, and a child
@@ -103,9 +110,44 @@ def compositions(total: int, parts: int) -> np.ndarray:
     """
     if parts < 1:
         raise ValueError("need at least one part")
-    if total < 0:
+    totals = np.atleast_1d(total).astype(np.int64)
+    if (totals < 0).any():
         raise ValueError("need total >= 0")
-    return _compositions(total, parts, 0, total, ())
+    top = int(totals.max(initial=0))
+    out = np.empty((int(_cover(parts, top)[totals].sum()), parts),
+                   dtype=np.int16, order="F")
+    _fill_compositions(out, totals, top)
+    return out
+
+
+def _cover(left: int, top: int) -> np.ndarray:
+    """comb(r + left - 1, left - 1), the number of compositions of r
+    into left parts, for r = 0..top."""
+    return np.array([comb(r + left - 1, left - 1) for r in range(top + 1)],
+                    dtype=np.int64)
+
+
+def _spread(value: np.ndarray, rest: np.ndarray, left: int, top: int):
+    """Each prefix's value repeated over the rows it covers: the
+    compositions of what it leaves, r <= top, into left parts."""
+    return value if left == 1 else value.repeat(_cover(left, top)[rest])
+
+
+def _fill_compositions(out: np.ndarray, rest: np.ndarray, top: int):
+    """Write into the columns of out the compositions into that many
+    parts of each r <= top of rest in turn."""
+    parts = out.shape[1]
+    for j in range(parts - 1):
+        size = rest.astype(np.int64) + 1  # children per prefix
+        # child value 0..r within each prefix: ones, reset at each prefix start
+        value = np.ones(int(size.sum()), dtype=np.int16)
+        value[0] = 0
+        value[size[:-1].cumsum()] = 1 - size[:-1]
+        value.cumsum(dtype=np.int16, out=value)
+        rest = rest.repeat(size)
+        rest -= value
+        out[:, j] = _spread(value, rest, parts - 1 - j, top)
+    out[:, -1] = rest
 
 
 def _compositions(total: int, parts: int, low: int, high: int, prefix: tuple):
@@ -119,24 +161,8 @@ def _compositions(total: int, parts: int, low: int, high: int, prefix: tuple):
     out[:, :m] = prefix
     value = np.arange(low, high + 1, dtype=np.int16)  # the first parts
     rest = total - value  # what each prefix leaves
-    for j in range(parts - 1):
-        if j:
-            size = rest.astype(np.int64) + 1  # children per prefix
-            # child value 0..r within each prefix: ones, reset at each prefix start
-            value = np.ones(int(size.sum()), dtype=np.int16)
-            value[0] = 0
-            value[np.cumsum(size[:-1])] = 1 - size[:-1]
-            np.cumsum(value, dtype=np.int16, out=value)
-            rest = np.repeat(rest, size)
-            rest -= value
-        left = parts - 1 - j  # columns after column j
-        if left > 1:
-            cover = np.array([comb(r + left - 1, left - 1)
-                              for r in range(total + 1)], dtype=np.int64)
-            out[:, m + j] = np.repeat(value, cover[rest])
-        else:
-            out[:, m + j] = value
-    out[:, -1] = rest
+    out[:, m] = _spread(value, rest, parts - 1, total)
+    _fill_compositions(out[:, m + 1:], rest, total)
     return out
 
 
@@ -244,21 +270,24 @@ def _ordered_compositions(total: int, parts: int, most: int) -> np.ndarray:
     """The compositions u of total into parts >= 3 parts with
     u[0] <= most that meet the orbit rule, u[0] <= u[1] <= u[i] for
     every i >= 2, in lexicographic order: u = (j, j + l, j + l + r) for
-    each composition r of total - parts j - (parts - 1) l into parts - 2
-    parts, one call of compositions per (j, l)."""
-    blocks = []
-    for j in range(min(most, total // parts) + 1):
-        for l in range((total - parts * j) // (parts - 1) + 1):
-            r = compositions(total - parts * j - (parts - 1) * l, parts - 2)
-            u = np.empty((len(r), parts), dtype=np.int16)
-            u[:, 0] = j
-            u[:, 1] = j + l
-            u[:, 2:] = r + (j + l)
-            blocks.append(u)
-    return np.concatenate(blocks)
+    each composition r of rest = total - parts j - (parts - 1) l into
+    parts - 2 parts.  The (j, l) pairs are built as arrays, and one call
+    of compositions makes the r of every pair."""
+    j = np.arange(min(most, total // parts) + 1)
+    per_j = (total - parts * j) // (parts - 1) + 1  # l = 0 .. per_j - 1
+    j = np.repeat(j, per_j)
+    l = np.arange(len(j)) - np.repeat(np.cumsum(per_j) - per_j, per_j)
+    rest = total - parts * j - (parts - 1) * l
+    size = _cover(parts - 2, total)[rest]  # rows of each pair
+    u = np.empty((int(size.sum()), parts), dtype=np.int16)
+    u[:, 0] = j.repeat(size)
+    u[:, 1] = (j + l).repeat(size)
+    u[:, 2:] = compositions(rest, parts - 2) + u[:, 1:2]
+    return u
 
 
-def _column_candidates(n: int, k: int, d: int, top: int | None = None):
+def _column_candidates(n: int, k: int, d: int, top: int | None = None,
+                       tables: dict | None = None):
     """Yield (z, vecs) arrays of full multiplicity vectors with min weight
     in d..top (top defaults to d), z zero columns among n, that meet the
     orbit rule of the module docstring, so at least one vector of every
@@ -270,8 +299,12 @@ def _column_candidates(n: int, k: int, d: int, top: int | None = None):
     u = wt - d, a composition of u_total(d); those with min(u) = j are
     exactly the level d + j ones.  Under the rule min(u) = u[0], so
     building only the ordered compositions with u[0] <= top - d
-    enumerates every level of the range at once."""
+    enumerates every level of the range at once.  Those compositions
+    are read from tables, keyed by _ordered_compositions' arguments, and
+    built there when missing: the caller may share one tables dict among
+    its calls (a new one is made by default)."""
     top = d if top is None else top
+    tables = {} if tables is None else tables
     q = (1 << k) - 1
     half = 1 << (k - 1)
     # the types each message covers (m . v = 1): its weight is the sum of
@@ -297,7 +330,10 @@ def _column_candidates(n: int, k: int, d: int, top: int | None = None):
                 sel.append(block[(least >= d) & (least <= top)])
             sel = np.concatenate(sel)
         else:  # k >= 2: at k = 1 both counts are 1
-            ups = _ordered_compositions(u_total, q, top - d)
+            key = (u_total, q, top - d)
+            if key not in tables:
+                tables[key] = _ordered_compositions(*key)
+            ups = tables[key]
             ups = ups[ups.max(axis=1) <= s - d]
             if not len(ups):
                 continue
@@ -334,9 +370,12 @@ def _check_direct(n: int, k: int, d: int):
 def _direct_levels(k: int, ranges: dict[int, tuple[int, int]]
                    ) -> dict[tuple[int, int], CodeDB]:
     """Every [n, k, d'] level for n in ranges and d <= d' <= top with
-    (d, top) = ranges[n]: one direct enumeration per length, one dedupe."""
+    (d, top) = ranges[n]: one direct enumeration per length, one dedupe.
+    The lengths share one table of ordered compositions, dropped when
+    the call returns."""
+    tables: dict = {}
     arrays = [vecs for n, (d, top) in ranges.items()
-              for _, vecs in _column_candidates(n, k, d, top)]
+              for _, vecs in _column_candidates(n, k, d, top, tables)]
     return _file_levels(k, ranges, "columns", arrays)
 
 

@@ -71,17 +71,9 @@ class TypeMultiplicity:
 
         The c columns of type t are one run of c bits, set in row i when
         bit i of t is set."""
-        rows = [0] * self.k
-        start = 0  # column of the next run
-        for t, c in enumerate(self.counts):
-            if c and t:
-                run = ((1 << c) - 1) << start
-                start += c
-                while t:
-                    low = t & -t
-                    rows[low.bit_length() - 1] |= run
-                    t ^= low
-        return BitMatrix(self.k, start + self.counts[0], tuple(rows))
+        runs = [(t, c) for t, c in enumerate(self.counts) if t and c]
+        runs.append((0, self.counts[0]))
+        return BitMatrix.from_runs(self.k, runs)
 
 
 @lru_cache(maxsize=None)

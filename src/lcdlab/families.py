@@ -4,7 +4,11 @@ A family row fixes, per length residue s mod 2^k - 1, a vector of
 affine forms a_j(t) = t + c_j; the code of parameter t is generated by
 [I_k | M] where block j of M repeats a fixed nonzero column a_j(t)
 times, and has length (2^k - 1) t + s and minimum weight 2^(k-1) t plus
-the row's weight offset.  So the column types of [I_k | M] have
+the row's weight offset.  The generator is built from runs, as
+TypeMultiplicity.generator builds its own: each unit column and each
+block j is one run of equal columns, set in the rows of its type's
+bits by BitMatrix.from_runs.  A row's affine forms are built once per
+(k, s).  So the column types of [I_k | M] have
 multiplicities affine in t.  The weight enumerator's exponents are the
 message-weight matrix times those multiplicities, and the determinant
 of G G^T, of degree <= k in t, is interpolated from its integer values
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -80,17 +85,16 @@ def column_order(k: int) -> tuple[int, ...]:
 
 
 def build_generator(k: int, a) -> BitMatrix:
-    """[I_k | M(a)]: block j of M repeats column_order(k)[j] a[j] times."""
+    """[I_k | M(a)]: block j of M repeats column_order(k)[j] a[j] times,
+    one run of a[j] columns, after the k unit columns."""
     order = column_order(k)
     a = list(a)
     if len(a) != len(order):
         raise ValueError(f"need {len(order)} multiplicities, got {len(a)}")
     if any(x < 0 for x in a):
         raise ValueError(f"negative multiplicity in {a}")
-    cols = [1 << i for i in range(k)]
-    for mult, t in zip(a, order):
-        cols += [t] * mult
-    return BitMatrix.from_columns(k, cols)
+    runs = [(1 << i, 1) for i in range(k)] + list(zip(order, a))
+    return BitMatrix.from_runs(k, runs)
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,10 @@ class AffineVec:
         return max((-e.offset for e in self.entries if e.slope == 1), default=0)
 
 
+@cache
 def family_affine_vector(k: int, s: int) -> AffineVec:
+    """Row s of dimension k as affine forms, built once per shipped row
+    (AffineVec is frozen, so one instance serves every caller)."""
     if k not in DIMENSIONS or s not in DIMENSIONS[k].rows:
         raise ValueError(f"no family row for k={k}, s={s}")
     offsets = DIMENSIONS[k].rows[s][0]

@@ -4,7 +4,12 @@ lists, classification databases (CodeDB) and their files, and JSON reports.
 Octal convention: the k rows of the non-identity block M of a generator
 [I_k | M] are concatenated m_1 || ... || m_k, chunked into octal digits
 of 3 bits each read most-significant-first (0=000 .. 7=111); a final
-remainder of 1 or 2 bits is written as the letters a=0, b=1.  Row ints
+remainder of 1 or 2 bits is written as the letters a=0, b=1.  The codec
+works by rows: decoding checks the symbols, expands them to one bit
+string and reads each row from its slice, column 0 as the low bit;
+encoding formats each row once, and writes the bits as one octal
+number and the remainder letters.  Binary row lists are read the same
+way.  Row ints
 in database files are serialized as little-endian bytes in hex, so byte
 0 carries columns 0..7 (column 0 in its lowest bit).
 """
@@ -17,7 +22,7 @@ import tempfile
 from dataclasses import dataclass
 
 from .code import LinearCode, make_code
-from .gf2 import BitMatrix, rref
+from .gf2 import BitMatrix, row_bits, rref
 
 OCTAL_DIGITS = "01234567"
 LETTER_BITS = {"a": "0", "b": "1"}
@@ -27,40 +32,41 @@ BITS_LETTER = {v: k for k, v in LETTER_BITS.items()}
 def decode_octal(s: str, n: int, k: int) -> BitMatrix:
     """Decode the k x (n-k) block M from its octal string."""
     want = k * (n - k)
-    bits = []
     letters = 0
     for ch in s:
         if ch in OCTAL_DIGITS:
             if letters:
                 raise ValueError(f"octal digit after remainder letter in {s!r}")
-            bits.append(format(int(ch, 8), "03b"))
         elif ch in LETTER_BITS:
             letters += 1
             if letters > 2:
                 raise ValueError(f"more than two remainder letters in {s!r}")
-            bits.append(LETTER_BITS[ch])
         else:
             raise ValueError(f"bad symbol {ch!r} in octal string")
-    flat = "".join(bits)
+    digits = s[:len(s) - letters]
+    # a leading 1 keeps the leading zeros: 3 bits per octal digit follow it
+    flat = bin(int("1" + digits, 8))[3:]
+    flat += "".join(LETTER_BITS[c] for c in s[len(digits):])
     if len(flat) != want:
         raise ValueError(
             f"octal string yields {len(flat)} bits, need {want} for k={k}, n={n}")
     width = n - k
-    rows = [flat[i * width:(i + 1) * width] for i in range(k)]
-    return BitMatrix.from_rows([[int(c) for c in r] for r in rows])
+    return BitMatrix(k, width, tuple(_row_int(flat[i * width:(i + 1) * width])
+                                     for i in range(k)))
 
 
 def encode_octal(m: BitMatrix) -> str:
     """Inverse of decode_octal for a k x (n-k) block."""
-    flat = str(m).replace("\n", "")
-    out = []
-    i = 0
-    while i + 3 <= len(flat):
-        out.append(OCTAL_DIGITS[int(flat[i:i + 3], 2)])
-        i += 3
-    for c in flat[i:]:
-        out.append(BITS_LETTER[c])
-    return "".join(out)
+    flat = "".join(row_bits(r, m.cols) for r in m.data)
+    whole = len(flat) - len(flat) % 3  # bits written as octal digits
+    # as in decode_octal, a leading 1 keeps the leading zeros
+    digits = oct(int("1" + flat[:whole], 2))[3:]
+    return digits + "".join(BITS_LETTER[c] for c in flat[whole:])
+
+
+def _row_int(bits: str) -> int:
+    """A row written column 0 first, as a row int (column 0 the low bit)."""
+    return int(bits[::-1] or "0", 2)
 
 
 def parse_binary_rows(rows, k: int | None = None) -> BitMatrix:
@@ -73,9 +79,9 @@ def parse_binary_rows(rows, k: int | None = None) -> BitMatrix:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged rows")
-    if any(c not in "01" for r in rows for c in r):
+    if any(r.strip("01") for r in rows):
         raise ValueError("rows must be binary strings")
-    return BitMatrix.from_rows([[int(c) for c in r] for r in rows])
+    return BitMatrix(len(rows), width, tuple(map(_row_int, rows)))
 
 
 def systematic_code(m: BitMatrix) -> LinearCode:

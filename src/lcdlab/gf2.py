@@ -3,7 +3,9 @@
 A matrix row is a single Python int with bit j holding the entry in
 column j (LSB-first).  Row operations are therefore word-parallel XORs,
 and popcounts give inner products.  All values are immutable; every
-operation is a pure function.
+operation is a pure function.  A BitMatrix checks its rows against the
+column range when built, except the results of rref and gram, whose
+rows cannot leave it.
 """
 
 from __future__ import annotations
@@ -49,31 +51,24 @@ class BitMatrix:
         return cls(len(packed), 0 if cols is None else cols, tuple(packed))
 
     @classmethod
-    def from_columns(cls, rows: int, cols: list[int]) -> BitMatrix:
-        """Build from column ints: bit i of column j is entry (i, j).
-
-        Equal columns are gathered into one mask of their positions, and
-        each mask is set in the rows of its column's set bits (bits at
-        i >= rows are ignored)."""
-        where: dict[int, int] = {}
-        for j, c in enumerate(cols):
-            where[c] = where.get(c, 0) | 1 << j
+    def from_runs(cls, rows: int, runs) -> BitMatrix:
+        """Build from runs of equal columns: for each (t, c) of runs, in
+        order, c consecutive columns of type t, which set those c bits in
+        row i when bit i of t is set (t < 2^rows)."""
         data = [0] * rows
-        mask = (1 << rows) - 1
-        for c, at in where.items():
-            c &= mask
-            while c:
-                low = c & -c
-                data[low.bit_length() - 1] |= at
-                c ^= low
-        return cls(rows, len(cols), tuple(data))
+        start = 0  # column of the next run
+        for t, c in runs:
+            run = ((1 << c) - 1) << start
+            start += c
+            while t:
+                low = t & -t
+                data[low.bit_length() - 1] |= run
+                t ^= low
+        return cls(rows, start, tuple(data))
 
     @classmethod
     def identity(cls, k: int) -> BitMatrix:
         return cls(k, k, tuple(1 << i for i in range(k)))
-
-    def get(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
 
     def column(self, j: int) -> int:
         """Column j packed into an int: bit i is entry (i, j)."""
@@ -86,8 +81,20 @@ class BitMatrix:
         return BitMatrix(self.rows, self.cols + other.cols, data)
 
     def __str__(self):
-        return "\n".join("".join(str(self.get(i, j)) for j in range(self.cols))
-                         for i in range(self.rows))
+        return "\n".join(row_bits(r, self.cols) for r in self.data)
+
+
+def row_bits(row: int, cols: int) -> str:
+    """Row as cols characters 0/1, column 0 first."""
+    return bin(row | 1 << cols)[:2:-1]
+
+
+def _unchecked(rows: int, cols: int, data: tuple[int, ...]) -> BitMatrix:
+    """A BitMatrix built without the range check of __post_init__, for
+    rows known to lie in the column range."""
+    m = object.__new__(BitMatrix)
+    vars(m).update(rows=rows, cols=cols, data=data)
+    return m
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,8 @@ def rref(m: BitMatrix) -> RrefResult:
                 rows[i] ^= piv
         pivots.append(c)
         r += 1
-    return RrefResult(BitMatrix(m.rows, m.cols, tuple(rows)), r, tuple(pivots))
+    # row operations cannot set a bit outside m's columns
+    return RrefResult(_unchecked(m.rows, m.cols, tuple(rows)), r, tuple(pivots))
 
 
 def gram(g: BitMatrix) -> BitMatrix:
@@ -149,7 +157,7 @@ def gram(g: BitMatrix) -> BitMatrix:
         for j, rj in enumerate(g.data):
             row |= ((ri & rj).bit_count() & 1) << j
         data.append(row)
-    return BitMatrix(g.rows, g.rows, tuple(data))
+    return _unchecked(g.rows, g.rows, tuple(data))
 
 
 def nullspace(m: BitMatrix) -> BitMatrix:

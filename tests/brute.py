@@ -15,7 +15,10 @@ Hill-climbing moves are scored by adding every move's weight change to
 every message, and the parity Gram of a column multiset is summed type
 by type.  Reduced echelon forms are found on lists of bits, by forward
 elimination and then back substitution.  The Griesmer maximum is found
-by bisection over 1..n.
+by bisection over 1..n.  A matrix is built column by column, octal
+strings are decoded one bit at a time, and the orbit-rule compositions
+of the Walsh-Hadamard branch are built one (j, l) pair at a time, each
+from compositions read off bar positions.
 """
 
 from __future__ import annotations
@@ -59,6 +62,20 @@ def compositions_oracle(total: int, parts: int) -> list[tuple[int, ...]]:
         edges = (-1,) + bars + (total + parts - 1,)
         out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
     return out
+
+
+def ordered_compositions(total: int, parts: int, most: int) -> np.ndarray:
+    """The compositions u of total into parts >= 3 parts with u[0] <= most
+    and u[0] <= u[1] <= u[i] for every i >= 2, lexicographic, as int16:
+    u = (j, j + l, j + l + r) for each pair (j, l) in turn and each
+    composition r of total - parts j - (parts - 1) l into parts - 2 parts."""
+    blocks = []
+    for j in range(min(most, total // parts) + 1):
+        for l in range((total - parts * j) // (parts - 1) + 1):
+            rest = total - parts * j - (parts - 1) * l
+            for r in compositions_oracle(rest, parts - 2):
+                blocks.append((j, j + l) + tuple(x + j + l for x in r))
+    return np.array(blocks, dtype=np.int16)
 
 
 def labelled_vectors(n: int, k: int, d: int) -> np.ndarray:
@@ -410,6 +427,53 @@ def rref_lists(m: BitMatrix) -> tuple[list[list[int]], int, tuple[int, ...]]:
             if a[i][pivots[r]]:
                 a[i] = [x ^ y for x, y in zip(a[i], a[r])]
     return a, len(pivots), tuple(pivots)
+
+
+def from_columns(rows: int, cols: list[int]) -> BitMatrix:
+    """The matrix with the given column ints: bit i of column j is entry
+    (i, j), and bits at i >= rows are dropped.  Equal columns are
+    gathered into one mask of their positions, and each mask is set in
+    the rows of its column's set bits."""
+    where: dict[int, int] = {}
+    for j, c in enumerate(cols):
+        where[c] = where.get(c, 0) | 1 << j
+    data = [0] * rows
+    mask = (1 << rows) - 1
+    for c, at in where.items():
+        c &= mask
+        while c:
+            low = c & -c
+            data[low.bit_length() - 1] |= at
+            c ^= low
+    return BitMatrix(rows, len(cols), tuple(data))
+
+
+def decode_octal(s: str, n: int, k: int) -> BitMatrix:
+    """The k x (n-k) block an octal string writes, one bit at a time:
+    3 bits per octal digit, most significant first, then at most two
+    remainder letters a=0, b=1, raising the codec's ValueError messages."""
+    want = k * (n - k)
+    bits = []
+    letters = 0
+    for ch in s:
+        if ch in "01234567":
+            if letters:
+                raise ValueError(f"octal digit after remainder letter in {s!r}")
+            bits.append(format(int(ch, 8), "03b"))
+        elif ch in "ab":
+            letters += 1
+            if letters > 2:
+                raise ValueError(f"more than two remainder letters in {s!r}")
+            bits.append("01"["ab".index(ch)])
+        else:
+            raise ValueError(f"bad symbol {ch!r} in octal string")
+    flat = "".join(bits)
+    if len(flat) != want:
+        raise ValueError(
+            f"octal string yields {len(flat)} bits, need {want} for k={k}, n={n}")
+    width = n - k
+    rows = [flat[i * width:(i + 1) * width] for i in range(k)]
+    return BitMatrix.from_rows([[int(c) for c in r] for r in rows])
 
 
 def transpose(m: BitMatrix) -> BitMatrix:

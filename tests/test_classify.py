@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from brute import (aut_order, box_scan, compositions_oracle, extension_classes,
                    gl2_matrices, labelled_vectors, min_weight,
-                   subspace_class_counts)
+                   ordered_compositions, subspace_class_counts)
 from lcdlab.bounds import griesmer_dmax
 from lcdlab.canonical import canonical_classes, canonical_rows, counts_key
 from lcdlab.classify import (MAX_LENGTH, _column_candidates, _extend_all,
-                             _extend_seed, classify, classify_by_columns,
-                             composition_blocks, compositions,
-                             extend_by_inverse_shortening, lcd_census,
-                             levels_by_columns)
+                             _extend_seed, _ordered_compositions, classify,
+                             classify_by_columns, composition_blocks,
+                             compositions, extend_by_inverse_shortening,
+                             lcd_census, levels_by_columns)
 from lcdlab.code import make_code
 from lcdlab.families import DIMENSIONS
 from lcdlab.formats import save_codedb
@@ -60,6 +60,12 @@ def test_compositions_match_stars_and_bars(total, parts):
     assert c.dtype == np.int16
     assert c.shape == (comb(total + parts - 1, parts - 1), parts)
     assert [tuple(row) for row in c.tolist()] == compositions_oracle(total, parts)
+    # an array of totals gives the compositions of each total in turn
+    totals = [total, total // 2, 0, total]
+    c = compositions(np.array(totals), parts)
+    assert c.dtype == np.int16
+    assert [tuple(row) for row in c.tolist()] == [
+        row for t in totals for row in compositions_oracle(t, parts)]
 
 
 @given(st.integers(0, 12), st.integers(1, 7), st.integers(1, 40))
@@ -83,12 +89,28 @@ def test_composition_blocks_bound_memory():
     assert peak < 2 << 20
 
 
+@pytest.mark.parametrize("q, below", [(3, 40), (7, 24), (15, 10)])
+def test_ordered_compositions_match_per_pair_oracle(q, below):
+    # the oracle's table for most = 5 holds every smaller most's rows, as
+    # those with u[0] <= most, in the same order; q = 15 stays small, as
+    # compositions(29, 13) alone would not fit in memory
+    for total in range(below):
+        full = ordered_compositions(total, q, 5)
+        for most in range(6):
+            got = _ordered_compositions(total, q, most)
+            want = full[full[:, 0] <= most]
+            assert got.dtype == want.dtype == np.int16
+            assert np.array_equal(got, want), (q, total, most)
+
+
 def test_compositions_domain_errors():
     with pytest.raises(ValueError, match="need at least one part"):
         compositions(3, 0)
     for parts in (1, 3):
         with pytest.raises(ValueError, match=r"need total >= 0"):
             compositions(-1, parts)
+        with pytest.raises(ValueError, match=r"need total >= 0"):
+            compositions(np.array([2, -1]), parts)
 
 
 def test_classify_by_columns_examples():

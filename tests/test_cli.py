@@ -1,6 +1,9 @@
+import gc
+import importlib
 import json
 import os
 import re
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -216,6 +219,27 @@ def test_reproduce_checks_keep_their_dimension(monkeypatch):
         else:
             assert seen and set(seen) == {k}, (name, set(seen))
     assert above
+
+
+def test_reproduce_builds_each_composition_table_once_per_call(capsys, monkeypatch):
+    # the Walsh-Hadamard steps of the count checks ask for 84 tables, of
+    # which 61 are distinct within their levels_by_columns call; none may
+    # outlive the call that built it
+    module = importlib.import_module("lcdlab.classify")
+    real = module._ordered_compositions
+    built = []
+
+    def counted(*args):
+        table = real(*args)
+        built.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(module, "_ordered_compositions", counted)
+    code, out = run(capsys, "reproduce", "--suite", "all")
+    assert code == 0, out
+    assert 0 < len(built) <= 61
+    gc.collect()
+    assert all(ref() is None for ref in built)
 
 
 def test_manifest_digest_reproducible(capsys, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import matmul, parity_gram
+from brute import from_columns, matmul, parity_gram
 from lcdlab.code import LinearCode, TypeMultiplicity, make_code
 from lcdlab.families import build_generator, family_a_vector
 from lcdlab.gf2 import BitMatrix, gram, rref
@@ -186,7 +186,7 @@ def test_type_multiplicity_generator_matches_column_list(tm):
     """The generator built from runs equals the one built column by column:
     types ascending, each repeated by its multiplicity, zeros last."""
     cols = [t for t, c in enumerate(tm.counts) if t for _ in range(c)]
-    assert tm.generator() == BitMatrix.from_columns(tm.k, cols + [0] * tm.counts[0])
+    assert tm.generator() == from_columns(tm.k, cols + [0] * tm.counts[0])
 
 
 @st.composite

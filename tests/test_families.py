@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from brute import instantiate, int_gram, poly_eval
+from brute import from_columns, instantiate, int_gram, poly_eval
 from lcdlab import families, tables
 from lcdlab.code import make_code
 from lcdlab.families import (AffineForm, AffineVec, build_generator,
@@ -11,6 +13,22 @@ from lcdlab.families import (AffineForm, AffineVec, build_generator,
                              family_code, family_t_min, symbolic_gram_det,
                              symbolic_weight_enumerator)
 from lcdlab.gf2 import BitMatrix, IntMatrix, det_int
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((4, 5)).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(0, 6), min_size=(1 << k) - 1,
+                         max_size=(1 << k) - 1))))
+@example((4, [0] * 15))
+@example((5, [0] * 30 + [3]))
+def test_build_generator_matches_column_list(case):
+    """The generator built from runs equals the one built column by column:
+    the unit columns, then each block's type repeated a[j] times."""
+    k, a = case
+    cols = [1 << i for i in range(k)]
+    for t, mult in zip(families.column_order(k), a):
+        cols += [t] * mult
+    assert build_generator(k, a) == from_columns(k, cols)
 
 
 def test_column_orders_complete():

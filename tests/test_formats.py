@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import brute
 from lcdlab import tables
 from lcdlab.classify import classify_by_columns
 from lcdlab.code import make_code
@@ -59,6 +62,55 @@ def test_octal_errors():
         decode_octal("7a7", 4, 2)
     with pytest.raises(ValueError, match="letters"):
         decode_octal("a" * 3, 3, 2)
+
+
+@st.composite
+def octal_blocks(draw):
+    """(s, n, k): a valid octal string of a k x w block, w = 0 included,
+    with the 0-, 1- and 2-bit remainders as k w mod 3 falls."""
+    k = draw(st.integers(1, 6))
+    w = draw(st.integers(0, 14))
+    bits = k * w
+    s = draw(st.text("01234567", min_size=bits // 3, max_size=bits // 3))
+    s += draw(st.text("ab", min_size=bits % 3, max_size=bits % 3))
+    return s, k + w, k
+
+
+def decoded(decode, s, n, k):
+    """The decoded block, or the message of the ValueError raised."""
+    try:
+        return decode(s, n, k)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(octal_blocks())
+@example(("", 3, 3))       # zero-width block
+@example(("7", 4, 1))      # no remainder
+@example(("5a", 5, 1))     # one remainder bit
+@example(("3ba", 6, 1))    # two remainder bits
+def test_octal_codec_matches_bitwise_oracle(case):
+    s, n, k = case
+    m = decode_octal(s, n, k)
+    assert m == brute.decode_octal(s, n, k)
+    assert encode_octal(m) == s
+    rows = [format(r | 1 << m.cols, "b")[:0:-1] for r in m.data]
+    assert parse_binary_rows(rows, k) == m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("0123456789abcz ", max_size=12), st.integers(1, 6),
+       st.integers(0, 8))
+@example("78", 2, 2)
+@example("7a7", 2, 2)
+@example("aaa", 2, 1)
+@example("77", 2, 2)
+def test_octal_decoder_errors_match_oracle(s, k, w):
+    """Any string, valid or not, decodes as the oracle decodes it, or
+    raises the same message."""
+    n = k + w
+    assert decoded(decode_octal, s, n, k) == decoded(brute.decode_octal, s, n, k)
 
 
 def test_parse_binary_rows_witnesses():

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import int_gram, matmul, mod2, rref_lists, to_lists, transpose
+from brute import (from_columns, int_gram, matmul, mod2, rref_lists, to_lists,
+                   transpose)
 from lcdlab.families import build_generator
 from lcdlab.gf2 import BitMatrix, IntMatrix, det_int, gram, nullspace, rref
 
@@ -30,6 +31,15 @@ def test_rref_duplicate_row():
     red = rref(bitmat([[1, 1], [1, 1]]))
     assert red.rank == 1
     assert red.pivots == (0,)
+
+
+def test_constructor_rejects_bits_outside_columns():
+    # rref builds its result without this check; a matrix built from
+    # outside still gets it
+    for rows, cols, data in ((2, 3, (1, 8)), (1, 0, (1,)), (2, 2, (1, -1))):
+        with pytest.raises(ValueError, match="outside the column range"):
+            BitMatrix(rows, cols, data)
+    assert BitMatrix(2, 3, (7, 0)).data == (7, 0)
 
 
 def test_rref_family_generator_full_rank():
@@ -158,7 +168,7 @@ def test_from_columns_matches_row_by_row(case):
     k, cols = case
     rows = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols))
                  for i in range(k))
-    m = BitMatrix.from_columns(k, cols)
+    m = from_columns(k, cols)
     assert m == BitMatrix(k, len(cols), rows)
     assert [m.column(j) for j in range(len(cols))] == \
         [c & ((1 << k) - 1) for c in cols]
