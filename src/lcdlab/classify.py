@@ -69,10 +69,10 @@ import numpy as np
 from . import formats
 from .bounds import griesmer_dmax
 from .canonical import CANONICAL_CAP, canonical_classes, counts_key
-from .code import (LinearCode, TypeMultiplicity, message_weight_matrix,
-                   sign_matrix)
+from .code import (LinearCode, TypeMultiplicity, code_profiles,
+                   message_weight_matrix, profile_codes, sign_matrix)
 from .formats import CodeDB
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, rref
 
 DEFAULT_LIMIT = 20_000_000  # candidate vectors one direct enumeration may make
 MAX_LENGTH = np.iinfo(np.int16).max  # multiplicity arrays are int16
@@ -202,14 +202,21 @@ def _dedupe_canonical(vec_arrays: list[np.ndarray], k: int) -> list[tuple[int, .
 
 def _build_db(n: int, k: int, d: int, method: str,
               canon_list: list[tuple[int, ...]]) -> CodeDB:
+    """The level's database: each class's generator built from its
+    canonical vector and reduced, then every class's length, rank and
+    least weight checked against [n, k, d] from one code_profiles call."""
+    reduced = [rref(TypeMultiplicity(k, counts).generator()) for counts in canon_list]
+    counts_by_weight, _ = code_profiles(
+        k, max((red.matrix.cols for red in reduced), default=n),
+        [red.matrix.data for red in reduced], hulls=False)
     records = []
-    for counts in canon_list:
-        code = LinearCode(TypeMultiplicity(k, counts).generator())
-        if code.n != n or code.k != k or code.min_weight() != d:
+    for counts, red, by_weight in zip(canon_list, reduced, counts_by_weight):
+        least = next((w for w, c in enumerate(by_weight) if w and c), 0)
+        if (red.matrix.cols, red.rank, least) != (n, k, d):
             raise AssertionError(
                 f"representative verification failed for {counts}: "
-                f"[{code.n},{code.k},{code.min_weight()}] != [{n},{k},{d}]")
-        records.append((counts_key(n, k, counts), code.generator.data))
+                f"[{red.matrix.cols},{red.rank},{least}] != [{n},{k},{d}]")
+        records.append((counts_key(n, k, counts), red.matrix.data))
     records.sort(key=lambda r: r[0])
     return CodeDB(n, k, d, method, tuple(records))
 
@@ -541,6 +548,8 @@ def _load_checked(path: str, n: int, k: int, d: int) -> CodeDB:
     [n, k, d] stores for the classes its records fall in."""
     db = formats.load_codedb(path)
     codes = db.codes()
+    if (db.n, db.k, db.d) == (n, k, d):
+        profile_codes(codes, hulls=False)
     if (db.n, db.k, db.d) != (n, k, d) or any(c.min_weight() != d for c in codes):
         raise ValueError(f"{path} does not hold [{n},{k},{d}] codes")
     counts = np.array([c.column_types().counts for c in codes], dtype=np.int16)
@@ -605,8 +614,11 @@ def classify(n: int, k: int, d: int, *, db_dir: str | None = None,
 
 
 def lcd_census(db: CodeDB) -> CensusResult:
-    """Count classes and LCD classes in a classification."""
-    lcd_keys = [key for (key, _), code in zip(db.records, db.codes())
+    """Count classes and LCD classes in a classification, the hulls from
+    one code_profiles call."""
+    codes = db.codes()
+    profile_codes(codes, weights=False)
+    lcd_keys = [key for (key, _), code in zip(db.records, codes)
                 if code.is_lcd()]
     return CensusResult(db.n, db.k, db.d, db.count, len(lcd_keys),
                         tuple(lcd_keys))

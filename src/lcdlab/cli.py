@@ -10,6 +10,7 @@ cannot be used; one line on stderr).  The database directory comes from
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -18,6 +19,7 @@ import time
 
 from . import bounds, families, formats, tables
 from .classify import classify, lcd_census, levels_by_columns
+from .code import profile_codes
 from .gf2 import BitMatrix
 from .search import SearchBudget, search_lcd
 
@@ -130,16 +132,19 @@ def cmd_search(args) -> int:
 
 def _verify_octal_table(groups, k: int, out: list[str]) -> bool:
     """Check each fixture generator: its [n, k, d], that it is not LCD,
-    and a lossless octal round trip."""
+    and a lossless octal round trip; the table's weights and hulls come
+    from one code_profiles call."""
+    fixtures = [(n, d, idx, s, formats.code_from_octal(s, n, k))
+                for (n, d), strings in groups
+                for idx, s in enumerate(strings, start=1)]
+    profile_codes([code for *_, code in fixtures])
     ok = True
-    for (n, d), strings in groups:
-        for idx, s in enumerate(strings, start=1):
-            code = formats.code_from_octal(s, n, k)
-            good = (code.n == n and code.k == k and code.min_weight() == d
-                    and not code.is_lcd()
-                    and formats.encode_octal(formats.decode_octal(s, n, k)) == s)
-            ok &= good
-            out.append(f"{'PASS' if good else 'FAIL'} [{n},{k},{d}] #{idx}")
+    for n, d, idx, s, code in fixtures:
+        good = (code.n == n and code.k == k and code.min_weight() == d
+                and not code.is_lcd()
+                and formats.encode_octal(formats.decode_octal(s, n, k)) == s)
+        ok &= good
+        out.append(f"{'PASS' if good else 'FAIL'} [{n},{k},{d}] #{idx}")
     return ok
 
 
@@ -172,14 +177,17 @@ def cmd_verify_octal(args) -> int:
 def _reproduce_checks(suite: str, full: bool, db_dir: str | None, jobs: int):
     # Default arguments bind each check's k and tables when it is made, so
     # the checks stay right when collected before any of them runs.
-    for k, dim in families.DIMENSIONS.items():
-        if suite not in (f"dim{k}", "all"):
-            continue
+    dims = {k: dim for k, dim in families.DIMENSIONS.items()
+            if suite in (f"dim{k}", "all")}
+    count_levels = _count_levels(dims)
+    for k, dim in dims.items():
         res = range((1 << k) - 1)
         yield (f"families dim{k} (t<={dim.t_checked})",
                lambda k=k, dim=dim, res=res: all(
-                   families.family_code(k, s, t).match for s in res
-                   for t in range(families.family_t_min(k, s), dim.t_checked + 1)))
+                   v.match for v in families.family_codes(k, [
+                       (s, t) for s in res
+                       for t in range(families.family_t_min(k, s),
+                                      dim.t_checked + 1)])))
         yield (f"weight enumerators dim{k}", lambda k=k, res=res: all(
             families.symbolic_weight_enumerator(
                 k, families.family_affine_vector(k, s))
@@ -194,7 +202,7 @@ def _reproduce_checks(suite: str, full: bool, db_dir: str | None, jobs: int):
             yield (f"lcd witnesses dim{k}",
                    lambda k=k: _verify_lcd_witnesses(k, []))
         yield (f"counts dim{k} (k<=3)", lambda k=k, dim=dim: all(
-            _counts_are(k, kk, dim.counts) for kk in (3, 2)))
+            _counts_are(k, kk, dim.counts, count_levels(kk)) for kk in (3, 2)))
     if suite in ("bounds", "all"):
         yield ("griesmer case formulas", lambda: all(
             bounds.closed_form_bound(n, k) == bounds.griesmer_dmax(n, k)
@@ -202,8 +210,8 @@ def _reproduce_checks(suite: str, full: bool, db_dir: str | None, jobs: int):
         yield ("largest-minimum-weight ledger", lambda: all(
             bounds.known_lcd_d(n, k).exact == v
             for (n, k), v in tables.KNOWN_LCD_D.items()))
-    for k, dim in families.DIMENSIONS.items():
-        if full and suite in (f"dim{k}", "all"):
+    for k, dim in dims.items():
+        if full:
             for (n, d), strings in dim.generators:
                 yield (f"classification [{n},{k},{d}]",
                        lambda n=n, k=k, d=d, strings=strings: _census_is(
@@ -213,15 +221,26 @@ def _reproduce_checks(suite: str, full: bool, db_dir: str | None, jobs: int):
                lambda: _below_range_certified(db_dir, jobs))
 
 
-def _counts_are(k, kk, counts) -> bool:
+def _count_levels(dims):
+    """For the counts tables of dims, a function of kk = 3, 2 that gives
+    levels_by_columns(kk, ...) over the lengths n - k + kk of every
+    table's rows (n, d), each enumerated once from its least d: one call
+    per kk, made at first use and kept for the run, so a length that
+    several tables share is built once."""
+    lengths: dict[int, dict[int, int]] = {3: {}, 2: {}}
+    for k, dim in dims.items():
+        for n, d in dim.counts:
+            for kk, by_length in lengths.items():
+                nn = n - k + kk
+                by_length[nn] = min(d, by_length.get(nn, d))
+    return functools.cache(lambda kk: levels_by_columns(kk, lengths[kk]))
+
+
+def _counts_are(k, kk, counts, levels) -> bool:
     """For each row (n, d) of a DIMENSIONS counts table, the
-    [n - k + kk, kk, d + j] levels hold row[f"k{kk}"][j] classes, from one
-    direct call over all the rows' lengths, each enumerated once from its
-    least d; a level above the Griesmer maximum holds none."""
-    lengths: dict[int, int] = {}
-    for n, d in counts:
-        lengths[n - k + kk] = min(d, lengths.get(n - k + kk, d))
-    levels = levels_by_columns(kk, lengths)
+    [n - k + kk, kk, d + j] levels hold row[f"k{kk}"][j] classes, read from
+    levels, which holds every level from the least d of each length up to
+    its Griesmer maximum; a level above that maximum holds none."""
     return all((levels[n - k + kk, d + j].count
                 if (n - k + kk, d + j) in levels else 0) == v
                for (n, d), row in counts.items()

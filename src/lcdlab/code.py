@@ -2,24 +2,30 @@
 
 A code is stored through the reduced row-echelon form of a generator
 matrix, which is unique per row space, so structural equality means
-equality of codes.  Weight data is computed once by a Gray-code walk
-over all 2^k codewords and cached; caches are filled idempotently and
-are safe to race.  The sign and message-weight tables over the 2^k
-column types, which families, classify and search share, live here.
+equality of codes.  Weights and hull dimensions come from one array
+kernel, code_profiles, which takes a whole stack of generators: each
+generator's 2^k codewords are built by an XOR table over its rows,
+packed in uint64 words, and counted by weight with np.bitwise_count,
+and its Gram matrix G G^T, from popcount parities, is reduced by a
+batched GF(2) elimination.  A LinearCode asks it for a stack of one and
+caches the answer; profile_codes fills the caches of many codes with
+one call per dimension.  Caches are filled idempotently and are safe to
+race.  The sign and message-weight tables over the 2^k column types,
+which families, classify and search share, live here.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .canonical import canonical_key
-from .gf2 import BitMatrix, gram, nullspace, rref
+from .gf2 import BitMatrix, nullspace, rref
 
-ENUMERATION_CAP = 28  # 2^k codewords are walked exhaustively
+ENUMERATION_CAP = 28  # 2^k codewords are enumerated exhaustively
+KERNEL_BLOCK = 1 << 18  # codeword words one step of code_profiles holds
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,85 @@ def message_weight_matrix(k: int) -> np.ndarray:
     return ((1 - sign_matrix(k)[1:, 1:]) >> 1).astype(np.int16)
 
 
+def code_profiles(k: int, n: int, stack, *, weights: bool = True,
+                  hulls: bool = True):
+    """The weight distributions and hull dimensions of a stack of
+    generators, each a sequence of k row ints of at most n bits (the rows
+    need not be independent).
+
+    Returns (counts, hull), lists of Python ints, or None for what is not
+    asked: counts[i][w] is the number of messages whose codeword under
+    generator i has weight w, for w = 0..n, so 2^(k - rank) messages
+    give weight 0; hull[i] = k - rank_GF(2)(G G^T).  The rows are packed
+    into uint64 words.  Each message's codeword is read from an XOR
+    table over the rows, and weighed by np.bitwise_count: the table of
+    the low rows is XORed with each entry of the table of the high rows,
+    which it has only when 2^k words exceed KERNEL_BLOCK, and the
+    generators are taken in groups, so that one step holds at most
+    KERNEL_BLOCK words (or one low table).  Entry (i, j) of G G^T is the
+    parity of the popcount of rows i and j ANDed, and _ranks reduces the
+    Grams of a group together.  Asking for weights needs
+    k <= ENUMERATION_CAP.
+    """
+    if weights and k > ENUMERATION_CAP:
+        raise ValueError(f"enumeration cap: k={k} > {ENUMERATION_CAP}")
+    words = max(1, -(-n // 64))
+    raw = b"".join(r.to_bytes(8 * words, "little") for rows in stack for r in rows)
+    g = np.frombuffer(raw, dtype="<u8").reshape(len(stack), k, words)
+    # rows in the low table, and generators in one group
+    low = min(k, max(0, (KERNEL_BLOCK // words).bit_length() - 1))
+    group = max(1, KERNEL_BLOCK // (words << low))
+    counts = np.zeros((len(g), n + 1), dtype=np.int64) if weights else None
+    hull = np.zeros(len(g), dtype=np.int64) if hulls else None
+    for lo in range(0, len(g), group):
+        part = g[lo:lo + group]
+        if weights:
+            base = np.arange(len(part))[:, None] * (n + 1)
+            table = _xor_table(part[:, :low])
+            for high in _xor_table(part[:, low:]).transpose(1, 0, 2):
+                wt = np.bitwise_count(table ^ high[:, None]).sum(axis=2, dtype=np.intp)
+                counts[lo:lo + len(part)] += np.bincount(
+                    (wt + base).ravel(), minlength=len(part) * (n + 1)
+                ).reshape(len(part), n + 1)
+        if hulls:
+            # the parity of a popcount is that of the XOR of its words
+            gram = np.zeros((len(part), k, k), dtype=np.uint64)
+            for w in range(words):
+                gram ^= part[:, :, None, w] & part[:, None, :, w]
+            odd = (np.bitwise_count(gram) & 1).astype(bool)
+            hull[lo:lo + len(part)] = k - _ranks(odd)
+    return (None if counts is None else counts.tolist(),
+            None if hull is None else hull.tolist())
+
+
+def _xor_table(rows: np.ndarray) -> np.ndarray:
+    """(m, j, words) rows -> (m, 2^j, words): entry x of generator i is
+    the XOR of its rows r with bit r of x set."""
+    m, j, words = rows.shape
+    table = np.zeros((m, 1 << j, words), dtype=np.uint64)
+    for r in range(j):
+        table[:, 1 << r:2 << r] = table[:, :1 << r] ^ rows[:, r:r + 1]
+    return table
+
+
+def _ranks(a: np.ndarray) -> np.ndarray:
+    """GF(2) ranks of a stack of 0/1 matrices, (m, rows, cols) bool,
+    which is reduced in place.
+
+    Row i in turn clears its first set column from every row below it.
+    A row below only ever takes in rows that have that column clear, so
+    it never sets it again: each nonzero row left has a set column that
+    every later row has clear, and the nonzero rows are independent and
+    span the row space."""
+    m, rows, _ = a.shape
+    at = np.arange(m)
+    for i in range(rows - 1):
+        piv = a[:, i]
+        col = piv.argmax(axis=1)  # first set column (a zero row XORs in nothing)
+        a[:, i + 1:] ^= a[at, i + 1:, col][:, :, None] & piv[:, None]
+    return a.any(axis=2).sum(axis=1)
+
+
 class LinearCode:
     """An [n, k] binary linear code, k >= 1 (k = 0 arises only as a dual)."""
 
@@ -122,23 +207,9 @@ class LinearCode:
     def __repr__(self):
         return f"LinearCode[{self.n},{self.k}]"
 
-    def codewords(self):
-        """All 2^k codewords as ints (Gray order, starting at 0)."""
-        if self.k > ENUMERATION_CAP:
-            raise ValueError(f"enumeration cap: k={self.k} > {ENUMERATION_CAP}")
-        cw = 0
-        prev = 0
-        yield 0
-        for m in range(1, 1 << self.k):
-            g = m ^ (m >> 1)
-            cw ^= self.generator.data[(g ^ prev).bit_length() - 1]
-            prev = g
-            yield cw
-
     def weight_enumerator(self) -> WeightEnumerator:
         if self._we is None:
-            counts = Counter(cw.bit_count() for cw in self.codewords())
-            self._we = WeightEnumerator(tuple(sorted(counts.items())))
+            profile_codes([self], hulls=False)
         return self._we
 
     def min_weight(self) -> int:
@@ -153,8 +224,7 @@ class LinearCode:
 
     def hull_dim(self) -> int:
         if self._hull is None:
-            g = gram(self.generator)
-            self._hull = self.k - rref(g).rank
+            profile_codes([self], weights=False)
         return self._hull
 
     def is_lcd(self) -> bool:
@@ -179,13 +249,39 @@ class LinearCode:
         return LinearCode(BitMatrix(len(rows), self.n - 1, tuple(rows)))
 
     def column_types(self) -> TypeMultiplicity:
-        counts = [0] * (1 << self.k)
-        for j in range(self.n):
-            counts[self.generator.column(j)] += 1
-        return TypeMultiplicity(self.k, tuple(counts))
+        """The multiset of columns: the rows' bits are unpacked once, each
+        column read as its type (bit i = row i) and the types counted by
+        one bincount."""
+        size = (self.n + 7) // 8
+        raw = b"".join(r.to_bytes(size, "little") for r in self.generator.data)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(self.k, size),
+                             axis=1, count=self.n, bitorder="little")
+        types = (1 << np.arange(self.k, dtype=np.int64)) @ bits
+        return TypeMultiplicity(self.k, tuple(
+            np.bincount(types, minlength=1 << self.k).tolist()))
 
     def canonical_key(self) -> bytes:
         return canonical_key(self.column_types())
+
+
+def profile_codes(codes, *, weights: bool = True, hulls: bool = True):
+    """Fill the weight enumerators (weights) and hull dimensions (hulls)
+    that the codes have not cached, with one code_profiles call per
+    dimension among them."""
+    todo: dict[int, list[LinearCode]] = {}
+    for c in codes:
+        if (weights and c._we is None) or (hulls and c._hull is None):
+            todo.setdefault(c.k, []).append(c)
+    for k, group in todo.items():
+        counts, hull = code_profiles(k, max(c.n for c in group),
+                                     [c.generator.data for c in group],
+                                     weights=weights, hulls=hulls)
+        for i, c in enumerate(group):
+            if counts is not None:
+                c._we = WeightEnumerator(
+                    tuple((w, x) for w, x in enumerate(counts[i]) if x))
+            if hull is not None:
+                c._hull = hull[i]
 
 
 def make_code(g: BitMatrix) -> LinearCode:

@@ -13,7 +13,9 @@ multiplicities affine in t.  The weight enumerator's exponents are the
 message-weight matrix times those multiplicities, and the determinant
 of G G^T, of degree <= k in t, is interpolated from its integer values
 at t = 0..k; both must match the shipped reference rows.  Each
-dimension's tables sit in one k-keyed lookup, DIMENSIONS.
+dimension's tables sit in one k-keyed lookup, DIMENSIONS.  The built
+members are checked in batches: family_codes takes the weights and
+hulls of a whole batch from one code_profiles call.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import factorial
 import numpy as np
 
 from . import tables
-from .code import LinearCode, make_code, message_weight_matrix
+from .code import LinearCode, message_weight_matrix, profile_codes
 from .gf2 import BitMatrix, IntMatrix, det_int
 
 # -- affine forms ------------------------------------------------------------
@@ -166,14 +168,25 @@ def family_weight(k: int, n: int) -> tuple[int, int, int]:
     return s, t, (1 << (k - 1)) * t + DIMENSIONS[k].rows[s][1]
 
 
+def family_codes(k: int, members) -> list[FamilyVerdict]:
+    """Build the family members (s, t) of dimension k and compare each
+    with its claimed parameters, their weights and hulls from one
+    code_profiles call.  [I_k | M] is already in reduced row-echelon
+    form, so it is not reduced again."""
+    codes, lengths = [], []
+    for s, t in members:
+        codes.append(LinearCode(build_generator(k, family_a_vector(k, s, t)),
+                                _reduced=True))
+        lengths.append(((1 << k) - 1) * t + s)
+    profile_codes(codes)
+    return [FamilyVerdict(code, n, family_weight(k, n)[2], code.min_weight(),
+                          *code.lcd_status())
+            for code, n in zip(codes, lengths)]
+
+
 def family_code(k: int, s: int, t: int) -> FamilyVerdict:
     """Build the family member and compare it with its claimed parameters."""
-    vec = family_a_vector(k, s, t)
-    code = make_code(build_generator(k, vec))
-    claimed_n = ((1 << k) - 1) * t + s
-    claimed_d = family_weight(k, claimed_n)[2]
-    hull, lcd = code.lcd_status()
-    return FamilyVerdict(code, claimed_n, claimed_d, code.min_weight(), hull, lcd)
+    return family_codes(k, [(s, t)])[0]
 
 
 # -- column-type multiplicities in t -----------------------------------------

@@ -70,10 +70,6 @@ class BitMatrix:
     def identity(cls, k: int) -> BitMatrix:
         return cls(k, k, tuple(1 << i for i in range(k)))
 
-    def column(self, j: int) -> int:
-        """Column j packed into an int: bit i is entry (i, j)."""
-        return sum(((r >> j) & 1) << i for i, r in enumerate(self.data))
-
     def hstack(self, other: BitMatrix) -> BitMatrix:
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")

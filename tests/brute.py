@@ -18,7 +18,9 @@ elimination and then back substitution.  The Griesmer maximum is found
 by bisection over 1..n.  A matrix is built column by column, octal
 strings are decoded one bit at a time, and the orbit-rule compositions
 of the Walsh-Hadamard branch are built one (j, l) pair at a time, each
-from compositions read off bar positions.
+from compositions read off bar positions.  Codewords are walked in Gray
+order, one row XOR a message, and column types are read one column at
+a time.
 """
 
 from __future__ import annotations
@@ -476,8 +478,35 @@ def decode_octal(s: str, n: int, k: int) -> BitMatrix:
     return BitMatrix.from_rows([[int(c) for c in r] for r in rows])
 
 
+def column(m: BitMatrix, j: int) -> int:
+    """Column j packed into an int: bit i is entry (i, j)."""
+    return sum(((r >> j) & 1) << i for i, r in enumerate(m.data))
+
+
 def transpose(m: BitMatrix) -> BitMatrix:
-    return BitMatrix(m.cols, m.rows, tuple(m.column(j) for j in range(m.cols)))
+    return BitMatrix(m.cols, m.rows, tuple(column(m, j) for j in range(m.cols)))
+
+
+def column_types(code: LinearCode) -> TypeMultiplicity:
+    """The code's column multiset, read one column at a time."""
+    counts = [0] * (1 << code.k)
+    for j in range(code.n):
+        counts[column(code.generator, j)] += 1
+    return TypeMultiplicity(code.k, tuple(counts))
+
+
+def codewords(rows):
+    """Every combination of the rows (row ints, not necessarily
+    independent), one per message, in Gray order from 0: each step XORs
+    in the row of the bit that changes."""
+    cw = 0
+    prev = 0
+    yield 0
+    for m in range(1, 1 << len(rows)):
+        g = m ^ (m >> 1)
+        cw ^= rows[(g ^ prev).bit_length() - 1]
+        prev = g
+        yield cw
 
 
 def to_lists(m: BitMatrix) -> list[list[int]]:

@@ -13,8 +13,8 @@ from brute import (aut_order, box_scan, compositions_oracle, extension_classes,
                    ordered_compositions, subspace_class_counts)
 from lcdlab.bounds import griesmer_dmax
 from lcdlab.canonical import canonical_classes, canonical_rows, counts_key
-from lcdlab.classify import (MAX_LENGTH, _column_candidates, _extend_all,
-                             _extend_seed, _ordered_compositions, classify,
+from lcdlab.classify import (MAX_LENGTH, _build_db, _column_candidates,
+                             _extend_all, _extend_seed, _ordered_compositions, classify,
                              classify_by_columns, composition_blocks,
                              compositions, extend_by_inverse_shortening,
                              lcd_census, levels_by_columns)
@@ -154,6 +154,18 @@ def test_representatives_have_exact_parameters():
         for code in db.codes():
             assert code.n == db.n and code.k == db.k
             assert code.min_weight() == db.d
+
+
+@pytest.mark.parametrize("n, k, d, counts", [
+    (3, 2, 1, (0, 1, 1, 1)),  # a [3,2,2] class filed at d = 1
+    (4, 2, 2, (0, 1, 1, 1)),  # at the wrong length
+    (3, 2, 2, (1, 2, 0, 0)),  # its types span only a line: rank 1
+    (6, 3, 2, (0, 2, 2, 2, 0, 0, 0, 0)),  # types 1, 2, 3: rank 2
+])
+def test_build_db_rejects_a_class_off_its_level(n, k, d, counts):
+    assert _build_db(3, 2, 2, "columns", [(0, 1, 1, 1)]).count == 1
+    with pytest.raises(AssertionError, match="representative verification"):
+        _build_db(n, k, d, "columns", [counts])
 
 
 def test_oracle_settlement_small():

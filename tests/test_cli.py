@@ -179,13 +179,14 @@ def test_reproduce_checks_keep_their_dimension(monkeypatch):
             return result
         monkeypatch.setattr(module, name, wrapped)
 
-    for name in ("family_code", "family_t_min", "family_affine_vector",
+    for name in ("family_codes", "family_t_min", "family_affine_vector",
                  "symbolic_weight_enumerator", "expected_symbolic_we",
                  "symbolic_gram_det"):
         spy(families, name, 0)
     spy(cli, "_verify_octal_table", 1)
     spy(cli, "_verify_lcd_witnesses", 0)
     spy(cli, "levels_by_columns", None)
+    calls = []  # the levels_by_columns calls of the counts checks
     above = 0
     for name, check in checks:
         seen.clear()
@@ -195,21 +196,12 @@ def test_reproduce_checks_keep_their_dimension(monkeypatch):
             continue
         k = int(dim.group(1))
         if name.startswith("counts"):
-            # one call per kk = 3, 2 over the table's lengths n-k+kk, each
-            # from its least d, holding every level up to the Griesmer maximum
-            rows = families.DIMENSIONS[k].counts.items()
-            want = {kk: {} for kk in (3, 2)}
-            for (n, d), _ in rows:
-                for kk, lengths in want.items():
-                    nn = n - k + kk
-                    lengths[nn] = min(d, lengths.get(nn, d))
-            assert [args for args, _ in seen] == list(want.items()), name
-            for (kk, lengths), levels in seen:
-                assert list(levels) == [
-                    (nn, dd) for nn, d in lengths.items()
-                    for dd in range(d, griesmer_dmax(nn, kk) + 1)], (name, kk)
-            # so a table entry above the maximum must read 0
-            for (n, d), row in rows:
+            # the suite's first counts check makes the calls, the next
+            # reuses them
+            assert len(seen) == (0 if calls else 2), name
+            calls += seen
+            # a table entry above the Griesmer maximum must read 0
+            for (n, d), row in families.DIMENSIONS[k].counts.items():
                 for kk in (3, 2):
                     top = griesmer_dmax(n - k + kk, kk)
                     for j, v in enumerate(row[f"k{kk}"]):
@@ -219,6 +211,40 @@ def test_reproduce_checks_keep_their_dimension(monkeypatch):
         else:
             assert seen and set(seen) == {k}, (name, set(seen))
     assert above
+    # one call per kk = 3, 2 for the suite, over the union of every table's
+    # lengths n-k+kk, each from its least d, holding every level up to the
+    # Griesmer maximum
+    want = {kk: {} for kk in (3, 2)}
+    for k, dim in families.DIMENSIONS.items():
+        for n, d in dim.counts:
+            for kk, lengths in want.items():
+                nn = n - k + kk
+                lengths[nn] = min(d, lengths.get(nn, d))
+    assert [args for args, _ in calls] == list(want.items())
+    for (kk, lengths), levels in calls:
+        assert list(levels) == [
+            (nn, dd) for nn, d in lengths.items()
+            for dd in range(d, griesmer_dmax(nn, kk) + 1)], kk
+
+
+@pytest.mark.parametrize("entry, kk, j", [
+    ((27, 13), "k3", 0),  # [25,3,13], a level the dim4 table also reads
+    ((29, 14), "k2", 1),  # [26,2,15], a length only the dim5 table has
+])
+def test_shared_count_levels_still_check_each_table(capsys, monkeypatch,
+                                                   entry, kk, j):
+    """A dim5 count raised by one fails counts dim5 alone, also where its
+    level is built once for both tables."""
+    row = families.DIMENSIONS[5].counts[entry]
+    wrong = list(row[kk])
+    wrong[j] += 1
+    monkeypatch.setitem(row, kk, tuple(wrong))
+    code, out = run(capsys, "reproduce", "--suite", "all")
+    assert code == 1
+    failed = [line.split("  ")[1] for line in out.splitlines()
+              if line.startswith("FAIL")]
+    assert failed == ["counts dim5 (k<=3)"]
+    assert out.count("PASS") == 12
 
 
 def test_reproduce_builds_each_composition_table_once_per_call(capsys, monkeypatch):

@@ -1,11 +1,15 @@
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import from_columns, matmul, parity_gram
-from lcdlab.code import LinearCode, TypeMultiplicity, make_code
+import brute
+from brute import codewords, from_columns, matmul, parity_gram
+from lcdlab import code as code_module
+from lcdlab.code import LinearCode, TypeMultiplicity, code_profiles, make_code
 from lcdlab.families import build_generator, family_a_vector
 from lcdlab.gf2 import BitMatrix, gram, rref
 
@@ -32,7 +36,7 @@ def test_make_code_full_space():
 def test_make_code_322():
     c = make_code(bitmat([[1, 0, 1], [0, 1, 1]]))
     assert (c.n, c.k, c.min_weight()) == (3, 2, 2)
-    assert sorted(c.codewords()) == [0b000, 0b011, 0b101, 0b110]
+    assert sorted(codewords(c.generator.data)) == [0b000, 0b011, 0b101, 0b110]
 
 
 def test_make_code_rejects_rank_deficient():
@@ -113,6 +117,75 @@ def test_weight_enumerator_mass():
         assert sum(count for _, count in we.coeffs) == 1 << c.k
         assert we.coeffs[0] == (0, 1)
         assert c.min_weight() == min(w for w, _ in we.coeffs if w > 0)
+
+
+@st.composite
+def generator_stacks(draw):
+    """(k, n, stack): up to four generators of k = 0..10 rows of n <= 200
+    bits, several words.  A row may be random, zero, a repeat of an
+    earlier row or the XOR of two earlier rows, so stacks hold rank
+    deficient generators."""
+    k = draw(st.integers(0, 10))
+    n = draw(st.integers(0, 200))
+    stack = []
+    for _ in range(draw(st.integers(0, 4))):
+        rows = []
+        for _ in range(k):
+            kind = draw(st.sampled_from(("random", "zero", "repeat", "sum")))
+            if kind == "zero" or not n:
+                rows.append(0)
+            elif kind == "random" or not rows:
+                rows.append(draw(st.integers(0, (1 << n) - 1)))
+            elif kind == "repeat":
+                rows.append(draw(st.sampled_from(rows)))
+            else:
+                rows.append(draw(st.sampled_from(rows)) ^ draw(st.sampled_from(rows)))
+        stack.append(tuple(rows))
+    return k, n, stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_stacks(), st.sampled_from((None, 1, 8, 64)))
+@example((3, 5, []), None)  # an empty stack
+@example((0, 7, [(), ()]), None)  # k = 0: only the zero message
+@example((10, 200, [(1 << 199,) * 10]), 8)  # one repeated row, four words
+def test_code_profiles_match_gray_walk_and_rref(case, block):
+    """Every generator's weight distribution is the multiset of its Gray
+    walk's codeword weights, and its hull is k - rank(G G^T) by rref, also
+    with blocks small enough to split the XOR table and the stack."""
+    k, n, stack = case
+    with mock.patch.object(code_module, "KERNEL_BLOCK",
+                           block or code_module.KERNEL_BLOCK):
+        counts, hull = code_profiles(k, n, stack)
+    assert len(counts) == len(hull) == len(stack)
+    for rows, by_weight, h in zip(stack, counts, hull):
+        assert len(by_weight) == n + 1
+        walk = Counter(cw.bit_count() for cw in codewords(rows))
+        assert {w: c for w, c in enumerate(by_weight) if c} == walk
+        assert h == k - rref(gram(BitMatrix(k, n, rows))).rank
+        assert all(type(x) is int for x in by_weight + [h])
+    assert code_profiles(k, n, stack, weights=False)[0] is None
+    assert code_profiles(k, n, stack, hulls=False)[1] is None
+
+
+@st.composite
+def codes_with_zero_columns(draw):
+    """Full-rank codes of k = 1..7 and n <= 150 whose generators have
+    columns cleared at random, so that some are zero."""
+    k = draw(st.integers(1, 7))
+    n = draw(st.integers(k, 150))
+    keep = draw(st.integers(0, (1 << n) - 1))
+    rows = [draw(st.integers(0, (1 << n) - 1)) & keep for _ in range(k)]
+    red = rref(BitMatrix(k, n, tuple(rows)))
+    return LinearCode(BitMatrix(red.rank, n, red.matrix.data[:red.rank]),
+                      _reduced=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes_with_zero_columns())
+@example(LinearCode(BitMatrix(2, 70, (1, 1 << 69)), _reduced=True))
+def test_column_types_match_per_column_form(code):
+    assert code.column_types() == brute.column_types(code)
 
 
 def test_enumeration_cap():

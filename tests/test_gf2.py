@@ -2,8 +2,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import (from_columns, int_gram, matmul, mod2, rref_lists, to_lists,
-                   transpose)
+from brute import (column, from_columns, int_gram, matmul, mod2, rref_lists,
+                   to_lists, transpose)
 from lcdlab.families import build_generator
 from lcdlab.gf2 import BitMatrix, IntMatrix, det_int, gram, nullspace, rref
 
@@ -170,5 +170,5 @@ def test_from_columns_matches_row_by_row(case):
                  for i in range(k))
     m = from_columns(k, cols)
     assert m == BitMatrix(k, len(cols), rows)
-    assert [m.column(j) for j in range(len(cols))] == \
+    assert [column(m, j) for j in range(len(cols))] == \
         [c & ((1 << k) - 1) for c in cols]
