@@ -48,9 +48,12 @@ candidates of the call into canonical form in one batch, for every k,
 so one dedupe may span several lengths.  Each class is filed at
 (length, least weight): the sum and the least message weight of its
 canonical vector, both invariants of the class, so classes of
-different lengths never merge.  Each level is then verified on its
-own by _build_db.  A stored level is read only once it matches what
-building it would store.
+different lengths never merge.  The generators of every class of the
+call are then built as one gf2 stack, reduced by one rref_stack and
+weighed by one code_profiles call, and their keys written in one array
+pass; _build_db checks each level's classes against its own [n, k, d'].
+A stored level is read only once it matches what building it would
+store.
 
 In the Walsh-Hadamard branch the lengths and zero-column counts of one
 direct call often ask for the same ordered compositions.  Each table
@@ -68,11 +71,11 @@ import numpy as np
 
 from . import formats
 from .bounds import griesmer_dmax
-from .canonical import CANONICAL_CAP, canonical_classes, counts_key
-from .code import (LinearCode, TypeMultiplicity, code_profiles,
-                   message_weight_matrix, profile_codes, sign_matrix)
+from .canonical import CANONICAL_CAP, canonical_classes
+from .code import (LinearCode, code_profiles, message_weight_matrix,
+                   profile_codes, sign_matrix)
 from .formats import CodeDB
-from .gf2 import BitMatrix, rref
+from .gf2 import BitMatrix, pack_runs, rref_stack, stack_rows
 
 DEFAULT_LIMIT = 20_000_000  # candidate vectors one direct enumeration may make
 MAX_LENGTH = np.iinfo(np.int16).max  # multiplicity arrays are int16
@@ -200,23 +203,44 @@ def _dedupe_canonical(vec_arrays: list[np.ndarray], k: int) -> list[tuple[int, .
                   for row in canonical_classes(vec_arrays, k))
 
 
+def _verified_classes(k: int, canon: list[tuple[int, ...]]) -> list[tuple]:
+    """(key, rows, (length, rank, least weight)) of each canonical
+    vector's class: the generators of all of them built as one stack,
+    reduced by one rref_stack and weighed by one code_profiles call, and
+    the class keys (counts_key) written in one array pass."""
+    vecs = np.array(canon, dtype=np.int64).reshape(len(canon), 1 << k)
+    # TypeMultiplicity.generator's columns: the zero columns are padding
+    reduced, rank = rref_stack(pack_runs(k, range(1, 1 << k), vecs[:, 1:]))
+    lengths = vecs.sum(axis=1)
+    counts_by_weight, _ = code_profiles(k, int(lengths.max(initial=0)), reduced,
+                                        hulls=False)
+    least = [next((w for w, c in enumerate(by_weight) if w and c), 0)
+             for by_weight in counts_by_weight]
+    keys = np.empty((len(vecs), 3 + (2 << k)), dtype=np.uint8)
+    keys[:, 0] = k
+    keys[:, 1:3] = lengths.astype(">u2")[:, None].view(np.uint8)
+    keys[:, 3:] = vecs.astype(">u2").view(np.uint8)
+    raw, size = keys.tobytes(), keys.shape[1]
+    return [(raw[i * size:(i + 1) * size], rows, shape)
+            for i, (rows, shape) in enumerate(zip(
+                stack_rows(reduced), zip(lengths.tolist(), rank.tolist(), least)))]
+
+
 def _build_db(n: int, k: int, d: int, method: str,
-              canon_list: list[tuple[int, ...]]) -> CodeDB:
+              canon_list: list[tuple[int, ...]], classes=None) -> CodeDB:
     """The level's database: each class's generator built from its
-    canonical vector and reduced, then every class's length, rank and
-    least weight checked against [n, k, d] from one code_profiles call."""
-    reduced = [rref(TypeMultiplicity(k, counts).generator()) for counts in canon_list]
-    counts_by_weight, _ = code_profiles(
-        k, max((red.matrix.cols for red in reduced), default=n),
-        [red.matrix.data for red in reduced], hulls=False)
+    canonical vector and reduced, and its length, rank and least weight
+    checked against [n, k, d].  classes holds _verified_classes(k,
+    canon_list), when the caller has it from a larger stack."""
+    if classes is None:
+        classes = _verified_classes(k, canon_list)
     records = []
-    for counts, red, by_weight in zip(canon_list, reduced, counts_by_weight):
-        least = next((w for w, c in enumerate(by_weight) if w and c), 0)
-        if (red.matrix.cols, red.rank, least) != (n, k, d):
+    for counts, (key, rows, shape) in zip(canon_list, classes):
+        if shape != (n, k, d):
             raise AssertionError(
                 f"representative verification failed for {counts}: "
-                f"[{red.matrix.cols},{red.rank},{least}] != [{n},{k},{d}]")
-        records.append((counts_key(n, k, counts), red.matrix.data))
+                f"[{shape[0]},{shape[1]},{shape[2]}] != [{n},{k},{d}]")
+        records.append((key, rows))
     records.sort(key=lambda r: r[0])
     return CodeDB(n, k, d, method, tuple(records))
 
@@ -228,20 +252,24 @@ def _file_levels(k: int, ranges: dict[int, tuple[int, int]], method: str,
     candidates whose lengths and least message weights lie in those
     ranges: one dedupe for all of them, each class filed at the sum of
     its canonical vector and its least message weight (both invariants
-    of the class, so classes of different lengths never merge), then
-    every level built and verified on its own."""
+    of the class, so classes of different lengths never merge).  The
+    classes of every level are built, reduced and weighed as one stack
+    by _verified_classes, and each level is then checked against its
+    own (n, d') by _build_db."""
     canon = _dedupe_canonical(vec_arrays, k)
-    levels: dict[tuple[int, int], list[tuple[int, ...]]] = {
+    levels: dict[tuple[int, int], list[int]] = {
         (n, dd): [] for n, (d, top) in ranges.items() for dd in range(d, top + 1)}
     if canon:
         vecs = np.array(canon, dtype=np.int64)
         weights = (vecs[:, 1:] @ message_weight_matrix(k).T).min(axis=1)
-        for counts, n, w in zip(canon, vecs.sum(axis=1).tolist(), weights.tolist()):
+        for i, (n, w) in enumerate(zip(vecs.sum(axis=1).tolist(), weights.tolist())):
             if (n, w) not in levels:
-                raise AssertionError(f"class {counts} has length {n} and minimum "
+                raise AssertionError(f"class {canon[i]} has length {n} and minimum "
                                      f"weight {w}, outside every range")
-            levels[n, w].append(counts)
-    return {(n, dd): _build_db(n, k, dd, method, found)
+            levels[n, w].append(i)
+    classes = _verified_classes(k, canon)
+    return {(n, dd): _build_db(n, k, dd, method, [canon[i] for i in found],
+                               [classes[i] for i in found])
             for (n, dd), found in levels.items()}
 
 

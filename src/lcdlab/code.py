@@ -3,13 +3,15 @@
 A code is stored through the reduced row-echelon form of a generator
 matrix, which is unique per row space, so structural equality means
 equality of codes.  Weights and hull dimensions come from one array
-kernel, code_profiles, which takes a whole stack of generators: each
-generator's 2^k codewords are built by an XOR table over its rows,
-packed in uint64 words, and counted by weight with np.bitwise_count,
-and its Gram matrix G G^T, from popcount parities, is reduced by a
-batched GF(2) elimination.  A LinearCode asks it for a stack of one and
-caches the answer; profile_codes fills the caches of many codes with
-one call per dimension.  Caches are filled idempotently and are safe to
+kernel, code_profiles, which takes a whole stack of generators (see
+gf2): each generator's 2^k codewords are built by an XOR table over its
+rows, packed in uint64 words, and counted by weight with
+np.bitwise_count, and its Gram matrix G G^T, from popcount parities, is
+packed the same way, in bytes, and reduced by gf2.rref_stack, the
+elimination that also reduces generators.  A LinearCode asks it for a
+stack of one and caches the answer; profile_codes fills the caches of
+many codes with one call per dimension, and stack_codes makes the codes
+of a built stack.  Caches are filled idempotently and are safe to
 race.  The sign and message-weight tables over the 2^k column types,
 which families, classify and search share, live here.
 """
@@ -22,7 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .canonical import canonical_key
-from .gf2 import BitMatrix, nullspace, rref
+from .gf2 import (BitMatrix, nullspace, pack_rows, pack_runs, rref, rref_stack,
+                  stack_rows)
 
 ENUMERATION_CAP = 28  # 2^k codewords are enumerated exhaustively
 KERNEL_BLOCK = 1 << 18  # codeword words one step of code_profiles holds
@@ -73,13 +76,11 @@ class TypeMultiplicity:
         return sum(self.counts)
 
     def generator(self) -> BitMatrix:
-        """A generator whose columns realize the multiset (types ascending, zeros last).
-
-        The c columns of type t are one run of c bits, set in row i when
-        bit i of t is set."""
-        runs = [(t, c) for t, c in enumerate(self.counts) if t and c]
-        runs.append((0, self.counts[0]))
-        return BitMatrix.from_runs(self.k, runs)
+        """A generator whose columns realize the multiset (types ascending,
+        zeros last): a stack of one of gf2.pack_runs, one run per nonzero
+        type, the zero columns its padding."""
+        rows = stack_rows(pack_runs(self.k, range(1, 1 << self.k), [self.counts[1:]]))
+        return BitMatrix(self.k, self.n, rows[0])
 
 
 @lru_cache(maxsize=None)
@@ -102,28 +103,28 @@ def message_weight_matrix(k: int) -> np.ndarray:
 def code_profiles(k: int, n: int, stack, *, weights: bool = True,
                   hulls: bool = True):
     """The weight distributions and hull dimensions of a stack of
-    generators, each a sequence of k row ints of at most n bits (the rows
-    need not be independent).
+    generators of k rows and at most n columns: a gf2 stack, or a
+    sequence of generators, each k row ints (the rows need not be
+    independent).
 
     Returns (counts, hull), lists of Python ints, or None for what is not
     asked: counts[i][w] is the number of messages whose codeword under
     generator i has weight w, for w = 0..n, so 2^(k - rank) messages
-    give weight 0; hull[i] = k - rank_GF(2)(G G^T).  The rows are packed
-    into uint64 words.  Each message's codeword is read from an XOR
-    table over the rows, and weighed by np.bitwise_count: the table of
-    the low rows is XORed with each entry of the table of the high rows,
-    which it has only when 2^k words exceed KERNEL_BLOCK, and the
-    generators are taken in groups, so that one step holds at most
-    KERNEL_BLOCK words (or one low table).  Entry (i, j) of G G^T is the
-    parity of the popcount of rows i and j ANDed, and _ranks reduces the
-    Grams of a group together.  Asking for weights needs
+    give weight 0; hull[i] = k - rank_GF(2)(G G^T).  Each message's
+    codeword is read from an XOR table over the rows, and weighed by
+    np.bitwise_count: the table of the low rows is XORed with each entry
+    of the table of the high rows, which it has only when 2^k words
+    exceed KERNEL_BLOCK, and the generators are taken in groups, so that
+    one step holds at most KERNEL_BLOCK words (or one low table).  Entry
+    (i, j) of G G^T is the parity of the popcount of rows i and j ANDed;
+    the Grams of a group are packed as a stack of byte words, and their
+    ranks come from gf2.rref_stack.  Asking for weights needs
     k <= ENUMERATION_CAP.
     """
     if weights and k > ENUMERATION_CAP:
         raise ValueError(f"enumeration cap: k={k} > {ENUMERATION_CAP}")
-    words = max(1, -(-n // 64))
-    raw = b"".join(r.to_bytes(8 * words, "little") for rows in stack for r in rows)
-    g = np.frombuffer(raw, dtype="<u8").reshape(len(stack), k, words)
+    g = stack if isinstance(stack, np.ndarray) else pack_rows(k, n, stack)
+    words = g.shape[2]
     # rows in the low table, and generators in one group
     low = min(k, max(0, (KERNEL_BLOCK // words).bit_length() - 1))
     group = max(1, KERNEL_BLOCK // (words << low))
@@ -144,8 +145,9 @@ def code_profiles(k: int, n: int, stack, *, weights: bool = True,
             gram = np.zeros((len(part), k, k), dtype=np.uint64)
             for w in range(words):
                 gram ^= part[:, :, None, w] & part[:, None, :, w]
-            odd = (np.bitwise_count(gram) & 1).astype(bool)
-            hull[lo:lo + len(part)] = k - _ranks(odd)
+            odd = np.bitwise_count(gram) & 1
+            hull[lo:lo + len(part)] = k - rref_stack(  # Gram rows in bytes
+                np.packbits(odd, axis=2, bitorder="little"), rows=False)[1]
     return (None if counts is None else counts.tolist(),
             None if hull is None else hull.tolist())
 
@@ -158,24 +160,6 @@ def _xor_table(rows: np.ndarray) -> np.ndarray:
     for r in range(j):
         table[:, 1 << r:2 << r] = table[:, :1 << r] ^ rows[:, r:r + 1]
     return table
-
-
-def _ranks(a: np.ndarray) -> np.ndarray:
-    """GF(2) ranks of a stack of 0/1 matrices, (m, rows, cols) bool,
-    which is reduced in place.
-
-    Row i in turn clears its first set column from every row below it.
-    A row below only ever takes in rows that have that column clear, so
-    it never sets it again: each nonzero row left has a set column that
-    every later row has clear, and the nonzero rows are independent and
-    span the row space."""
-    m, rows, _ = a.shape
-    at = np.arange(m)
-    for i in range(rows - 1):
-        piv = a[:, i]
-        col = piv.argmax(axis=1)  # first set column (a zero row XORs in nothing)
-        a[:, i + 1:] ^= a[at, i + 1:, col][:, :, None] & piv[:, None]
-    return a.any(axis=2).sum(axis=1)
 
 
 class LinearCode:
@@ -273,15 +257,29 @@ def profile_codes(codes, *, weights: bool = True, hulls: bool = True):
         if (weights and c._we is None) or (hulls and c._hull is None):
             todo.setdefault(c.k, []).append(c)
     for k, group in todo.items():
-        counts, hull = code_profiles(k, max(c.n for c in group),
-                                     [c.generator.data for c in group],
-                                     weights=weights, hulls=hulls)
-        for i, c in enumerate(group):
-            if counts is not None:
-                c._we = WeightEnumerator(
-                    tuple((w, x) for w, x in enumerate(counts[i]) if x))
-            if hull is not None:
-                c._hull = hull[i]
+        _fill_caches(group, *code_profiles(k, max(c.n for c in group),
+                                           [c.generator.data for c in group],
+                                           weights=weights, hulls=hulls))
+
+
+def stack_codes(stack: np.ndarray, lengths) -> list[LinearCode]:
+    """The codes of a gf2 stack of full-rank generators in reduced
+    row-echelon form, of the given lengths, their weights and hulls
+    cached from one code_profiles call on the stack."""
+    k = stack.shape[1]
+    codes = [LinearCode(BitMatrix(k, n, rows), _reduced=True)
+             for rows, n in zip(stack_rows(stack), lengths)]
+    _fill_caches(codes, *code_profiles(k, max(lengths, default=0), stack))
+    return codes
+
+
+def _fill_caches(codes, counts, hull):
+    for i, c in enumerate(codes):
+        if counts is not None:
+            c._we = WeightEnumerator(
+                tuple((w, x) for w, x in enumerate(counts[i]) if x))
+        if hull is not None:
+            c._hull = hull[i]
 
 
 def make_code(g: BitMatrix) -> LinearCode:

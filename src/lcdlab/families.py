@@ -4,18 +4,18 @@ A family row fixes, per length residue s mod 2^k - 1, a vector of
 affine forms a_j(t) = t + c_j; the code of parameter t is generated by
 [I_k | M] where block j of M repeats a fixed nonzero column a_j(t)
 times, and has length (2^k - 1) t + s and minimum weight 2^(k-1) t plus
-the row's weight offset.  The generator is built from runs, as
+the row's weight offset.  The generators are built from runs, as
 TypeMultiplicity.generator builds its own: each unit column and each
-block j is one run of equal columns, set in the rows of its type's
-bits by BitMatrix.from_runs.  A row's affine forms are built once per
-(k, s).  So the column types of [I_k | M] have
+block j is one run of equal columns, and gf2.pack_runs builds a whole
+batch of members as one stack.  A row's affine forms are built once
+per (k, s).  So the column types of [I_k | M] have
 multiplicities affine in t.  The weight enumerator's exponents are the
 message-weight matrix times those multiplicities, and the determinant
 of G G^T, of degree <= k in t, is interpolated from its integer values
 at t = 0..k; both must match the shipped reference rows.  Each
 dimension's tables sit in one k-keyed lookup, DIMENSIONS.  The built
 members are checked in batches: family_codes takes the weights and
-hulls of a whole batch from one code_profiles call.
+hulls of a whole batch from one code_profiles call on that stack.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from math import factorial
 import numpy as np
 
 from . import tables
-from .code import LinearCode, message_weight_matrix, profile_codes
-from .gf2 import BitMatrix, IntMatrix, det_int
+from .code import LinearCode, message_weight_matrix, stack_codes
+from .gf2 import BitMatrix, IntMatrix, det_int, pack_runs, stack_rows
 
 # -- affine forms ------------------------------------------------------------
 
@@ -88,15 +88,25 @@ def column_order(k: int) -> tuple[int, ...]:
 
 def build_generator(k: int, a) -> BitMatrix:
     """[I_k | M(a)]: block j of M repeats column_order(k)[j] a[j] times,
-    one run of a[j] columns, after the k unit columns."""
-    order = column_order(k)
+    one run of a[j] columns, after the k unit columns; a stack of one
+    of _build_stack."""
     a = list(a)
-    if len(a) != len(order):
-        raise ValueError(f"need {len(order)} multiplicities, got {len(a)}")
-    if any(x < 0 for x in a):
-        raise ValueError(f"negative multiplicity in {a}")
-    runs = [(1 << i, 1) for i in range(k)] + list(zip(order, a))
-    return BitMatrix.from_runs(k, runs)
+    return BitMatrix(k, k + sum(a), stack_rows(_build_stack(k, [a]))[0])
+
+
+def _build_stack(k: int, vectors) -> np.ndarray:
+    """The gf2 stack of [I_k | M(a)] for each multiplicity vector a:
+    runs of the k unit types, one column each, then of column_order(k)."""
+    order = column_order(k)
+    runs = []
+    for a in vectors:
+        a = list(a)
+        if len(a) != len(order):
+            raise ValueError(f"need {len(order)} multiplicities, got {len(a)}")
+        if any(x < 0 for x in a):
+            raise ValueError(f"negative multiplicity in {a}")
+        runs.append([1] * k + a)
+    return pack_runs(k, [1 << i for i in range(k)] + list(order), runs)
 
 
 @dataclass(frozen=True)
@@ -169,16 +179,14 @@ def family_weight(k: int, n: int) -> tuple[int, int, int]:
 
 
 def family_codes(k: int, members) -> list[FamilyVerdict]:
-    """Build the family members (s, t) of dimension k and compare each
-    with its claimed parameters, their weights and hulls from one
-    code_profiles call.  [I_k | M] is already in reduced row-echelon
-    form, so it is not reduced again."""
-    codes, lengths = [], []
-    for s, t in members:
-        codes.append(LinearCode(build_generator(k, family_a_vector(k, s, t)),
-                                _reduced=True))
-        lengths.append(((1 << k) - 1) * t + s)
-    profile_codes(codes)
+    """Build the family members (s, t) of dimension k as one stack and
+    compare each with its claimed parameters, their weights and hulls
+    from one code_profiles call.  [I_k | M] is already in reduced
+    row-echelon form, so it is not reduced again."""
+    members = list(members)
+    lengths = [((1 << k) - 1) * t + s for s, t in members]
+    codes = stack_codes(_build_stack(k, [family_a_vector(k, s, t)
+                                         for s, t in members]), lengths)
     return [FamilyVerdict(code, n, family_weight(k, n)[2], code.min_weight(),
                           *code.lcd_status())
             for code, n in zip(codes, lengths)]

@@ -4,15 +4,31 @@ A matrix row is a single Python int with bit j holding the entry in
 column j (LSB-first).  Row operations are therefore word-parallel XORs,
 and popcounts give inner products.  All values are immutable; every
 operation is a pure function.  A BitMatrix checks its rows against the
-column range when built, except the results of rref and gram, whose
-rows cannot leave it.
+column range when built, except the results of rref, whose rows cannot
+leave it.
+
+Many generators at once are held as a stack: an (R, k, words) uint64
+array, row i of generator r in stack[r, i], its columns 64w .. 64w + 63
+in word w, column 64w the low bit.  pack_runs builds a whole stack from
+rows of multiplicities over an ordered tuple of column types, and
+rref_stack reduces one: it returns each generator's reduced row-echelon
+form and rank.  The reduced row-echelon form of a row space is unique
+(pivots at the lowest set column of each row, rows in pivot order, zero
+rows last), so rref_stack gives, generator for generator, the rows and
+rank rref gives.  code.code_profiles reduces its Gram stacks with it
+too, so the package has one batched elimination.  Both work in groups
+of generators, so that one step holds at most about STACK_BLOCK bytes
+besides the stack itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_DIM = 1 << 16
+STACK_BLOCK = 1 << 22  # bytes of work arrays one step of a stack holds
 
 
 @dataclass(frozen=True)
@@ -49,22 +65,6 @@ class BitMatrix:
                 raise ValueError("ragged rows")
             packed.append(sum((1 << j) for j, b in enumerate(bits) if b & 1))
         return cls(len(packed), 0 if cols is None else cols, tuple(packed))
-
-    @classmethod
-    def from_runs(cls, rows: int, runs) -> BitMatrix:
-        """Build from runs of equal columns: for each (t, c) of runs, in
-        order, c consecutive columns of type t, which set those c bits in
-        row i when bit i of t is set (t < 2^rows)."""
-        data = [0] * rows
-        start = 0  # column of the next run
-        for t, c in runs:
-            run = ((1 << c) - 1) << start
-            start += c
-            while t:
-                low = t & -t
-                data[low.bit_length() - 1] |= run
-                t ^= low
-        return cls(rows, start, tuple(data))
 
     @classmethod
     def identity(cls, k: int) -> BitMatrix:
@@ -145,15 +145,106 @@ def rref(m: BitMatrix) -> RrefResult:
     return RrefResult(_unchecked(m.rows, m.cols, tuple(rows)), r, tuple(pivots))
 
 
-def gram(g: BitMatrix) -> BitMatrix:
-    """G * G^T over GF(2)."""
-    data = []
-    for ri in g.data:
-        row = 0
-        for j, rj in enumerate(g.data):
-            row |= ((ri & rj).bit_count() & 1) << j
-        data.append(row)
-    return _unchecked(g.rows, g.rows, tuple(data))
+def pack_runs(k: int, types, mult) -> np.ndarray:
+    """The stack of generators with k rows whose columns are runs of
+    equal columns: generator r has mult[r][j] consecutive columns of
+    type types[j], for each j in turn, and a column of type t has bit i
+    of t in row i.  Each generator is padded with zero columns to the
+    stack's words = max(1, ceil(width / 64)), width the largest row sum
+    of mult.  Zero columns set no bit, so trailing ones need no run:
+    they are padding.
+
+    A group of generators is spread into one array of column types, a
+    row of 64 words entries each (the run values repeated by mult, then
+    type 0 up to the end), and bit i of every column is packed into row
+    i.  A group holds at most STACK_BLOCK bytes of column bits."""
+    mult = np.asarray(mult, dtype=np.int64).reshape(-1, len(types))
+    width = mult.sum(axis=1)
+    words = max(1, -(-int(width.max(initial=0)) // 64))
+    size = 64 * words  # columns of a padded generator
+    value = np.zeros(len(types) + 1, dtype=np.min_scalar_type(max(1, (1 << k) - 1)))
+    value[:-1] = types  # then type 0, the padding
+    bit = (1 << np.arange(k)).astype(value.dtype)[:, None]
+    out = np.empty((len(mult), k, words), dtype=np.uint64)
+    group = max(1, STACK_BLOCK // (max(1, k) * size))
+    for lo in range(0, len(mult), group):
+        part = mult[lo:lo + group]
+        reps = np.empty((len(part), len(value)), dtype=np.int64)
+        reps[:, :-1] = part
+        reps[:, -1] = size - width[lo:lo + group]
+        cols = value[None].repeat(len(part), axis=0).ravel().repeat(reps.ravel())
+        bits = cols.reshape(-1, 1, size) & bit  # (generators, k, size), 0 or not
+        out[lo:lo + group] = np.packbits(bits.reshape(-1), bitorder="little").view(
+            "<u8").reshape(len(part), k, words)
+    return out
+
+
+def pack_rows(k: int, n: int, stack) -> np.ndarray:
+    """The stack of a sequence of generators, each k row ints of at most
+    n bits."""
+    words = max(1, -(-n // 64))
+    raw = b"".join(r.to_bytes(8 * words, "little") for rows in stack for r in rows)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(stack), k, words)
+
+
+def stack_rows(g: np.ndarray) -> list[tuple[int, ...]]:
+    """Each generator of a stack as its tuple of row ints."""
+    m, k, words = g.shape
+    if words == 1:
+        return list(map(tuple, g[:, :, 0].tolist()))
+    raw = g.astype("<u8").tobytes()
+    size = 8 * words
+    rows = [int.from_bytes(raw[i:i + size], "little")
+            for i in range(0, len(raw), size)]
+    return [tuple(rows[r * k:(r + 1) * k]) for r in range(m)]
+
+
+def rref_stack(g: np.ndarray, rows: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(reduced, rank) of a stack: the reduced row-echelon form of every
+    generator, as a stack of the same shape, and its GF(2) rank.  g is
+    reduced in place and returned.  Its words may be of any unsigned
+    dtype (the bit order within a word is the same).  With rows=False
+    only the ranks are asked for, and the last row's step and the sort,
+    which do not change them, are skipped, so g is left part-reduced.
+
+    Row i in turn takes its lowest set column as its pivot and is XORed
+    into every other row that has that column set.  Row i has the pivots
+    of the rows before it clear, so its pivot is new, and the XORs keep
+    each earlier pivot clear in every row but its own.  An earlier row
+    with row i's pivot set has its own pivot, its lowest set column,
+    below that one, and row i has no set column below its pivot, so the
+    XOR leaves the earlier row's pivot its lowest set column.  A zero
+    row takes in nothing and stays zero.  So at the end every nonzero
+    row has a distinct pivot, its lowest set column, which every other
+    row has clear: sorting the rows by pivot, zero rows last, gives the
+    reduced row-echelon form, and the rank is the number of nonzero
+    rows (after the first k - 1 steps already: the last row then has
+    every earlier pivot clear).  Rows sort by pivot as their words'
+    lowest set bits minus 1 do, word 0 first: a zero word wraps to the
+    largest value, above every value of a nonzero word, and a zero row
+    sorts last.  Groups of generators are reduced in turn, each step
+    holding at most about STACK_BLOCK bytes."""
+    m, k, words = g.shape
+    rank = np.zeros(m, dtype=np.int64)
+    group = max(1, STACK_BLOCK // (8 * max(1, k * words)))
+    for lo in range(0, m, group):
+        a = g[lo:lo + group]
+        for i in range(k if rows else k - 1):
+            if words > 1:  # the word of row i's lowest set column, in every row
+                first = (a[:, i] != 0).argmax(axis=1)[:, None, None]
+                col = np.take_along_axis(a, first, axis=2)
+            else:
+                col = a
+            low = col[:, i:i + 1] & -col[:, i:i + 1]  # row i's lowest set bit
+            hit = (col & low).astype(bool)
+            hit[:, i] = False
+            a ^= hit * a[:, i:i + 1]
+        if rows:
+            key = (a & -a) - a.dtype.type(1)
+            order = np.lexsort(key.transpose(2, 0, 1)[::-1], axis=-1)
+            a[:] = a[np.arange(len(a))[:, None], order]
+        rank[lo:lo + group] = a.any(axis=2).sum(axis=1)
+    return g, rank
 
 
 def nullspace(m: BitMatrix) -> BitMatrix:

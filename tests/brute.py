@@ -10,7 +10,8 @@ so orbit minima and automorphism group orders are computed by brute
 force too.  Every labelled vector of a level is walked type by type,
 with no orbit rule, for the orbit-stabilizer count.  Canonical forms
 are also searched without automorphism pruning, every tied partial
-basis carried to the next level.
+basis carried to the next level.  A matrix is built from runs of equal
+columns one run at a time, and its GF(2) Gram one entry at a time.
 Hill-climbing moves are scored by adding every move's weight change to
 every message, and the parity Gram of a column multiset is summed type
 by type.  Reduced echelon forms are found on lists of bits, by forward
@@ -529,6 +530,30 @@ def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
                 acc ^= b.data[j]
         out.append(acc)
     return BitMatrix(a.rows, b.cols, tuple(out))
+
+
+def gram(g: BitMatrix) -> BitMatrix:
+    """G * G^T over GF(2): entry (i, j) is the parity of the ones rows i
+    and j share."""
+    return BitMatrix(g.rows, g.rows, tuple(
+        sum(((ri & rj).bit_count() & 1) << j for j, rj in enumerate(g.data))
+        for ri in g.data))
+
+
+def from_runs(rows: int, runs) -> BitMatrix:
+    """The matrix of runs of equal columns, one run at a time: for each
+    (t, c) of runs, in order, c consecutive columns of type t, which set
+    those c bits in row i when bit i of t is set (t < 2^rows)."""
+    data = [0] * rows
+    start = 0  # column of the next run
+    for t, c in runs:
+        run = ((1 << c) - 1) << start
+        start += c
+        while t:
+            low = t & -t
+            data[low.bit_length() - 1] |= run
+            t ^= low
+    return BitMatrix(rows, start, tuple(data))
 
 
 def int_gram(g: BitMatrix) -> IntMatrix:

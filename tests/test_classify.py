@@ -168,6 +168,32 @@ def test_build_db_rejects_a_class_off_its_level(n, k, d, counts):
         _build_db(n, k, d, "columns", [counts])
 
 
+@pytest.mark.parametrize("case, levels", [
+    ("three lengths", 10), ("one length", 6), ("one level", 1),
+    ("extension", 2), ("no level", 0)])
+def test_file_levels_profiles_every_level_in_one_call(monkeypatch, case, levels):
+    seeds = [classify_by_columns(11, 2, dd) for dd in range(5, 8)]
+    file = {
+        "three lengths": lambda: levels_by_columns(3, {10: 3, 12: 4, 14: 5}),
+        "one length": lambda: levels_by_columns(2, {9: 1}),
+        "one level": lambda: {6: classify_by_columns(12, 3, 6)},
+        "extension": lambda: _extend_all(seeds, 5),  # [12,3,5] and [12,3,6]
+        "no level": lambda: _extend_all(seeds[2:], 7),  # [12,3,7] is above Griesmer
+    }[case]
+    module = importlib.import_module("lcdlab.classify")
+    calls = []
+    real = module.code_profiles
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "code_profiles", counted)
+    filed = file()
+    assert len(filed) == levels
+    assert calls == [sum(db.count for db in filed.values())]
+
+
 def test_oracle_settlement_small():
     # full agreement with subspace enumeration, every d at once
     for n, k in ((5, 2), (6, 3), (7, 2), (7, 3)):

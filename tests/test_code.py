@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
-from brute import codewords, from_columns, matmul, parity_gram
+from brute import codewords, from_columns, gram, matmul, parity_gram
 from lcdlab import code as code_module
 from lcdlab.code import LinearCode, TypeMultiplicity, code_profiles, make_code
 from lcdlab.families import build_generator, family_a_vector
-from lcdlab.gf2 import BitMatrix, gram, rref
+from lcdlab.gf2 import BitMatrix, rref
 
 
 def bitmat(rows):

@@ -1,11 +1,16 @@
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import (column, from_columns, int_gram, matmul, mod2, rref_lists,
-                   to_lists, transpose)
+from brute import (column, from_columns, from_runs, gram, int_gram, matmul,
+                   mod2, rref_lists, to_lists, transpose)
+from lcdlab import gf2
+from lcdlab.code import code_profiles
 from lcdlab.families import build_generator
-from lcdlab.gf2 import BitMatrix, IntMatrix, det_int, gram, nullspace, rref
+from lcdlab.gf2 import (BitMatrix, IntMatrix, det_int, nullspace, pack_runs,
+                        rref, rref_stack, stack_rows)
 
 
 def bitmat(rows):
@@ -172,3 +177,57 @@ def test_from_columns_matches_row_by_row(case):
     assert m == BitMatrix(k, len(cols), rows)
     assert [column(m, j) for j in range(len(cols))] == \
         [c & ((1 << k) - 1) for c in cols]
+
+
+@st.composite
+def run_stacks(draw):
+    """(k, types, mult): up to four generators of k = 1..8 rows over one
+    ordered tuple of column types, each of a length drawn around the
+    word boundaries (0, 63, 64, 65, 130) or below 130, split into runs at
+    random.  The types may hold type 0 (zero columns), and a row may be
+    cleared or copied from another in every type, so generators hold
+    zero and repeated rows and are rank deficient."""
+    k = draw(st.integers(1, 8))
+    types = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=12))
+    for i in range(k):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "copy")))
+        j = draw(st.integers(0, k - 1))
+        for x, t in enumerate(types):
+            if kind == "zero" or (kind == "copy" and not t >> j & 1):
+                types[x] = t & ~(1 << i)
+            elif kind == "copy":
+                types[x] = t | 1 << i
+    mult = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.sampled_from((0, 63, 64, 65, 130)) | st.integers(0, 130))
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=len(types) - 1,
+                                    max_size=len(types) - 1)))
+        mult.append([b - a for a, b in zip([0] + cuts, cuts + [n])])
+    return k, types, mult
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_stacks(), st.sampled_from((None, 1, 100)))
+@example((3, [1, 2, 4], []), None)  # an empty stack
+@example((2, [0, 1, 3], [[5, 60, 0], [64, 1, 0], [0, 0, 130]]), 1)
+def test_run_stack_reduces_like_rref(case, block):
+    """pack_runs builds the rows brute.from_runs builds, and rref_stack
+    gives the reduced rows and rank of gf2.rref, generator for
+    generator (the same ranks when only they are asked for), also with
+    blocks small enough to split the stack; the kernel takes the packed
+    stack as it takes the rows."""
+    k, types, mult = case
+    with mock.patch.object(gf2, "STACK_BLOCK", block or gf2.STACK_BLOCK):
+        stack = pack_runs(k, types, mult)
+        built = stack_rows(stack)
+        reduced, rank = rref_stack(stack.copy())
+        assert (rref_stack(stack.copy(), rows=False)[1] == rank).all()
+    width = max((sum(row) for row in mult), default=0)
+    assert stack.shape == (len(mult), k, max(1, -(-width // 64)))
+    assert len(built) == len(rank) == len(mult)
+    for rows, red, r, row in zip(built, stack_rows(reduced), rank.tolist(), mult):
+        m = from_runs(k, list(zip(types, row)))
+        assert rows == m.data
+        oracle = rref(m)
+        assert (red, r) == (oracle.matrix.data, oracle.rank)
+    assert code_profiles(k, width, stack) == code_profiles(k, width, built)
