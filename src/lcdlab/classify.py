@@ -16,10 +16,12 @@ Two engines share one deduplication layer:
   weight min(d_seed, 1 + coset weight).  The box is walked one type at
   a time, widest type first, and a prefix is pruned as soon as some
   message's partial coset weight, plus the most the remaining types can
-  add to it, falls below d-1.  That bound is exact (it is d-1 itself
-  once every type is placed), so the walk keeps exactly the rows a scan
-  of the whole box keeps, and returns them in the box's lexicographic
-  order.
+  add to it, falls below d-1.  The partial weights are held one row per
+  message; each step tests every (value, parent) pair against a
+  threshold per message and value, and builds only the children that
+  pass.  That bound is exact (it is d-1 itself once every type is
+  placed), so the walk keeps exactly the rows a scan of the whole box
+  keeps, and returns them in the box's lexicographic order.
 
 Direct enumeration keeps, for k >= 2, only the vectors that meet the
 orbit rule: message e1 has the least weight, and message e2 the least
@@ -465,23 +467,29 @@ def _extend_seed(gen_rows: tuple[int, ...], n1: int, k1: int,
 
     The box 0 <= x < radix is walked breadth first, one occupied type
     at a time, widest type first, so the frontier stays narrow while it
-    is pruned hardest.  A frontier row holds the partial coset weights
-    w of its prefix, one per message, and the prefix's index in the
-    box's lexicographic order.  The types still to come can raise w[m]
-    by at most the sum of radix - 1 over those with sign[m, st] = +1
-    (a type with sign -1 only lowers it), so a prefix is dropped as
-    soon as some w[m] falls below d - 1 minus that gain: no box row
-    under it reaches coset weight d - 1.  After the last type the bound
-    is d - 1 itself, so the survivors are exactly the rows a scan of
-    the whole box keeps, and sorting them by index restores its order.
+    is pruned hardest.  The frontier holds the partial coset weights w
+    of its prefixes message-major, one row per message, and each
+    prefix's index in the box's lexicographic order.  The types still
+    to come can raise w[m] by at most the sum of radix - 1 over those
+    with sign[m, st] = +1 (a type with sign -1 only lowers it), so a
+    prefix is dropped as soon as some w[m] falls below need[m], d - 1
+    minus that gain: no box row under it reaches coset weight d - 1.
+    So value v of the next type st keeps a prefix exactly when
+    w[m] >= need[m] - sign[m, st] v for every m.  Each step compares
+    the parents with these per-(message, value) thresholds, which lie
+    in [-n1, 2 n1] and are exact in int32, reduces over the messages,
+    and builds only the (value, parent) children that pass.  After the
+    last type the bound is d - 1 itself, so the survivors are exactly
+    the rows a scan of the whole box keeps; their box indices are
+    distinct, so sorting by index restores the box's order whatever
+    order the children were built in.
     """
-    k = k1 + 1
     seed = LinearCode(BitMatrix(k1, n1, gen_rows))  # reduced; full rank
     c = np.array(seed.column_types().counts, dtype=np.int64)
     radix = c + 1
     unit = 1 << np.arange(k1)  # the pivot columns' types
     radix[unit] = c[unit] // 2 + 1
-    sign = sign_matrix(k1)
+    sign = sign_matrix(k1).astype(np.int32)
     types = np.flatnonzero(radix > 1)
     if prod(int(r) for r in radix[types]) > np.iinfo(np.int64).max:
         raise ValueError(f"the type box of an [{n1},{k1}] seed has more "
@@ -490,37 +498,38 @@ def _extend_seed(gen_rows: tuple[int, ...], n1: int, k1: int,
     stride = np.ones(1 << k1, dtype=np.int64)
     stride[types[:-1]] = np.cumprod(radix[types[:0:-1]])[::-1]
     order = types[np.argsort(-radix[types], kind="stable")]
-    # need[j, m]: the least w[m] a prefix of the first j types of order may hold
+    # need[m, j]: the least w[m] a prefix of the first j types of order may hold
     gain = np.where(sign[:, order] > 0, radix[order] - 1, 0)
-    left = np.zeros((1 << k1, len(order) + 1), dtype=np.int64)
-    left[:, :-1] = np.cumsum(gain[:, ::-1], axis=1)[:, ::-1]
-    need = (d - 1 - left).T.astype(np.int16)
-    w = ((sign < 0) @ c).astype(np.int16)[None, :]
-    w = w[(w >= need[0]).all(axis=1)]
-    idx = np.zeros(len(w), dtype=np.int64)
+    need = np.full((1 << k1, len(order) + 1), d - 1, dtype=np.int32)
+    need[:, :-1] -= np.cumsum(gain[:, ::-1], axis=1)[:, ::-1]
+    w = ((sign < 0) @ c).astype(np.int32)[:, None]  # (messages, rows)
+    w = w[:, (w >= need[:, :1]).all(axis=0)]
+    idx = np.zeros(w.shape[1], dtype=np.int64)
     for j, st in enumerate(order, start=1):
-        if not len(w):
+        if not len(idx):
             break
-        v = np.arange(radix[st])
-        step = (v[:, None] * sign[:, st]).astype(np.int16)  # (values, messages)
-        rows = max(1, BOX_CHUNK // len(v))
+        step = sign[:, st, None] * np.arange(radix[st], dtype=np.int32)
+        low = need[:, j, None] - step  # (messages, values)
+        rows = max(1, BOX_CHUNK // step.shape[1])
         ws, idxs = [], []
-        for lo in range(0, len(w), rows):
-            child = (w[lo:lo + rows, None, :] + step).reshape(-1, 1 << k1)
-            keep = (child >= need[j]).all(axis=1)
-            ws.append(child[keep])
-            idxs.append((idx[lo:lo + rows, None] + v * stride[st]).ravel()[keep])
-        w, idx = np.concatenate(ws), np.concatenate(idxs)
+        for lo in range(0, len(idx), rows):
+            part = w[:, lo:lo + rows]
+            keep = np.logical_and.reduce(part[:, None, :] >= low[:, :, None], axis=0)
+            val, parent = keep.nonzero()  # value-major
+            ws.append(part.take(parent, axis=1))
+            ws[-1] += step.repeat(np.add.reduce(keep, axis=1), axis=1)
+            idxs.append(idx[lo:lo + rows][parent] + val * stride[st])
+        w, idx = np.concatenate(ws, axis=1), np.concatenate(idxs)
     at = np.argsort(idx)
-    w, idx = w[at], idx[at]
+    idx, least = idx[at], w.min(axis=0)[at]
     x = np.zeros((len(idx), 1 << k1), dtype=np.int64)
     for st in types[::-1]:
         idx, x[:, st] = np.divmod(idx, radix[st])
-    hist = np.empty((len(x), 1 << k), dtype=np.int16)
+    hist = np.empty((len(x), 2 << k1), dtype=np.int16)
     hist[:, 1::2] = x
     hist[:, 0::2] = c - x
     hist[:, 1] += 1  # the adjoined coordinate
-    return hist, np.minimum(seed_d, 1 + w.min(axis=1).astype(np.int64))
+    return hist, np.minimum(seed_d, 1 + least.astype(np.int64))
 
 
 def _validate_seeds(dbs, d: int):
@@ -573,15 +582,16 @@ def _db_path(db_dir: str, n: int, k: int, d: int) -> str:
 
 def _load_checked(path: str, n: int, k: int, d: int) -> CodeDB:
     """A stored level, trusted only once it is exactly what building
-    [n, k, d] stores for the classes its records fall in."""
+    [n, k, d] stores for the classes its records fall in.  Those classes
+    are built and weighed once; a class off [n, k, d] rejects the file."""
     db = formats.load_codedb(path)
-    codes = db.codes()
     if (db.n, db.k, db.d) == (n, k, d):
-        profile_codes(codes, hulls=False)
-    if (db.n, db.k, db.d) != (n, k, d) or any(c.min_weight() != d for c in codes):
+        counts = np.array([c.column_types().counts for c in db.codes()], dtype=np.int16)
+        canon = _dedupe_canonical([counts], k)
+        classes = _verified_classes(k, canon)  # each one's (length, rank, least weight)
+    if (db.n, db.k, db.d) != (n, k, d) or any(s != (n, k, d) for *_, s in classes):
         raise ValueError(f"{path} does not hold [{n},{k},{d}] codes")
-    counts = np.array([c.column_types().counts for c in codes], dtype=np.int16)
-    if _build_db(n, k, d, db.method, _dedupe_canonical([counts], k)) != db:
+    if _build_db(n, k, d, db.method, canon, classes) != db:
         raise ValueError(f"{path}: records are not one canonical "
                          "representative per class")
     return db

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brute import (aut_order, box_scan, compositions_oracle, extension_classes,
-                   gl2_matrices, labelled_vectors, min_weight,
+                   from_runs, gl2_matrices, labelled_vectors, min_weight,
                    ordered_compositions, subspace_class_counts)
 from lcdlab.bounds import griesmer_dmax
 from lcdlab.canonical import canonical_classes, canonical_rows, counts_key
@@ -301,8 +301,10 @@ def assert_same_arrays(got, want):
 
 @st.composite
 def wide_seeds(draw):
-    n1 = draw(st.integers(1, 14))
-    k1 = draw(st.integers(1, min(4, n1)))
+    # k1 = 5 is the 32-message layout of a k = 6 rung; n1 <= 12 keeps its
+    # box small enough for box_scan
+    k1 = draw(st.integers(1, 5))
+    n1 = draw(st.integers(k1, 12 if k1 == 5 else 14))
     rows = tuple(draw(st.integers(0, (1 << n1) - 1)) for _ in range(k1))
     assume(rref(BitMatrix(k1, n1, rows)).rank == k1)
     seed_d = min_weight(rows)
@@ -315,6 +317,25 @@ def test_extend_seed_matches_box_scan(seed):
     # the pruned walk keeps exactly the rows a scan of the whole box keeps,
     # in the box's order
     assert_same_arrays(_extend_seed(*seed), box_scan(*seed))
+
+
+@pytest.mark.parametrize("k1, runs, ds", [
+    # the [32766, 1] repetition code: at d = 16379 and 16383 a few rows
+    # survive; near the top the thresholds d - 1 + x of the walk pass the
+    # int16 range, and no row survives
+    (1, ((1, MAX_LENGTH - 1),), (16379, 16383, 32765, 32766, 32767)),
+    # a [20007, 2, 3] code, almost all of it one type
+    (2, ((0, 4), (1, 2), (2, 1), (3, 20000)), (1, 2, 3, 4)),
+])
+def test_extend_seed_matches_box_scan_on_long_seeds(k1, runs, ds):
+    seed = from_runs(k1, runs)
+    rows, seed_d = seed.data, min_weight(seed.data)
+    survivors = 0
+    for d in ds:
+        got = _extend_seed(rows, seed.cols, k1, seed_d, d)
+        assert_same_arrays(got, box_scan(rows, seed.cols, k1, seed_d, d))
+        survivors += len(got[1])
+    assert survivors
 
 
 def rung_seeds(n: int, k: int, d: int):
