@@ -61,12 +61,22 @@ each column of type t adds t t^T to G G^T, so over GF(2)
 G G^T = sum of t t^T over the types t of odd count.  The search carries
 that k x k matrix as one int, row i in bits ik .. ik + k - 1: a move
 i -> j flips the parity of both types, so it XORs in the packed t t^T of
-each.  The rank depends on the Gram alone, so each restart keeps the
-verdict of every Gram it has met, keyed by that int, and only a Gram not
-met before is unpacked and reduced by gf2.rref: the plateau walk returns
-to the same states often.  Only a state whose Gram has rank k becomes a
-LinearCode, which is checked again, LCD and weight, before it is
-returned.
+each.  A state whose minimum reaches d has that Gram unpacked and reduced
+by gf2.rref, and only one whose Gram has rank k becomes a LinearCode,
+which is checked again, LCD and weight, before it is returned.
+
+The step data of a state, its occupied types, its tied moves, best and
+bound, and its LCD verdict, depends on the multiplicities alone: so do
+the excess weights, the carried minimum and its count, and the parity
+Gram.  So each restart keeps a record of the states it has valued, keyed
+by counts.tobytes(), and values a state, and reduces its Gram, only the
+first time it meets it; the plateau walk returns to the same states
+often.  The record keeps the tied moves in row-major order, so the
+improving move is the first of them and a sideways draw picks from the
+same list as before: the record changes no path, draw or result.  It
+holds at most one entry per step of its restart: at most 8n sideways
+steps, and fewer than (n + 1) 2^k improving ones, since each raises the
+minimum (at most n) or lowers the count at it (at most 2^k - 1).
 """
 
 from __future__ import annotations
@@ -150,6 +160,26 @@ def tie_range(least: int, k: int) -> tuple[int, int]:
     return best, best + (1 << p)
 
 
+def _step_data(record: dict, counts: np.ndarray, e: np.ndarray, k: int,
+               gram: int | None) -> tuple:
+    """(occupied types occ, the tied moves as flat indices into f in
+    row-major order, best, bound, LCD verdict) of the state counts, whose
+    message weights exceed their minimum by e; gram is its packed parity
+    Gram when that minimum reaches d, else None.  Taken from record, the
+    restart's valued states, or valued now and recorded.  With no real
+    move (k = 1) best and bound are inf, so the step neither improves nor
+    ties."""
+    key = counts.tobytes()
+    data = record.get(key)
+    if data is None:
+        occ, f = move_scores(counts, e, k)
+        least = f.min()
+        best, bound = tie_range(int(least), k) if least < np.inf else (least, least)
+        lcd = gram is not None and _full_rank(gram, k)
+        data = record[key] = (occ, (f < bound).ravel().nonzero()[0], best, bound, lcd)
+    return data
+
+
 def search_lcd(n: int, k: int, d: int,
                budget: SearchBudget | None = None) -> LinearCode | None:
     """Look for an LCD [n, k, >= d] code; None when the budget runs out.
@@ -183,32 +213,24 @@ def search_lcd(n: int, k: int, d: int,
         at_min = int(np.count_nonzero(e == 0))
         gram = _parity_gram(counts, k)
         plateau = 8 * n
-        verdicts: dict[int, bool] = {}  # full rank, by this restart's Grams
+        record: dict[bytes, tuple] = {}  # step data, by this restart's states
         while steps < budget.max_iterations:
             steps += 1
-            occ, f = move_scores(counts, e, k)
-            if cur_min >= d:
-                lcd = verdicts.get(gram)
-                if lcd is None:
-                    lcd = verdicts[gram] = _full_rank(gram, k)
-                if lcd:
-                    types = TypeMultiplicity(k, (0, *counts.tolist()))
-                    code = LinearCode(types.generator())
-                    if code.is_lcd() and code.min_weight() >= d:
-                        return code
-            least = f.min()
-            if least == np.inf:
-                break  # no real move (k = 1): stuck
-            best, bound = tie_range(int(least), k)
+            occ, ties, best, bound, lcd = _step_data(
+                record, counts, e, k, gram if cur_min >= d else None)
+            if lcd:
+                types = TypeMultiplicity(k, (0, *counts.tolist()))
+                code = LinearCode(types.generator())
+                if code.is_lcd() and code.min_weight() >= d:
+                    return code
             now = at_min << 3 * k
             if best < now:  # improve: the first best move, row-major
-                move = int((f < bound).argmax())
+                move = int(ties[0])
             elif best == now and plateau > 0:  # sideways: a random tie
                 plateau -= 1
-                ties = (f < bound).ravel().nonzero()[0]  # row-major
                 move = int(ties[rng.randrange(len(ties))])
             else:
-                break  # stuck: restart
+                break  # stuck (or no real move, k = 1): restart
             r, j = divmod(move, q)
             i = int(occ[r])
             counts[i] -= 1

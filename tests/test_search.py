@@ -42,9 +42,9 @@ def test_deterministic_under_seed():
         assert code is not None and tuple(code.generator.data) == rows, (n, k, d, budget)
 
 
-# sha256 of every state the search passes to move_scores in a 2,000-step
-# miss; any change in move ranking, tie-breaking, plateau use, restarts or
-# RNG use moves them
+# sha256 of every state the search steps from in a 2,000-step miss; any
+# change in move ranking, tie-breaking, plateau use, restarts or RNG use
+# moves them
 PINNED_PATHS = {
     (22, 4, 11): "3ec419e782762b2020731a81bd2c3e6a9d31771e5e559625b46f23704fa90fe6",
     (21, 5, 10): "9287142f63665af0936d0665da6ee34393628a7227e8f3bcd983c718aca94063",
@@ -53,24 +53,40 @@ PINNED_PATHS = {
     # builds a code, which this test forbids
     (18, 5, 8): "7dcb8ff6603c82a3080710cd8e0c37b0123a2c9448346556b18a226c2beb590c",
 }
+# move_scores calls in those misses: the distinct states of each restart,
+# valued once each as the plateau walk returns to them
+VALUED_STATES = {(22, 4, 11): 155, (18, 5, 8): 566}
 
 
 def record_states(monkeypatch):
-    """Route move_scores through a wrapper that hashes and counts every
-    state it is passed, and checks that the minimum the search carries
-    from step to step is the least message weight: the weights it passes
-    are their excess over it, so their least is 0; returns the running
-    (hash, [count])."""
+    """Route the search's step through a wrapper that hashes and counts
+    every state it steps from, and checks that the minimum the search
+    carries from step to step is the least message weight: the weights it
+    passes are their excess over it, so their least is 0; returns the
+    running (hash, [count])."""
     digest, calls = hashlib.sha256(), [0]
+    step_data = search._step_data
 
-    def recording(counts, e, k):
+    def recording(record, counts, e, k, gram):
         assert int(e.min()) == 0
         calls[0] += 1
         digest.update(counts.tobytes())
+        return step_data(record, counts, e, k, gram)
+
+    monkeypatch.setattr(search, "_step_data", recording)
+    return digest, calls
+
+
+def count_valued(monkeypatch):
+    """Route move_scores through a wrapper that counts its calls."""
+    calls = [0]
+
+    def counting(counts, e, k):
+        calls[0] += 1
         return move_scores(counts, e, k)
 
-    monkeypatch.setattr(search, "move_scores", recording)
-    return digest, calls
+    monkeypatch.setattr(search, "move_scores", counting)
+    return calls
 
 
 @pytest.mark.parametrize("target", list(PINNED_PATHS))
@@ -78,18 +94,22 @@ def test_search_paths_pinned(monkeypatch, target):
     """Each pinned miss also builds no code: its states at weight d are
     all rejected by their parity Gram."""
     digest, calls = record_states(monkeypatch)
+    valued = count_valued(monkeypatch)
     monkeypatch.setattr(search, "LinearCode", None)  # building one raises
     n, k, d = target
     assert search_lcd(n, k, d, SearchBudget(2000, rng_seed=1, restarts=2000)) is None
     assert calls[0] == 2000
     assert digest.hexdigest() == PINNED_PATHS[target]
+    if target in VALUED_STATES:
+        assert valued[0] == VALUED_STATES[target]
 
 
 def test_rank_checked_once_per_gram(monkeypatch):
     """The pinned (18,5,8) miss is at weight d = 8 on 1,909 of its 2,000
     steps, on 475 states that are not LCD, as the plateau walk returns to
-    them; each restart reduces a Gram only the first time it meets it, so
-    no more than 475 eliminations run."""
+    them; each restart values a state, and reduces its Gram, only the
+    first time it meets it, and its distinct states at weight d have
+    distinct Grams, so no more than 475 eliminations run."""
     calls = [0]
 
     def counting(m):
@@ -100,6 +120,35 @@ def test_rank_checked_once_per_gram(monkeypatch):
     monkeypatch.setattr(search, "LinearCode", None)  # building one raises
     assert search_lcd(18, 5, 8, SearchBudget(2000, rng_seed=1, restarts=2000)) is None
     assert 0 < calls[0] <= 475
+
+
+# short searches at k = 2..7, hits and misses; all but (12,2,8) step from
+# some state more than once
+RECOMPUTED = [(13, 2, 8), (12, 2, 8), (14, 3, 8), (15, 3, 8), (17, 4, 8), (18, 4, 8),
+              (19, 5, 8), (18, 5, 8), (21, 6, 8), (22, 6, 9), (17, 7, 6), (20, 7, 8)]
+
+
+@pytest.mark.parametrize("target", RECOMPUTED)
+def test_record_matches_recompute(monkeypatch, target):
+    """A search whose step values every state afresh, its record defeated
+    by an empty one each step, steps from the same states and returns the
+    same code or None as the search that serves revisits from its record."""
+    n, k, d = target
+    budget = SearchBudget(1500, rng_seed=11, restarts=300)
+    with monkeypatch.context() as m:
+        digest, calls = record_states(m)
+        code = search_lcd(n, k, d, budget)
+        recorded = digest.hexdigest(), calls[0]
+    step_data = search._step_data
+    monkeypatch.setattr(search, "_step_data",
+                        lambda record, *state: step_data({}, *state))
+    digest, calls = record_states(monkeypatch)
+    valued = count_valued(monkeypatch)
+    fresh = search_lcd(n, k, d, budget)
+    assert (digest.hexdigest(), calls[0]) == recorded
+    assert valued[0] == calls[0]  # every step valued its state
+    assert (None if code is None else code.generator.data) == \
+        (None if fresh is None else fresh.generator.data)
 
 
 @st.composite
