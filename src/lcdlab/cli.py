@@ -188,14 +188,15 @@ def _reproduce_checks(suite: str, full: bool, db_dir: str | None, jobs: int):
                        (s, t) for s in res
                        for t in range(families.family_t_min(k, s),
                                       dim.t_checked + 1)])))
-        yield (f"weight enumerators dim{k}", lambda k=k, res=res: all(
-            families.symbolic_weight_enumerator(
-                k, families.family_affine_vector(k, s))
-            == families.expected_symbolic_we(k, s) for s in res))
-        yield (f"gram determinants dim{k}", lambda k=k, dim=dim, res=res: all(
-            families.symbolic_gram_det(k, families.family_affine_vector(k, s))
-            == dim.det[s] and families.det_is_odd_everywhere(dim.det[s])
-            for s in res))
+        yield (f"weight enumerators dim{k}", lambda k=k, res=res:
+               families.symbolic_weight_enumerators(k, [
+                   families.family_affine_vector(k, s) for s in res])
+               == [families.expected_symbolic_we(k, s) for s in res])
+        yield (f"gram determinants dim{k}", lambda k=k, dim=dim, res=res:
+               families.symbolic_gram_dets(k, [
+                   families.family_affine_vector(k, s) for s in res])
+               == [dim.det[s] for s in res]
+               and all(families.det_is_odd_everywhere(dim.det[s]) for s in res))
         yield (f"generator fixtures dim{k}",
                lambda k=k, dim=dim: _verify_octal_table(dim.generators, k, []))
         if dim.lcd_witnesses:

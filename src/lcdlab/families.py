@@ -4,18 +4,26 @@ A family row fixes, per length residue s mod 2^k - 1, a vector of
 affine forms a_j(t) = t + c_j; the code of parameter t is generated by
 [I_k | M] where block j of M repeats a fixed nonzero column a_j(t)
 times, and has length (2^k - 1) t + s and minimum weight 2^(k-1) t plus
-the row's weight offset.  The generators are built from runs, as
-TypeMultiplicity.generator builds its own: each unit column and each
-block j is one run of equal columns, and gf2.pack_runs builds a whole
-batch of members as one stack.  A row's affine forms are built once
-per (k, s).  So the column types of [I_k | M] have
-multiplicities affine in t.  The weight enumerator's exponents are the
-message-weight matrix times those multiplicities, and the determinant
-of G G^T, of degree <= k in t, is interpolated from its integer values
-at t = 0..k; both must match the shipped reference rows.  Each
-dimension's tables sit in one k-keyed lookup, DIMENSIONS.  The built
-members are checked in batches: family_codes takes the weights and
-hulls of a whole batch from one code_profiles call on that stack.
+the row's weight offset.  A row's affine forms are built once per
+(k, s), and each dimension's tables sit in one k-keyed lookup,
+DIMENSIONS.
+
+Each check takes a dimension's rows, or its members, as one stack; a
+single one is a stack of one.  family_codes evaluates its members'
+multiplicity vectors as one array, builds their generators from runs
+(each unit column and each block j is one run of equal columns) with
+one gf2.pack_runs call, and takes their weights and hulls from one
+code_profiles call.  The column types of [I_k | M] have multiplicities
+affine in t, held for all rows as (S, 2^k) offset and slope arrays, and
+one product with the message-weight matrix gives every row's weight
+enumerator exponents.  det(G G^T), of degree <= k in t, is interpolated
+from its values at t = 0..k: the Grams of every row at every such t
+form one (S (k+1), k, k) stack, whose determinants one Leibniz
+expansion over the k! permutations gives, built one matrix row at a
+time.  With M the stack's largest entry in absolute value, k! M^k
+bounds every partial product and sum, so the expansion runs in int64
+below 2^63 and on Python ints, through the same steps, above it.  Both
+must match the shipped reference rows.
 """
 
 from __future__ import annotations
@@ -23,13 +31,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import permutations
 from math import factorial
 
 import numpy as np
 
 from . import tables
 from .code import LinearCode, message_weight_matrix, stack_codes
-from .gf2 import BitMatrix, IntMatrix, det_int, pack_runs, stack_rows
+from .gf2 import BitMatrix, pack_runs, stack_rows
 
 # -- affine forms ------------------------------------------------------------
 
@@ -91,22 +100,21 @@ def build_generator(k: int, a) -> BitMatrix:
     one run of a[j] columns, after the k unit columns; a stack of one
     of _build_stack."""
     a = list(a)
-    return BitMatrix(k, k + sum(a), stack_rows(_build_stack(k, [a]))[0])
-
-
-def _build_stack(k: int, vectors) -> np.ndarray:
-    """The gf2 stack of [I_k | M(a)] for each multiplicity vector a:
-    runs of the k unit types, one column each, then of column_order(k)."""
     order = column_order(k)
-    runs = []
-    for a in vectors:
-        a = list(a)
-        if len(a) != len(order):
-            raise ValueError(f"need {len(order)} multiplicities, got {len(a)}")
-        if any(x < 0 for x in a):
-            raise ValueError(f"negative multiplicity in {a}")
-        runs.append([1] * k + a)
-    return pack_runs(k, [1 << i for i in range(k)] + list(order), runs)
+    if len(a) != len(order):
+        raise ValueError(f"need {len(order)} multiplicities, got {len(a)}")
+    if any(x < 0 for x in a):
+        raise ValueError(f"negative multiplicity in {a}")
+    return BitMatrix(k, k + sum(a), stack_rows(_build_stack(k, np.array([a])))[0])
+
+
+def _build_stack(k: int, vectors: np.ndarray) -> np.ndarray:
+    """The gf2 stack of [I_k | M(a)] for each row a of vectors, an
+    (N, 2^k - 1) array of nonnegative multiplicities: runs of the k unit
+    types, one column each, then of column_order(k)."""
+    runs = np.ones((len(vectors), k + vectors.shape[1]), dtype=np.int64)
+    runs[:, k:] = vectors
+    return pack_runs(k, [1 << i for i in range(k)] + list(column_order(k)), runs)
 
 
 @dataclass(frozen=True)
@@ -144,14 +152,23 @@ def family_t_min(k: int, s: int) -> int:
 
 
 def family_a_vector(k: int, s: int, t: int) -> tuple[int, ...]:
-    """The evaluated multiplicity vector; rejects t below the admissible range."""
-    av = family_affine_vector(k, s)
-    vec = av(t)
-    for j, x in enumerate(vec):
-        if x < 0:
-            raise ValueError(
-                f"t={t} below range for (k={k}, s={s}): entry a_{j + 1} = {x}")
-    return vec
+    """The evaluated multiplicity vector; rejects t below the admissible
+    range.  A stack of one of _member_vectors."""
+    return tuple(_member_vectors(k, [(s, t)])[0].tolist())
+
+
+def _member_vectors(k: int, members: list) -> np.ndarray:
+    """The multiplicity vectors of the members (s, t) of dimension k as
+    one (N, 2^k - 1) array; the first member, in order, with t below its
+    row's range is rejected, naming its first negative entry."""
+    off, slope = _coefficients(k, [family_affine_vector(k, s) for s, _ in members])
+    vecs = off + np.array([t for _, t in members], dtype=np.int64)[:, None] * slope
+    rows, cols = (vecs < 0).nonzero()
+    if rows.size:
+        (s, t), j = members[rows[0]], cols[0]
+        raise ValueError(
+            f"t={t} below range for (k={k}, s={s}): entry a_{j + 1} = {vecs[rows[0], j]}")
+    return vecs
 
 
 @dataclass(frozen=True)
@@ -185,8 +202,7 @@ def family_codes(k: int, members) -> list[FamilyVerdict]:
     row-echelon form, so it is not reduced again."""
     members = list(members)
     lengths = [((1 << k) - 1) * t + s for s, t in members]
-    codes = stack_codes(_build_stack(k, [family_a_vector(k, s, t)
-                                         for s, t in members]), lengths)
+    codes = stack_codes(_build_stack(k, _member_vectors(k, members)), lengths)
     return [FamilyVerdict(code, n, family_weight(k, n)[2], code.min_weight(),
                           *code.lcd_status())
             for code, n in zip(codes, lengths)]
@@ -200,23 +216,30 @@ def family_code(k: int, s: int, t: int) -> FamilyVerdict:
 # -- column-type multiplicities in t -----------------------------------------
 
 
-def _type_counts(k: int, av: AffineVec) -> tuple[np.ndarray, np.ndarray]:
+def _coefficients(k: int, avs: list) -> np.ndarray:
+    """The offsets and the slopes of the entries of each AffineVec in
+    avs, as one (2, S, 2^k - 1) array."""
+    return np.array([[e.offset for av in avs for e in av.entries],
+                     [e.slope for av in avs for e in av.entries]],
+                    dtype=np.int64).reshape(2, len(avs), len(column_order(k)))
+
+
+def _type_counts(k: int, avs: list) -> np.ndarray:
     """Offset and slope multiplicities of the 2^k column types of
-    [I_k | M(av)]; the identity's unit columns count among the offsets."""
-    off = np.zeros(1 << k, dtype=np.int64)
-    slope = np.zeros(1 << k, dtype=np.int64)
-    off[1 << np.arange(k)] = 1
-    order = list(column_order(k))
-    off[order] += [e.offset for e in av.entries]
-    slope[order] = [e.slope for e in av.entries]
-    return off, slope
+    [I_k | M(av)] for each av in avs, as one (2, S, 2^k) array, offsets
+    first; the identity's unit columns count among the offsets."""
+    counts = np.zeros((2, len(avs), 1 << k), dtype=np.int64)
+    counts[:, :, list(column_order(k))] = _coefficients(k, avs)
+    counts[0, :, 1 << np.arange(k)] += 1
+    return counts
 
 
 def _gram(k: int, counts: np.ndarray) -> np.ndarray:
     """The integer G G^T of a generator with these column-type
-    multiplicities: entry (i, j) counts the columns with ones in rows i, j."""
+    multiplicities, the last axis of counts: entry (i, j) counts the
+    columns with ones in rows i, j."""
     bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    return bits.T @ (counts[:, None] * bits)
+    return bits.T @ (counts[..., None] * bits)
 
 
 # -- symbolic weight enumerator ----------------------------------------------
@@ -231,14 +254,19 @@ class SymbolicWE:
     terms: tuple[tuple[int, AffineForm], ...]
 
 
+def symbolic_weight_enumerators(k: int, avs) -> list[SymbolicWE]:
+    """The SymbolicWE of each av in avs.  The exponent for message m is
+    row m-1 of message_weight_matrix(k) times the offset and the slope
+    multiplicities of [I_k | M(av)]; one product gives every av's."""
+    off, slope = _type_counts(k, list(avs))[..., 1:] @ message_weight_matrix(k).T
+    return [SymbolicWE(k, tuple((mult, AffineForm(o, sl)) for (sl, o), mult
+                                in sorted(Counter(zip(sls, offs)).items())))
+            for sls, offs in zip(slope.tolist(), off.tolist())]
+
+
 def symbolic_weight_enumerator(k: int, av: AffineVec) -> SymbolicWE:
-    """Exponent for message m: row m-1 of message_weight_matrix(k) times
-    the offset and the slope multiplicities of [I_k | M(av)]."""
-    w = message_weight_matrix(k)
-    off, slope = _type_counts(k, av)
-    acc = Counter(zip((w @ slope[1:]).tolist(), (w @ off[1:]).tolist()))
-    return SymbolicWE(k, tuple((mult, AffineForm(o, sl))
-                               for (sl, o), mult in sorted(acc.items())))
+    """The SymbolicWE of av: a stack of one of symbolic_weight_enumerators."""
+    return symbolic_weight_enumerators(k, [av])[0]
 
 
 def expected_symbolic_we(k: int, s: int) -> SymbolicWE:
@@ -251,25 +279,60 @@ def expected_symbolic_we(k: int, s: int) -> SymbolicWE:
 # -- symbolic Gram determinant ------------------------------------------------
 
 
-def symbolic_gram_det(k: int, av: AffineVec) -> tuple[int, ...]:
-    """det(G G^T) as an integer polynomial in t (coefficients ascending).
+def symbolic_gram_dets(k: int, avs) -> list[tuple[int, ...]]:
+    """det(G G^T) of each av in avs as an integer polynomial in t
+    (coefficients ascending).
 
     G G^T is its offset part plus t times its slope part, so the
-    determinant has degree <= k and is fixed by its values, det_int of
-    the integer Gram matrix at t = 0..k.  _interpolate builds it from
-    them; the result is then checked to have degree <= k and to equal
-    those values, so a faulty interpolation raises AssertionError.
+    determinant has degree <= k and is fixed by its values at t = 0..k,
+    which _dets takes for every av at once.  _interpolate builds each
+    polynomial from them; the result is then checked to have degree
+    <= k and to equal those values, so a faulty interpolation raises
+    AssertionError.
     """
-    base, step = (_gram(k, c) for c in _type_counts(k, av))
-    values = [det_int(IntMatrix(k, k, tuple(map(tuple, g.tolist()))))
-              for g in (base + t * step for t in range(k + 1))]
-    det = _interpolate(values)
-    if len(det) > k + 1:
-        raise AssertionError(f"determinant {det} has degree above {k}")
-    for t, v in enumerate(values):
-        if sum(c * t ** i for i, c in enumerate(det)) != v:
-            raise AssertionError(f"determinant {det} is not det_int at t={t}")
-    return det
+    off, slope = _type_counts(k, list(avs))
+    grams = _gram(k, off[:, None] + np.arange(k + 1)[:, None] * slope[:, None])
+    dets = []
+    for values in _dets(grams.reshape(-1, k, k)).reshape(-1, k + 1).tolist():
+        det = _interpolate(values)
+        if len(det) > k + 1:
+            raise AssertionError(f"determinant {det} has degree above {k}")
+        for t, v in enumerate(values):
+            if sum(c * t ** i for i, c in enumerate(det)) != v:
+                raise AssertionError(f"determinant {det} is not det_int at t={t}")
+        dets.append(det)
+    return dets
+
+
+def symbolic_gram_det(k: int, av: AffineVec) -> tuple[int, ...]:
+    """det(G G^T) of av as an integer polynomial in t (coefficients
+    ascending): a stack of one of symbolic_gram_dets."""
+    return symbolic_gram_dets(k, [av])[0]
+
+
+@cache
+def _permutations(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k! permutations of range(k), one a row, and their signs."""
+    p = np.array(list(permutations(range(k))), dtype=np.intp)
+    sign = 1 - 2 * (np.triu(p[:, :, None] > p[:, None, :], 1).sum(axis=(1, 2)) & 1)
+    p.flags.writeable = sign.flags.writeable = False
+    return p, sign
+
+
+def _dets(m: np.ndarray) -> np.ndarray:
+    """The determinants of an (N, k, k) stack of integer matrices, k >= 1,
+    by Leibniz's formula, each term sign(p) m[0, p(0)] ... m[k-1, p(k-1)]
+    built one row at a time, never as an (N, k!, k) gather.  Exact in
+    int64 when k! M^k < 2^63, M the largest entry in absolute value,
+    and on Python ints otherwise."""
+    k = m.shape[1]
+    p, sign = _permutations(k)
+    top = max(int(m.max(initial=0)), -int(m.min(initial=0)))
+    m = m.astype(np.int64 if factorial(k) * top ** k < 1 << 63 else object)
+    terms = m[:, 0].take(p[:, 0], axis=1)
+    for i in range(1, k):
+        terms *= m[:, i].take(p[:, i], axis=1)
+    return terms @ sign
 
 
 def _interpolate(values: list[int]) -> tuple[int, ...]:

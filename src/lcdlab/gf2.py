@@ -261,28 +261,3 @@ def nullspace(m: BitMatrix) -> BitMatrix:
                 v |= 1 << p
         basis.append(v)
     return BitMatrix(len(basis), m.cols, tuple(basis))
-
-
-def det_int(m: IntMatrix) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for r in range(n - 1):
-        if a[r][r] == 0:
-            p = next((i for i in range(r + 1, n) if a[i][r] != 0), None)
-            if p is None:
-                return 0
-            a[r], a[p] = a[p], a[r]
-            sign = -sign
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                a[i][j] = (a[r][r] * a[i][j] - a[i][r] * a[r][j]) // prev
-            a[i][r] = 0
-        prev = a[r][r]
-    return sign * a[n - 1][n - 1]

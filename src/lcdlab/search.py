@@ -204,9 +204,8 @@ def search_lcd(n: int, k: int, d: int,
     for _restart in range(budget.restarts):
         if steps >= budget.max_iterations:
             break
-        counts = np.zeros(q, dtype=np.int32)
-        for _ in range(n):
-            counts[rng.randrange(q)] += 1
+        counts = np.bincount([rng.randrange(q) for _ in range(n)],
+                             minlength=q).astype(np.int32)
         e = a @ counts
         cur_min = int(e.min())
         e -= cur_min

@@ -21,7 +21,8 @@ strings are decoded one bit at a time, and the orbit-rule compositions
 of the Walsh-Hadamard branch are built one (j, l) pair at a time, each
 from compositions read off bar positions.  Codewords are walked in Gray
 order, one row XOR a message, and column types are read one column at
-a time.
+a time.  Integer determinants are taken by fraction-free (Bareiss)
+elimination, one matrix at a time.
 """
 
 from __future__ import annotations
@@ -561,6 +562,31 @@ def int_gram(g: BitMatrix) -> IntMatrix:
     j share.  Reduced mod 2 it is the GF(2) Gram matrix."""
     return IntMatrix(g.rows, g.rows, tuple(
         tuple((ri & rj).bit_count() for rj in g.data) for ri in g.data))
+
+
+def det_int(m: IntMatrix) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant needs a square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in m.entries]
+    sign = 1
+    prev = 1
+    for r in range(n - 1):
+        if a[r][r] == 0:
+            p = next((i for i in range(r + 1, n) if a[i][r] != 0), None)
+            if p is None:
+                return 0
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        for i in range(r + 1, n):
+            for j in range(r + 1, n):
+                a[i][j] = (a[r][r] * a[i][j] - a[i][r] * a[r][j]) // prev
+            a[i][r] = 0
+        prev = a[r][r]
+    return sign * a[n - 1][n - 1]
 
 
 def instantiate(swe, t: int) -> dict[int, int]:

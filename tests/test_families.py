@@ -1,10 +1,12 @@
 import random
+from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import from_columns, instantiate, int_gram, poly_eval
+from brute import det_int, from_columns, instantiate, int_gram, poly_eval
 from lcdlab import families, tables
 from lcdlab.code import make_code
 from lcdlab.families import (AffineForm, AffineVec, build_generator,
@@ -12,7 +14,7 @@ from lcdlab.families import (AffineForm, AffineVec, build_generator,
                              family_a_vector, family_affine_vector,
                              family_code, family_t_min, symbolic_gram_det,
                              symbolic_weight_enumerator)
-from lcdlab.gf2 import BitMatrix, IntMatrix, det_int
+from lcdlab.gf2 import BitMatrix, IntMatrix
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,17 +137,49 @@ def test_gram_det_check_rejects_a_wrong_polynomial(monkeypatch, k, s,
 
 @pytest.mark.parametrize("k, s", [(4, 2), (5, 30)])
 def test_gram_det_check_rejects_a_wrong_value(monkeypatch, k, s):
-    # det_int one too high at t = k moves the k-th difference by 1, which
-    # k! does not divide: no integer polynomial takes these values
+    # a determinant one too high at t = k for residue s moves its k-th
+    # difference by 1, which k! does not divide: no integer polynomial
+    # takes these values
+    real = families._dets
     calls = []
 
     def off_by_one_at_k(m):
-        calls.append(m)
-        return det_int(m) + (len(calls) == k + 1)
-    monkeypatch.setattr(families, "det_int", off_by_one_at_k)
+        calls.append(len(m))
+        dets = real(m)
+        dets[s * (k + 1) + k] += 1
+        return dets
+    monkeypatch.setattr(families, "_dets", off_by_one_at_k)
+    avs = [family_affine_vector(k, r) for r in range((1 << k) - 1)]
     with pytest.raises(AssertionError, match=f"difference {k} .* of {k}!"):
-        symbolic_gram_det(k, family_affine_vector(k, s))
-    assert len(calls) == k + 1
+        families.symbolic_gram_dets(k, avs)
+    assert calls == [len(avs) * (k + 1)]
+
+
+def int_stacks(draw_entries):
+    """(N, k, k) int64 stacks, k = 1..5, N = 1..4."""
+    return st.tuples(st.integers(1, 5), st.integers(1, 4)).flatmap(
+        lambda kn: st.lists(draw_entries, min_size=kn[1] * kn[0] ** 2,
+                            max_size=kn[1] * kn[0] ** 2).map(
+            lambda e: np.array(e, dtype=np.int64).reshape(kn[1], kn[0], kn[0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_stacks(st.one_of(st.integers(-2, 2),
+                            st.integers(-(1 << 63), (1 << 63) - 1))))
+@example(np.array([[[0, 1], [1, 0]], [[0, 0], [0, 5]]]))  # zero pivots
+@example(np.array([[[1, 2, 3], [-2, -4, -6], [0, 5, -7]]]))  # singular
+@example(np.array([[[-3, 1], [4, -2]]]))  # negative determinant
+@example(np.full((2, 5, 5), -(1 << 63)))  # Python ints; |min| overflows int64
+@example(np.diag([1 << 21, 1 << 21, 1 << 20])[None])  # Python ints; det 2^62 fits
+def test_batched_determinants_match_bareiss(m):
+    """_dets equals Bareiss elimination matrix by matrix, on int64 while
+    k! M^k < 2^63 and on Python ints past it."""
+    k = m.shape[1]
+    got = families._dets(m)
+    assert got.tolist() == [det_int(IntMatrix(k, k, tuple(map(tuple, g))))
+                            for g in m.tolist()]
+    top = max(int(m.max()), -int(m.min()))
+    assert (got.dtype == object) == (factorial(k) * top ** k >= 1 << 63)
 
 
 def test_symbolic_gram_det_trivial():
@@ -164,9 +198,23 @@ def test_gram_det_evaluations_match_construction():
                 assert poly_eval(poly, t) == det_int(int_gram(g))
 
 
-def random_affine_vec(rng, top: int) -> AffineVec:
+def random_affine_vec(rng, top: int, size: int = 15) -> AffineVec:
     return AffineVec(tuple(AffineForm(rng.randint(0, top), rng.randint(0, 2))
-                           for _ in range(15)))
+                           for _ in range(size)))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_batched_symbolic_parts_equal_stacks_of_one(k):
+    # a row of large offsets sends the whole batch's determinants through
+    # Python ints, while its small rows alone stay in int64
+    rng = random.Random(k)
+    for _ in range(12):
+        avs = [random_affine_vec(rng, rng.choice((5, 10 ** 6)), (1 << k) - 1)
+               for _ in range(rng.randint(1, 8))]
+        assert families.symbolic_gram_dets(k, avs) == [
+            symbolic_gram_det(k, av) for av in avs]
+        assert families.symbolic_weight_enumerators(k, avs) == [
+            symbolic_weight_enumerator(k, av) for av in avs]
 
 
 def test_gram_entry_formulas_random_vectors():
@@ -175,8 +223,8 @@ def test_gram_entry_formulas_random_vectors():
     rng = random.Random(2)
     for _ in range(100):
         av, t = random_affine_vec(rng, 5), rng.randint(0, 3)
-        off, slope = families._type_counts(4, av)
-        gram = families._gram(4, off + t * slope)
+        off, slope = families._type_counts(4, [av])
+        gram = families._gram(4, off[0] + t * slope[0])
         assert (IntMatrix(4, 4, tuple(map(tuple, gram.tolist())))
                 == int_gram(build_generator(4, av(t))))
 
@@ -188,6 +236,14 @@ def test_we_exponents_random_vectors():
         swe = symbolic_weight_enumerator(4, av)
         code = make_code(build_generator(4, av(t)))
         assert instantiate(swe, t) == dict(code.weight_enumerator().coeffs)
+
+
+def test_family_codes_reject_a_member_below_range_mid_batch():
+    with pytest.raises(ValueError) as single:
+        family_a_vector(4, 2, 0)
+    with pytest.raises(ValueError) as batch:
+        families.family_codes(4, [(0, 1), (2, 0), (3, 1)])
+    assert str(batch.value) == str(single.value)
 
 
 def test_unknown_row_rejected():
