@@ -55,7 +55,10 @@ call are then built as one gf2 stack, reduced by one rref_stack and
 weighed by one code_profiles call, and their keys written in one array
 pass; _build_db checks each level's classes against its own [n, k, d'].
 A stored level is read only once it matches what building it would
-store.
+store: the column types of its rows, read by one type_counts pass, are
+deduped and rebuilt, and only that check compares a key with its rows.
+lcd_census reads the rows' column types the same way and takes every
+class's hull from one hull_dims call, building no LinearCode.
 
 In the Walsh-Hadamard branch the lengths and zero-column counts of one
 direct call often ask for the same ordered compositions.  Each table
@@ -74,10 +77,10 @@ import numpy as np
 from . import formats
 from .bounds import griesmer_dmax
 from .canonical import CANONICAL_CAP, canonical_classes
-from .code import (LinearCode, code_profiles, message_weight_matrix,
-                   profile_codes, sign_matrix)
+from .code import (LinearCode, code_profiles, hull_dims, message_weight_matrix,
+                   sign_matrix, type_counts)
 from .formats import CodeDB
-from .gf2 import BitMatrix, pack_runs, rref_stack, stack_rows
+from .gf2 import BitMatrix, pack_rows, pack_runs, rref_stack, stack_rows
 
 DEFAULT_LIMIT = 20_000_000  # candidate vectors one direct enumeration may make
 MAX_LENGTH = np.iinfo(np.int16).max  # multiplicity arrays are int16
@@ -214,10 +217,9 @@ def _verified_classes(k: int, canon: list[tuple[int, ...]]) -> list[tuple]:
     # TypeMultiplicity.generator's columns: the zero columns are padding
     reduced, rank = rref_stack(pack_runs(k, range(1, 1 << k), vecs[:, 1:]))
     lengths = vecs.sum(axis=1)
-    counts_by_weight, _ = code_profiles(k, int(lengths.max(initial=0)), reduced,
-                                        hulls=False)
-    least = [next((w for w, c in enumerate(by_weight) if w and c), 0)
-             for by_weight in counts_by_weight]
+    weights = code_profiles(k, int(lengths.max(initial=0)), reduced)
+    weights[:, 0] = 0  # least is 0 when no nonzero weight occurs
+    least = weights.astype(bool).argmax(axis=1).tolist()
     keys = np.empty((len(vecs), 3 + (2 << k)), dtype=np.uint8)
     keys[:, 0] = k
     keys[:, 1:3] = lengths.astype(">u2")[:, None].view(np.uint8)
@@ -582,12 +584,13 @@ def _db_path(db_dir: str, n: int, k: int, d: int) -> str:
 
 def _load_checked(path: str, n: int, k: int, d: int) -> CodeDB:
     """A stored level, trusted only once it is exactly what building
-    [n, k, d] stores for the classes its records fall in.  Those classes
-    are built and weighed once; a class off [n, k, d] rejects the file."""
+    [n, k, d] stores for the classes its records fall in, read from the
+    column types of its rows.  Those classes are built and weighed once;
+    a class off [n, k, d] rejects the file."""
     db = formats.load_codedb(path)
     if (db.n, db.k, db.d) == (n, k, d):
-        counts = np.array([c.column_types().counts for c in db.codes()], dtype=np.int16)
-        canon = _dedupe_canonical([counts], k)
+        counts = type_counts(k, n, pack_rows(k, n, [rows for _, rows in db.records]))
+        canon = _dedupe_canonical([counts.astype(np.int16)], k)
         classes = _verified_classes(k, canon)  # each one's (length, rank, least weight)
     if (db.n, db.k, db.d) != (n, k, d) or any(s != (n, k, d) for *_, s in classes):
         raise ValueError(f"{path} does not hold [{n},{k},{d}] codes")
@@ -652,11 +655,11 @@ def classify(n: int, k: int, d: int, *, db_dir: str | None = None,
 
 
 def lcd_census(db: CodeDB) -> CensusResult:
-    """Count classes and LCD classes in a classification, the hulls from
-    one code_profiles call."""
-    codes = db.codes()
-    profile_codes(codes, weights=False)
-    lcd_keys = [key for (key, _), code in zip(db.records, codes)
-                if code.is_lcd()]
+    """Count classes and LCD classes in a classification: the column types
+    of every stored generator are read in one type_counts pass, and
+    their hulls come from one hull_dims call."""
+    stack = pack_rows(db.k, db.n, [rows for _, rows in db.records])
+    hulls = hull_dims(db.k, type_counts(db.k, db.n, stack))
+    lcd_keys = [db.records[i][0] for i in np.flatnonzero(hulls == 0).tolist()]
     return CensusResult(db.n, db.k, db.d, db.count, len(lcd_keys),
                         tuple(lcd_keys))

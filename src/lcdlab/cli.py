@@ -133,7 +133,7 @@ def cmd_search(args) -> int:
 def _verify_octal_table(groups, k: int, out: list[str]) -> bool:
     """Check each fixture generator: its [n, k, d], that it is not LCD,
     and a lossless octal round trip; the table's weights and hulls come
-    from one code_profiles call."""
+    from one profile_codes call, one code_profiles and one hull_dims."""
     fixtures = [(n, d, idx, s, formats.code_from_octal(s, n, k))
                 for (n, d), strings in groups
                 for idx, s in enumerate(strings, start=1)]

@@ -2,18 +2,20 @@
 
 A code is stored through the reduced row-echelon form of a generator
 matrix, which is unique per row space, so structural equality means
-equality of codes.  Weights and hull dimensions come from one array
-kernel, code_profiles, which takes a whole stack of generators (see
-gf2): each generator's 2^k codewords are built by an XOR table over its
-rows, packed in uint64 words, and counted by weight with
-np.bitwise_count, and its Gram matrix G G^T, from popcount parities, is
-packed the same way, in bytes, and reduced by gf2.rref_stack, the
-elimination that also reduces generators.  A LinearCode asks it for a
-stack of one and caches the answer; profile_codes fills the caches of
-many codes with one call per dimension, and stack_codes makes the codes
-of a built stack.  Caches are filled idempotently and are safe to
-race.  The sign and message-weight tables over the 2^k column types,
-which families, classify and search share, live here.
+equality of codes.  Weights come from one array kernel, code_profiles,
+which takes a whole stack of generators (see gf2): each generator's 2^k
+codewords are built by an XOR table over its rows, packed in uint64
+words, and counted by weight with np.bitwise_count.  Hulls come from
+another, hull_dims, which reads only column-type multiplicities: over
+GF(2), G G^T is the sum of t t^T over the column types t of odd
+multiplicity, one product of the parities with outer_table, whose ranks
+gf2.rref_stack gives.  type_counts reads the multiplicities of a whole
+stack in one array pass.  A LinearCode asks for a stack of one and
+caches both answers; profile_codes fills the caches of many codes with
+one call of each kernel per dimension, and stack_codes makes the codes
+of a built stack.  Caches are filled idempotently and are safe to race.
+The sign, message-weight and outer-product tables over the 2^k column
+types, which families, classify and search share, live here.
 """
 
 from __future__ import annotations
@@ -100,56 +102,71 @@ def message_weight_matrix(k: int) -> np.ndarray:
     return ((1 - sign_matrix(k)[1:, 1:]) >> 1).astype(np.int16)
 
 
-def code_profiles(k: int, n: int, stack, *, weights: bool = True,
-                  hulls: bool = True):
-    """The weight distributions and hull dimensions of a stack of
-    generators of k rows and at most n columns: a gf2 stack, or a
-    sequence of generators, each k row ints (the rows need not be
-    independent).
+@lru_cache(maxsize=None)
+def outer_table(k: int) -> np.ndarray:
+    """(2^k, k^2) float64 0/1 table: row t is t t^T, flattened row-major,
+    so entry i k + j is [bits i and j of t are set].  The counts of the
+    column types times this table are the integer G G^T."""
+    bits = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.float64)
+    return (bits[:, :, None] * bits[:, None, :]).reshape(1 << k, k * k)
 
-    Returns (counts, hull), lists of Python ints, or None for what is not
-    asked: counts[i][w] is the number of messages whose codeword under
-    generator i has weight w, for w = 0..n, so 2^(k - rank) messages
-    give weight 0; hull[i] = k - rank_GF(2)(G G^T).  Each message's
-    codeword is read from an XOR table over the rows, and weighed by
-    np.bitwise_count: the table of the low rows is XORed with each entry
-    of the table of the high rows, which it has only when 2^k words
-    exceed KERNEL_BLOCK, and the generators are taken in groups, so that
-    one step holds at most KERNEL_BLOCK words (or one low table).  Entry
-    (i, j) of G G^T is the parity of the popcount of rows i and j ANDed;
-    the Grams of a group are packed as a stack of byte words, and their
-    ranks come from gf2.rref_stack.  Asking for weights needs
-    k <= ENUMERATION_CAP.
+
+def type_counts(k: int, n: int, stack: np.ndarray) -> np.ndarray:
+    """(R, 2^k) int64 column-type multiplicities of the first n columns of
+    each generator of a gf2 stack: column j read as the int with bit i
+    from row i, so entry 0 counts the zero columns.  The padding past n
+    is not counted.  The types are summed in the least unsigned dtype
+    that holds 2^k - 1, so the unpacked bits are not widened."""
+    raw = np.ascontiguousarray(stack, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(raw, axis=2, count=n, bitorder="little")
+    types = (1 << np.arange(k)).astype(np.min_scalar_type((1 << k) - 1)) @ bits
+    types = types + (np.arange(len(stack)) << k)[:, None]  # (R, n), row r at r 2^k
+    return np.bincount(types.ravel(), minlength=len(stack) << k).reshape(-1, 1 << k)
+
+
+def hull_dims(k: int, counts: np.ndarray) -> np.ndarray:
+    """k - rank_GF(2)(G G^T) for each row of counts, an (R, 2^k) array of
+    column-type multiplicities.  Each column of type t adds t t^T to
+    G G^T, so over GF(2) it is the sum over the types of odd count: the
+    parities times outer_table(k), mod 2.  The product is taken in
+    float64, exactly, as its entries are 0/1 and its sums at most 2^k;
+    the Grams are packed in bytes and their ranks come from one
+    gf2.rref_stack."""
+    odd = (counts & 1).astype(np.float64)
+    gram = (odd @ outer_table(k)).astype(np.intp).reshape(len(odd), k, k) & 1
+    return k - rref_stack(np.packbits(gram, axis=2, bitorder="little"), rows=False)[1]
+
+
+def code_profiles(k: int, n: int, g: np.ndarray) -> np.ndarray:
+    """The weight distributions of a gf2 stack of generators of k rows and
+    at most n columns (the rows need not be independent).
+
+    Returns an (R, n + 1) int64 array: entry (i, w) is the number of
+    messages whose codeword under generator i has weight w, so 2^(k -
+    rank) messages give weight 0.  Each message's codeword is read from
+    an XOR table over the rows, and weighed by np.bitwise_count: the
+    table of the low rows is XORed with each entry of the table of the
+    high rows, which it has only when 2^k words exceed KERNEL_BLOCK, and
+    the generators are taken in groups, so that one step holds at most
+    KERNEL_BLOCK words (or one low table).  Needs k <= ENUMERATION_CAP.
     """
-    if weights and k > ENUMERATION_CAP:
+    if k > ENUMERATION_CAP:
         raise ValueError(f"enumeration cap: k={k} > {ENUMERATION_CAP}")
-    g = stack if isinstance(stack, np.ndarray) else pack_rows(k, n, stack)
     words = g.shape[2]
     # rows in the low table, and generators in one group
     low = min(k, max(0, (KERNEL_BLOCK // words).bit_length() - 1))
     group = max(1, KERNEL_BLOCK // (words << low))
-    counts = np.zeros((len(g), n + 1), dtype=np.int64) if weights else None
-    hull = np.zeros(len(g), dtype=np.int64) if hulls else None
+    counts = np.zeros((len(g), n + 1), dtype=np.int64)
     for lo in range(0, len(g), group):
         part = g[lo:lo + group]
-        if weights:
-            base = np.arange(len(part))[:, None] * (n + 1)
-            table = _xor_table(part[:, :low])
-            for high in _xor_table(part[:, low:]).transpose(1, 0, 2):
-                wt = np.bitwise_count(table ^ high[:, None]).sum(axis=2, dtype=np.intp)
-                counts[lo:lo + len(part)] += np.bincount(
-                    (wt + base).ravel(), minlength=len(part) * (n + 1)
-                ).reshape(len(part), n + 1)
-        if hulls:
-            # the parity of a popcount is that of the XOR of its words
-            gram = np.zeros((len(part), k, k), dtype=np.uint64)
-            for w in range(words):
-                gram ^= part[:, :, None, w] & part[:, None, :, w]
-            odd = np.bitwise_count(gram) & 1
-            hull[lo:lo + len(part)] = k - rref_stack(  # Gram rows in bytes
-                np.packbits(odd, axis=2, bitorder="little"), rows=False)[1]
-    return (None if counts is None else counts.tolist(),
-            None if hull is None else hull.tolist())
+        base = np.arange(len(part))[:, None] * (n + 1)
+        table = _xor_table(part[:, :low])
+        for high in _xor_table(part[:, low:]).transpose(1, 0, 2):
+            wt = np.bitwise_count(table ^ high[:, None]).sum(axis=2, dtype=np.intp)
+            counts[lo:lo + len(part)] += np.bincount(
+                (wt + base).ravel(), minlength=len(part) * (n + 1)
+            ).reshape(len(part), n + 1)
+    return counts
 
 
 def _xor_table(rows: np.ndarray) -> np.ndarray:
@@ -193,7 +210,7 @@ class LinearCode:
 
     def weight_enumerator(self) -> WeightEnumerator:
         if self._we is None:
-            profile_codes([self], hulls=False)
+            profile_codes([self])
         return self._we
 
     def min_weight(self) -> int:
@@ -208,7 +225,7 @@ class LinearCode:
 
     def hull_dim(self) -> int:
         if self._hull is None:
-            profile_codes([self], weights=False)
+            profile_codes([self])
         return self._hull
 
     def is_lcd(self) -> bool:
@@ -233,53 +250,50 @@ class LinearCode:
         return LinearCode(BitMatrix(len(rows), self.n - 1, tuple(rows)))
 
     def column_types(self) -> TypeMultiplicity:
-        """The multiset of columns: the rows' bits are unpacked once, each
-        column read as its type (bit i = row i) and the types counted by
-        one bincount."""
-        size = (self.n + 7) // 8
-        raw = b"".join(r.to_bytes(size, "little") for r in self.generator.data)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(self.k, size),
-                             axis=1, count=self.n, bitorder="little")
-        types = (1 << np.arange(self.k, dtype=np.int64)) @ bits
-        return TypeMultiplicity(self.k, tuple(
-            np.bincount(types, minlength=1 << self.k).tolist()))
+        """The multiset of columns: a stack of one of type_counts."""
+        stack = pack_rows(self.k, self.n, [self.generator.data])
+        counts = type_counts(self.k, self.n, stack)[0]
+        return TypeMultiplicity(self.k, tuple(counts.tolist()))
 
     def canonical_key(self) -> bytes:
         return canonical_key(self.column_types())
 
 
-def profile_codes(codes, *, weights: bool = True, hulls: bool = True):
-    """Fill the weight enumerators (weights) and hull dimensions (hulls)
-    that the codes have not cached, with one code_profiles call per
-    dimension among them."""
+def profile_codes(codes):
+    """Fill the weight enumerators and hull dimensions that the codes have
+    not cached, with one _fill_caches per dimension among them."""
     todo: dict[int, list[LinearCode]] = {}
     for c in codes:
-        if (weights and c._we is None) or (hulls and c._hull is None):
+        if c._we is None:  # _fill_caches sets _we last
             todo.setdefault(c.k, []).append(c)
     for k, group in todo.items():
-        _fill_caches(group, *code_profiles(k, max(c.n for c in group),
-                                           [c.generator.data for c in group],
-                                           weights=weights, hulls=hulls))
+        n = max(c.n for c in group)
+        _fill_caches(group, k, n, pack_rows(k, n, [c.generator.data for c in group]))
 
 
 def stack_codes(stack: np.ndarray, lengths) -> list[LinearCode]:
     """The codes of a gf2 stack of full-rank generators in reduced
     row-echelon form, of the given lengths, their weights and hulls
-    cached from one code_profiles call on the stack."""
+    cached from the stack."""
     k = stack.shape[1]
     codes = [LinearCode(BitMatrix(k, n, rows), _reduced=True)
              for rows, n in zip(stack_rows(stack), lengths)]
-    _fill_caches(codes, *code_profiles(k, max(lengths, default=0), stack))
+    _fill_caches(codes, k, max(lengths, default=0), stack)
     return codes
 
 
-def _fill_caches(codes, counts, hull):
-    for i, c in enumerate(codes):
-        if counts is not None:
-            c._we = WeightEnumerator(
-                tuple((w, x) for w, x in enumerate(counts[i]) if x))
-        if hull is not None:
-            c._hull = hull[i]
+def _fill_caches(codes, k: int, n: int, stack: np.ndarray):
+    """Cache the weight enumerators, from one code_profiles call, and the
+    hulls, from one hull_dims call on the column types, of the codes of
+    the stack, whose generators have at most n columns (a shorter one's
+    padding columns are zero, which add nothing to its Gram).  Each
+    enumerator is read from the nonzero entries of its counts row."""
+    counts = code_profiles(k, n, stack)
+    hulls = hull_dims(k, type_counts(k, n, stack)).tolist()
+    for c, row, h in zip(codes, counts, hulls):
+        c._hull = h  # first: profile_codes tests _we, so a set _we means both are set
+        w = row.nonzero()[0]
+        c._we = WeightEnumerator(tuple(zip(w.tolist(), row[w].tolist())))
 
 
 def make_code(g: BitMatrix) -> LinearCode:

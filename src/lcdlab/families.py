@@ -12,11 +12,14 @@ Each check takes a dimension's rows, or its members, as one stack; a
 single one is a stack of one.  family_codes evaluates its members'
 multiplicity vectors as one array, builds their generators from runs
 (each unit column and each block j is one run of equal columns) with
-one gf2.pack_runs call, and takes their weights and hulls from one
-code_profiles call.  The column types of [I_k | M] have multiplicities
+one gf2.pack_runs call, and takes their weights from one code_profiles
+call and their hulls from one hull_dims call; a member longer than
+gf2.MAX_DIM is rejected on Python ints, before any array is made.  The
+column types of [I_k | M] have multiplicities
 affine in t, held for all rows as (S, 2^k) offset and slope arrays, and
 one product with the message-weight matrix gives every row's weight
-enumerator exponents.  det(G G^T), of degree <= k in t, is interpolated
+enumerator exponents, and one with code.outer_table its integer Grams.
+det(G G^T), of degree <= k in t, is interpolated
 from its values at t = 0..k: the Grams of every row at every such t
 form one (S (k+1), k, k) stack, whose determinants one Leibniz
 expansion over the k! permutations gives, built one matrix row at a
@@ -37,8 +40,8 @@ from math import factorial
 import numpy as np
 
 from . import tables
-from .code import LinearCode, message_weight_matrix, stack_codes
-from .gf2 import BitMatrix, pack_runs, stack_rows
+from .code import LinearCode, message_weight_matrix, outer_table, stack_codes
+from .gf2 import MAX_DIM, BitMatrix, pack_runs, stack_rows
 
 # -- affine forms ------------------------------------------------------------
 
@@ -159,15 +162,20 @@ def family_a_vector(k: int, s: int, t: int) -> tuple[int, ...]:
 
 def _member_vectors(k: int, members: list) -> np.ndarray:
     """The multiplicity vectors of the members (s, t) of dimension k as
-    one (N, 2^k - 1) array; the first member, in order, with t below its
-    row's range is rejected, naming its first negative entry."""
+    one (N, 2^k - 1) array.  Any member longer than MAX_DIM is rejected,
+    then the first member, in order, with t below its row's range,
+    naming its first negative entry."""
+    if any(((1 << k) - 1) * t + s > MAX_DIM for s, t in members):
+        raise ValueError(f"need n <= {MAX_DIM}, the most columns a generator holds")
     off, slope = _coefficients(k, [family_affine_vector(k, s) for s, _ in members])
-    vecs = off + np.array([t for _, t in members], dtype=np.int64)[:, None] * slope
+    # no offset reaches MAX_DIM, so t and -MAX_DIM make the same entries negative
+    ts = np.array([max(t, -MAX_DIM) for _, t in members], dtype=np.int64)
+    vecs = off + ts[:, None] * slope
     rows, cols = (vecs < 0).nonzero()
     if rows.size:
         (s, t), j = members[rows[0]], cols[0]
-        raise ValueError(
-            f"t={t} below range for (k={k}, s={s}): entry a_{j + 1} = {vecs[rows[0], j]}")
+        a = family_affine_vector(k, s).entries[j](t)
+        raise ValueError(f"t={t} below range for (k={k}, s={s}): entry a_{j + 1} = {a}")
     return vecs
 
 
@@ -198,7 +206,7 @@ def family_weight(k: int, n: int) -> tuple[int, int, int]:
 def family_codes(k: int, members) -> list[FamilyVerdict]:
     """Build the family members (s, t) of dimension k as one stack and
     compare each with its claimed parameters, their weights and hulls
-    from one code_profiles call.  [I_k | M] is already in reduced
+    from one stack_codes call.  [I_k | M] is already in reduced
     row-echelon form, so it is not reduced again."""
     members = list(members)
     lengths = [((1 << k) - 1) * t + s for s, t in members]
@@ -237,9 +245,9 @@ def _type_counts(k: int, avs: list) -> np.ndarray:
 def _gram(k: int, counts: np.ndarray) -> np.ndarray:
     """The integer G G^T of a generator with these column-type
     multiplicities, the last axis of counts: entry (i, j) counts the
-    columns with ones in rows i, j."""
-    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    return bits.T @ (counts[..., None] * bits)
+    columns with ones in rows i, j, the counts times code.outer_table
+    (exact in its float64 while every entry is below 2^53)."""
+    return (counts @ outer_table(k)).astype(np.int64).reshape(*counts.shape[:-1], k, k)
 
 
 # -- symbolic weight enumerator ----------------------------------------------

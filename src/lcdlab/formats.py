@@ -113,10 +113,6 @@ class CodeDB:
     def keys(self) -> tuple[bytes, ...]:
         return tuple(key for key, _ in self.records)
 
-    def codes(self) -> list[LinearCode]:
-        return [LinearCode(BitMatrix(self.k, self.n, rows), _reduced=True)
-                for _, rows in self.records]
-
 
 def _row_hex(row: int, cols: int) -> str:
     return row.to_bytes((cols + 7) // 8, "little").hex()

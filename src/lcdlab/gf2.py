@@ -15,8 +15,8 @@ rref_stack reduces one: it returns each generator's reduced row-echelon
 form and rank.  The reduced row-echelon form of a row space is unique
 (pivots at the lowest set column of each row, rows in pivot order, zero
 rows last), so rref_stack gives, generator for generator, the rows and
-rank rref gives.  code.code_profiles reduces its Gram stacks with it
-too, so the package has one batched elimination.  Both work in groups
+rank rref gives.  code.hull_dims reduces its Gram stacks with it too,
+so the package has one batched elimination.  Both work in groups
 of generators, so that one step holds at most about STACK_BLOCK bytes
 besides the stack itself.
 """

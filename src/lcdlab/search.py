@@ -57,13 +57,14 @@ messages.  (A sideways step has p = 3k and keeps both.)
 
 A state is checked for LCD only once its minimum reaches d.  By Massey
 (1992) a full-rank code is LCD exactly when G G^T is nonsingular, and
-each column of type t adds t t^T to G G^T, so over GF(2)
-G G^T = sum of t t^T over the types t of odd count.  The search carries
-that k x k matrix as one int, row i in bits ik .. ik + k - 1: a move
-i -> j flips the parity of both types, so it XORs in the packed t t^T of
-each.  A state whose minimum reaches d has that Gram unpacked and reduced
-by gf2.rref, and only one whose Gram has rank k becomes a LinearCode,
-which is checked again, LCD and weight, before it is returned.
+each column of type t adds t t^T to G G^T, so over GF(2) G G^T = sum of
+t t^T over the types t of odd count.  The search carries that k x k
+matrix as one int, row i in bits ik .. ik + k - 1: a move i -> j flips
+the parity of both types, so it XORs in the packed t t^T of each, read
+from the outer-product table that code.hull_dims uses.  A state whose
+minimum reaches d has that Gram unpacked and reduced by gf2.rref, and
+only one whose Gram has rank k becomes a LinearCode, which is checked
+again, LCD and weight, before it is returned.
 
 The step data of a state, its occupied types, its tied moves, best and
 bound, and its LCD verdict, depends on the multiplicities alone: so do
@@ -88,7 +89,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import griesmer_dmax
-from .code import LinearCode, TypeMultiplicity, message_weight_matrix
+from .code import LinearCode, TypeMultiplicity, message_weight_matrix, outer_table
 from .gf2 import MAX_DIM, BitMatrix, rref
 
 SEARCH_CAP = 10  # 2^(5k) <= 2^53: move values exact in float64
@@ -113,10 +114,12 @@ def _digit_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     x[i, m] = B^a[m, i] and y[m, j] = B^(1 - a[m, j]), u's values
     (B^2, B, 1, 0) indexed by min(e_m, 3), the flat offsets r (2^k - 1)
     of the rows of f, and the packed t t^T of each nonzero type t (row i
-    in bits ik .. ik + k - 1: t where bit i of t is set)."""
+    in bits ik .. ik + k - 1: t where bit i of t is set), read from
+    code.outer_table."""
     a = message_weight_matrix(k).astype(np.intp)
     q = len(a)
-    outer = tuple(sum(t << i * k for i in range(k) if t >> i & 1) for t in range(1, q + 1))
+    packed = np.packbits(outer_table(k)[1:].astype(np.uint8), axis=1, bitorder="little")
+    outer = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
     # a is symmetric, so x = B^(a^T) is B^a, whose rows C order keeps contiguous
     return (a, np.exp2(k * a), np.exp2(k * (1 - a)),
             np.array([1 << 2 * k, 1 << k, 1, 0], dtype=np.float64),

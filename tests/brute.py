@@ -21,8 +21,9 @@ strings are decoded one bit at a time, and the orbit-rule compositions
 of the Walsh-Hadamard branch are built one (j, l) pair at a time, each
 from compositions read off bar positions.  Codewords are walked in Gray
 order, one row XOR a message, and column types are read one column at
-a time.  Integer determinants are taken by fraction-free (Bareiss)
-elimination, one matrix at a time.
+a time.  A classification's records become codes one at a time.
+Integer determinants are taken by fraction-free (Bareiss) elimination,
+one matrix at a time.
 """
 
 from __future__ import annotations
@@ -495,6 +496,12 @@ def column_types(code: LinearCode) -> TypeMultiplicity:
     for j in range(code.n):
         counts[column(code.generator, j)] += 1
     return TypeMultiplicity(code.k, tuple(counts))
+
+
+def codes(db) -> list[LinearCode]:
+    """The representative of each record of a CodeDB, as a LinearCode."""
+    return [LinearCode(BitMatrix(db.k, db.n, rows), _reduced=True)
+            for _, rows in db.records]
 
 
 def codewords(rows):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brute import (aut_order, box_scan, compositions_oracle, extension_classes,
+from brute import (aut_order, box_scan, codes, compositions_oracle, extension_classes,
                    from_runs, gl2_matrices, labelled_vectors, min_weight,
                    ordered_compositions, subspace_class_counts)
 from lcdlab.bounds import griesmer_dmax
@@ -120,7 +120,7 @@ def test_classify_by_columns_examples():
     assert db.count == 6
     # the six classes as (zero columns, multiset of type multiplicities)
     classes = set()
-    for code in db.codes():
+    for code in codes(db):
         tm = code.column_types()
         classes.add((tm.counts[0], tuple(sorted(tm.counts[1:]))))
     assert classes == {
@@ -151,7 +151,7 @@ def test_length_above_int16_rejected_before_any_work(monkeypatch):
 
 def test_representatives_have_exact_parameters():
     for db in (classify_by_columns(10, 3, 4), classify_by_columns(12, 2, 7)):
-        for code in db.codes():
+        for code in codes(db):
             assert code.n == db.n and code.k == db.k
             assert code.min_weight() == db.d
 
@@ -226,7 +226,7 @@ def test_levels_by_columns_equal_single_levels(tmp_path, n, k, d):
         assert_same_level(tmp_path, db, classify_by_columns(n, k, dd), dd)
     # classes with zero columns are filed too, except at the maximum
     zeros = sum(code.column_types().counts[0] > 0
-                for db in levels.values() for code in db.codes())
+                for db in levels.values() for code in codes(db))
     assert zeros or d == top
     assert levels_by_columns(k, {n: top + 1}) == {}
 
@@ -429,7 +429,7 @@ def test_closure_under_shortening():
     seeds = {dd: classify_by_columns(21, 3, dd) for dd in (11, 12)}
     db = extend_by_inverse_shortening(list(seeds.values()), 11)
     seed_keys = {key for s in seeds.values() for key in s.keys()}
-    for code in db.codes():
+    for code in codes(db):
         drops = 0
         for i in range(code.n):
             s = code.shorten(i)

@@ -306,6 +306,29 @@ def test_domain_error_exit_2_one_line(capsys, argv):
     assert err.startswith("lcdlab: error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("t", [
+    "99999999999999999999",  # beyond int64
+    "4370",  # n = 65,552 > gf2.MAX_DIM
+    "-99999999999999999999",  # below range, beyond int64
+])
+def test_family_too_long_exit_2_before_any_build(capsys, monkeypatch, t):
+    """A family member longer than a generator holds, or with a t beyond
+    int64, is rejected on Python ints: no generator is built."""
+    gf2 = importlib.import_module("lcdlab.gf2")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gf2.pack_runs(*args, **kwargs)
+
+    monkeypatch.setattr(families, "pack_runs", counted)
+    code = main(["family", "--k", "4", "--s", "2", "--t", t])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("lcdlab: error: ") and err.count("\n") == 1, err
+    assert calls == []
+
+
 @pytest.mark.parametrize("command", ["classify", "census"])
 @pytest.mark.parametrize("where", ["a file", "under a file", "codedb is a dir"])
 def test_unusable_db_dir_exit_2_one_line(capsys, tmp_path, command, where):

@@ -1,17 +1,20 @@
 import random
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
-from brute import codewords, from_columns, gram, matmul, parity_gram
+from brute import codewords, from_columns, from_runs, gram, matmul, parity_gram
 from lcdlab import code as code_module
-from lcdlab.code import LinearCode, TypeMultiplicity, code_profiles, make_code
+from lcdlab.code import (LinearCode, TypeMultiplicity, code_profiles, hull_dims,
+                         make_code, type_counts)
 from lcdlab.families import build_generator, family_a_vector
-from lcdlab.gf2 import BitMatrix, rref
+from lcdlab.gf2 import BitMatrix, pack_rows, rref
 
 
 def bitmat(rows):
@@ -151,21 +154,64 @@ def generator_stacks(draw):
 @example((10, 200, [(1 << 199,) * 10]), 8)  # one repeated row, four words
 def test_code_profiles_match_gray_walk_and_rref(case, block):
     """Every generator's weight distribution is the multiset of its Gray
-    walk's codeword weights, and its hull is k - rank(G G^T) by rref, also
-    with blocks small enough to split the XOR table and the stack."""
+    walk's codeword weights, also with blocks small enough to split the
+    XOR table and the stack.  (The hulls are test_hull_dims_match_rref's.)"""
     k, n, stack = case
     with mock.patch.object(code_module, "KERNEL_BLOCK",
                            block or code_module.KERNEL_BLOCK):
-        counts, hull = code_profiles(k, n, stack)
-    assert len(counts) == len(hull) == len(stack)
-    for rows, by_weight, h in zip(stack, counts, hull):
-        assert len(by_weight) == n + 1
+        counts = code_profiles(k, n, pack_rows(k, n, stack))
+    assert counts.dtype == np.int64 and counts.shape == (len(stack), n + 1)
+    for rows, by_weight in zip(stack, counts.tolist()):
         walk = Counter(cw.bit_count() for cw in codewords(rows))
         assert {w: c for w, c in enumerate(by_weight) if c} == walk
-        assert h == k - rref(gram(BitMatrix(k, n, rows))).rank
-        assert all(type(x) is int for x in by_weight + [h])
-    assert code_profiles(k, n, stack, weights=False)[0] is None
-    assert code_profiles(k, n, stack, hulls=False)[1] is None
+
+
+@st.composite
+def multiplicity_stacks(draw):
+    """(k, counts): up to four rows of 2^k column-type multiplicities,
+    k = 0..10, each random, zero or all even."""
+    k = draw(st.integers(0, 10))
+    counts = np.zeros((draw(st.integers(0, 4)), 1 << k), dtype=np.int64)
+    for row in counts:
+        kind = draw(st.sampled_from(("random", "zero", "even")))
+        if kind != "zero":
+            seed = draw(st.integers(0, 2 ** 32 - 1))
+            row[:] = np.random.default_rng(seed).integers(0, 4, 1 << k)
+            row <<= kind == "even"
+    return k, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(multiplicity_stacks())
+@example((3, np.zeros((0, 8), dtype=np.int64)))  # an empty stack
+@example((0, np.array([[0], [3]])))  # k = 0: hull 0
+@example((10, np.ones((1, 1024), dtype=np.int64)))  # every type once
+def test_hull_dims_match_rref(case):
+    """hull_dims is k - rank(G G^T) by rref for a generator with those
+    multiplicities, built run by run, whose Gram is the parity Gram."""
+    k, counts = case
+    hulls = hull_dims(k, counts)
+    assert hulls.shape == (len(counts),)
+    for row, h in zip(counts.tolist(), hulls.tolist()):
+        g = from_runs(k, list(enumerate(row)))
+        assert gram(g) == parity_gram(TypeMultiplicity(k, tuple(row)))
+        assert h == k - rref(gram(g)).rank
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 130])
+def test_type_counts_skip_padding(n):
+    """type_counts of a stack, its generators of n columns padded to whole
+    words, counts each generator's column types as the per-column oracle
+    does: the padding past n is never counted."""
+    rng = random.Random(n)
+    for k in (0, 1, 3, 6):
+        rows = [tuple(rng.getrandbits(n) if n else 0 for _ in range(k))
+                for _ in range(3)]
+        counts = type_counts(k, n, pack_rows(k, n, rows))
+        assert counts.shape == (3, 1 << k)
+        for r, row in zip(rows, counts.tolist()):
+            code = SimpleNamespace(k=k, n=n, generator=BitMatrix(k, n, r))
+            assert tuple(row) == brute.column_types(code).counts
 
 
 @st.composite
@@ -192,6 +238,9 @@ def test_enumeration_cap():
     c = make_code(BitMatrix.identity(29))
     with pytest.raises(ValueError, match="enumeration cap"):
         c.weight_enumerator()
+    # a hull fills both caches, so it is capped too
+    with pytest.raises(ValueError, match="enumeration cap"):
+        c.hull_dim()
 
 
 def test_shorten_examples():
