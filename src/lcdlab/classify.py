@@ -13,15 +13,17 @@ Two engines share one deduplication layer:
   columns of each type, and every coset weight is linear in those
   counts, so the extensions are the rows of the seed's type-multiplicity
   box whose least coset weight is >= d-1; the extended code has minimum
-  weight min(d_seed, 1 + coset weight).  The box is walked one type at
-  a time, widest type first, and a prefix is pruned as soon as some
-  message's partial coset weight, plus the most the remaining types can
-  add to it, falls below d-1.  The partial weights are held one row per
-  message; each step tests every (value, parent) pair against a
-  threshold per message and value, and builds only the children that
-  pass.  That bound is exact (it is d-1 itself once every type is
-  placed), so the walk keeps exactly the rows a scan of the whole box
-  keeps, and returns them in the box's lexicographic order.
+  weight min(d_seed, 1 + coset weight).  The boxes of all the seeds of
+  a rung are walked as one frontier, one type at a time, widest type
+  first, and a prefix is pruned as soon as some message's partial coset
+  weight, plus the most the remaining types can add to it, falls below
+  d-1.  Each prefix carries that margin, its slack, for every message,
+  so the values of the next type that keep it form one interval, and
+  only the children in it are built.  That bound is exact (it is d-1
+  itself once every type is placed), so the walk keeps exactly the
+  rows a scan of each whole box keeps.  It returns them in walk order,
+  each with the seed it extends; the dedupe sorts canonical forms, so
+  no level file depends on that order.
 
 Direct enumeration keeps, for k >= 2, only the vectors that meet the
 orbit rule: message e1 has the least weight, and message e2 the least
@@ -70,6 +72,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb, prod
 
 import numpy as np
@@ -77,10 +80,10 @@ import numpy as np
 from . import formats
 from .bounds import griesmer_dmax
 from .canonical import CANONICAL_CAP, canonical_classes
-from .code import (LinearCode, code_profiles, hull_dims, message_weight_matrix,
-                   sign_matrix, type_counts)
+from .code import (code_profiles, hull_dims, message_weight_matrix, sign_matrix,
+                   type_counts)
 from .formats import CodeDB
-from .gf2 import BitMatrix, pack_rows, pack_runs, rref_stack, stack_rows
+from .gf2 import pack_rows, pack_runs, rref_stack, stack_rows
 
 DEFAULT_LIMIT = 20_000_000  # candidate vectors one direct enumeration may make
 MAX_LENGTH = np.iinfo(np.int16).max  # multiplicity arrays are int16
@@ -451,12 +454,15 @@ def levels_by_columns(k: int, lengths: dict[int, int]
 # -- extension over the seed's column-type box -----------------------------------
 
 
-def _extend_seed(gen_rows: tuple[int, ...], n1: int, k1: int,
-                 seed_d: int, d: int):
-    """Candidate extensions of one seed: multiplicity vectors and exact
-    minimum weights of span((1|v), 0-prefixed seed rows), kept when the
-    minimum weight is >= d, in the lexicographic order of the seed's
-    type box.
+def _extend_seed(seeds, n1: int, k1: int, d: int):
+    """Candidate extensions of every seed of a rung, in one walk: the
+    multiplicity vectors of span((1|v), 0-prefixed seed rows) whose
+    minimum weight is >= d.  seeds are [n1, k1] generators, each a tuple
+    of k1 row ints; a row with bits past n1, or a seed of rank < k1, is
+    refused.  Returns (hist, owner): hist a list of int16 arrays of
+    rows, in walk order, and owner one array over those rows in turn,
+    the index in seeds of the seed each row extends.  (bench/spans.py
+    traces this name as classify.extend, once per call.)
 
     Up to equivalence, (1|v) depends only on x_st, the number of ones v
     has among the c_st seed columns of type st, and
@@ -467,71 +473,114 @@ def _extend_seed(gen_rows: tuple[int, ...], n1: int, k1: int,
     of every coset.  A translate spans the same code, so deduplication
     merges the translates the cap keeps.
 
-    The box 0 <= x < radix is walked breadth first, one occupied type
-    at a time, widest type first, so the frontier stays narrow while it
-    is pruned hardest.  The frontier holds the partial coset weights w
-    of its prefixes message-major, one row per message, and each
-    prefix's index in the box's lexicographic order.  The types still
-    to come can raise w[m] by at most the sum of radix - 1 over those
-    with sign[m, st] = +1 (a type with sign -1 only lowers it), so a
-    prefix is dropped as soon as some w[m] falls below need[m], d - 1
-    minus that gain: no box row under it reaches coset weight d - 1.
-    So value v of the next type st keeps a prefix exactly when
-    w[m] >= need[m] - sign[m, st] v for every m.  Each step compares
-    the parents with these per-(message, value) thresholds, which lie
-    in [-n1, 2 n1] and are exact in int32, reduces over the messages,
-    and builds only the (value, parent) children that pass.  After the
-    last type the bound is d - 1 itself, so the survivors are exactly
-    the rows a scan of the whole box keeps; their box indices are
-    distinct, so sorting by index restores the box's order whatever
-    order the children were built in.
+    Each seed's box 0 <= x < radix is walked one occupied type at a
+    time, widest type first, so the frontier stays narrow while it is
+    pruned hardest.  All seeds walk together, one numpy pass per step
+    for all of them: a seed with fewer occupied types first takes steps
+    over empty ones (a single value, 0), while its frontier is one row.
+    The types still to come can raise the partial coset weight w[m] by
+    at most the sum of radix - 1 over those with sign[m, st] = +1, so no
+    box row under a prefix reaches coset weight d - 1 unless
+    w[m] >= need[m], d - 1 minus that gain, for every m.  A prefix
+    carries its slack u[m] = w[m] - need[m] >= 0, so the values v of the
+    next type st (radix r) that keep it form one interval:
+    r - 1 - u[m] <= v where sign[m, st] = +1, and v <= u[m] where it is
+    -1.  Only the children in those intervals are built.  After the last
+    type need is d - 1 itself, so the survivors are exactly the rows a
+    scan of the whole box keeps.  The slack lies in [1 - d, 2 n1 + 1 - d]
+    and is held in the least signed dtype that holds 2 n1 + |d| + 2
+    (int8 on every rung of length n1 + 1 <= 42), so it is exact.  Its
+    least value over the messages of each sign is read from one
+    message-major copy, where numpy reduces fast, with the other
+    messages masked to the dtype's largest value.  Each prefix also
+    carries its owner and its index in its seed's box, lexicographic in
+    the type, in int64: a box of more than 2^63 rows is refused.
+
+    The walk goes depth first over pieces of the frontier, and builds at
+    most BOX_CHUNK children at a time (a piece whose children would be
+    more is split by parents first), so memory follows BOX_CHUNK times
+    the number of types, not the widest frontier.  A finished piece is
+    decoded from its box indices to rows.
     """
-    seed = LinearCode(BitMatrix(k1, n1, gen_rows))  # reduced; full rank
-    c = np.array(seed.column_types().counts, dtype=np.int64)
+    q = 1 << k1
+    if any(r < 0 or r >> n1 for rows in seeds for r in rows):
+        raise ValueError("row has bits outside the column range")
+    reduced, rank = rref_stack(pack_rows(k1, n1, seeds).copy())
+    if (rank < k1).any():
+        i = int(np.argmax(rank < k1))
+        raise ValueError(f"seed {i} has rank {rank[i]} < {k1}")
+    c = type_counts(k1, n1, reduced)  # (S, q)
     radix = c + 1
     unit = 1 << np.arange(k1)  # the pivot columns' types
-    radix[unit] = c[unit] // 2 + 1
-    sign = sign_matrix(k1).astype(np.int32)
-    types = np.flatnonzero(radix > 1)
-    if prod(int(r) for r in radix[types]) > np.iinfo(np.int64).max:
+    radix[:, unit] = c[:, unit] // 2 + 1
+    if any(prod(row) > np.iinfo(np.int64).max for row in radix.tolist()):
         raise ValueError(f"the type box of an [{n1},{k1}] seed has more "
                          "than 2^63 rows")
-    # place value of each type in the box's lexicographic order
-    stride = np.ones(1 << k1, dtype=np.int64)
-    stride[types[:-1]] = np.cumprod(radix[types[:0:-1]])[::-1]
-    order = types[np.argsort(-radix[types], kind="stable")]
-    # need[m, j]: the least w[m] a prefix of the first j types of order may hold
-    gain = np.where(sign[:, order] > 0, radix[order] - 1, 0)
-    need = np.full((1 << k1, len(order) + 1), d - 1, dtype=np.int32)
-    need[:, :-1] -= np.cumsum(gain[:, ::-1], axis=1)[:, ::-1]
-    w = ((sign < 0) @ c).astype(np.int32)[:, None]  # (messages, rows)
-    w = w[:, (w >= need[:, :1]).all(axis=0)]
-    idx = np.zeros(w.shape[1], dtype=np.int64)
-    for j, st in enumerate(order, start=1):
-        if not len(idx):
-            break
-        step = sign[:, st, None] * np.arange(radix[st], dtype=np.int32)
-        low = need[:, j, None] - step  # (messages, values)
-        rows = max(1, BOX_CHUNK // step.shape[1])
-        ws, idxs = [], []
-        for lo in range(0, len(idx), rows):
-            part = w[:, lo:lo + rows]
-            keep = np.logical_and.reduce(part[:, None, :] >= low[:, :, None], axis=0)
-            val, parent = keep.nonzero()  # value-major
-            ws.append(part.take(parent, axis=1))
-            ws[-1] += step.repeat(np.add.reduce(keep, axis=1), axis=1)
-            idxs.append(idx[lo:lo + rows][parent] + val * stride[st])
-        w, idx = np.concatenate(ws, axis=1), np.concatenate(idxs)
-    at = np.argsort(idx)
-    idx, least = idx[at], w.min(axis=0)[at]
-    x = np.zeros((len(idx), 1 << k1), dtype=np.int64)
-    for st in types[::-1]:
-        idx, x[:, st] = np.divmod(idx, radix[st])
-    hist = np.empty((len(x), 2 << k1), dtype=np.int16)
-    hist[:, 1::2] = x
-    hist[:, 0::2] = c - x
-    hist[:, 1] += 1  # the adjoined coordinate
-    return hist, np.minimum(seed_d, 1 + least.astype(np.int64))
+    # place value of each type in its seed's box
+    stride = np.ones_like(radix)
+    stride[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
+    wide = int(radix.max(initial=1))
+    steps = int((radix > 1).sum(axis=1).max(initial=0))
+    order = np.argsort(np.where(radix > 1, -radix, -1 - wide), axis=1,
+                       kind="stable")[:, q - steps:]  # empty types first
+    slack = np.min_scalar_type(-(2 * n1 + abs(d) + 2))
+    most = np.iinfo(slack).max  # all ones: u | most == most for 0 <= u <= most
+    sign = sign_matrix(k1)  # symmetric
+    pos = sign > 0
+    # row st * wide + v: what value v of type st adds to each message's
+    # slack (gain), and what a range r - 1 = v takes off it (cost)
+    vals = np.arange(wide)[:, None]
+    gain = (sign[:, None, :] * vals).reshape(-1, q).astype(slack)
+    cost = (pos[:, None, :] * -vals).reshape(-1, q).astype(slack)
+    msg = np.arange(q, dtype=np.min_scalar_type(q - 1))[:, None]
+    # the slack before any type is placed: const_m + all gains - (d - 1)
+    u = c @ ~pos + (radix - 1) @ pos - (d - 1)  # (S, messages)
+    live = np.flatnonzero((u >= 0).all(axis=1))
+    stack = [(0, u[live].astype(slack), np.zeros(len(live), dtype=np.int64), live)]
+    radix_t, counts_t = radix.T.copy(), c.T.astype(np.int16)
+    small = np.min_scalar_type(len(seeds))
+    hists, owners = [], [np.empty(0, dtype=small)]
+    while stack:
+        j, u, idx, owner = stack.pop()
+        if j == steps:
+            hist = np.empty((2 * q, len(idx)), dtype=np.int16)  # transposed
+            for t in range(q - 1, 0, -1):  # the digits of idx, last type first
+                r = radix_t[t].take(owner)
+                rest = idx // r
+                hist[2 * t + 1] = idx - rest * r
+                idx = rest
+            hist[1] = idx
+            hist[0::2] = counts_t.take(owner, axis=1) - hist[1::2]
+            hist[1] += 1  # the adjoined coordinate
+            hists.append(np.ascontiguousarray(hist.T))
+            owners.append(owner.astype(small))
+            continue
+        st = order[:, j].take(owner)
+        at = owner * q + st
+        r1 = radix.ravel().take(at) - 1
+        ut = np.ascontiguousarray(u.T)
+        mask = (np.bitwise_count(msg & st.astype(msg.dtype)) & 1).astype(slack) * most
+        low = np.maximum(r1 - (ut | mask).min(axis=0), 0)
+        mask ^= most
+        size = np.maximum(np.minimum(r1, (ut | mask).min(axis=0)) - low + 1, 0)
+        total = int(size.sum())
+        if total > BOX_CHUNK and len(size) > 1:  # split by parents, in order
+            cuts = np.searchsorted(size.cumsum(), range(BOX_CHUNK, total, BOX_CHUNK))
+            cuts = [0, *np.unique(cuts.clip(1, len(size) - 1)).tolist(), len(size)]
+            stack += [(j, u[lo:hi], idx[lo:hi], owner[lo:hi])
+                      for lo, hi in reversed(list(zip(cuts, cuts[1:])))]
+            continue
+        if not total:
+            continue
+        key = st * wide
+        u = u + cost.take(key + r1, axis=0)
+        parent = np.repeat(np.arange(len(size)), size)
+        v = np.arange(total) - np.repeat(size.cumsum() - size - low, size)
+        u = u.take(parent, axis=0)
+        u += gain.take(key.take(parent) + v, axis=0)
+        idx = idx.take(parent) + v * stride.ravel().take(at.take(parent))
+        stack.append((j + 1, u, idx, owner.take(parent)))
+    return hists, np.concatenate(owners)
 
 
 def _validate_seeds(dbs, d: int):
@@ -552,20 +601,24 @@ def _validate_seeds(dbs, d: int):
 
 
 def _extend_all(dbs, d: int, jobs: int = 1) -> dict[int, CodeDB]:
-    """All [n, k, d''] classes for every d'' >= d from complete seed levels."""
+    """All [n, k, d''] classes for every d'' >= d from complete seed
+    levels: one kernel call for every seed, or one for each of jobs
+    contiguous groups of seeds, each in its own worker process."""
     if d < 2:
         raise ValueError("extension needs d >= 2")
     n1, k1 = _validate_seeds(dbs, d)
     n, k = n1 + 1, k1 + 1
-    args = [(rows, n1, k1, db.d, d) for db in dbs for _, rows in db.records]
-    if jobs > 1 and len(args) > 1:
+    seeds = [rows for db in dbs for _, rows in db.records]
+    if jobs > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
+        size = -(-len(seeds) // jobs)
+        groups = [seeds[lo:lo + size] for lo in range(0, len(seeds), size)]
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_extend_seed, *zip(*args)))
+            results = list(ex.map(_extend_seed, groups, repeat(n1), repeat(k1), repeat(d)))
     else:
-        results = [_extend_seed(*a) for a in args]
+        results = [_extend_seed(seeds, n1, k1, d)]
     levels = _file_levels(k, {n: (d, griesmer_dmax(n, k))}, "extension",
-                          [hist for hist, _ in results if len(hist)])
+                          [hist for hists, _ in results for hist in hists])
     return {dd: db for (_, dd), db in levels.items()}
 
 

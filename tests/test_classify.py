@@ -18,7 +18,7 @@ from lcdlab.classify import (MAX_LENGTH, _build_db, _column_candidates,
                              classify_by_columns, composition_blocks,
                              compositions, extend_by_inverse_shortening,
                              lcd_census, levels_by_columns)
-from lcdlab.code import make_code
+from lcdlab.code import make_code, message_weight_matrix
 from lcdlab.families import DIMENSIONS
 from lcdlab.formats import save_codedb
 from lcdlab.gf2 import BitMatrix, rref
@@ -281,14 +281,25 @@ def seeds(draw):
     return rows, n1, k1, seed_d, draw(st.integers(1, seed_d))
 
 
+def extensions(seeds, n1: int, k1: int, d: int):
+    """_extend_seed's rows as one array, each row's least weight (the
+    minimum weight of its code, read from the rows) and their owners."""
+    hist, owner = _extend_seed(seeds, n1, k1, d)
+    assert all(h.dtype == np.int16 for h in hist)
+    hist = np.concatenate(hist) if hist else np.empty((0, 2 << k1), dtype=np.int16)
+    assert owner.shape == (len(hist),)
+    least = (hist[:, 1:].astype(np.int64) @ message_weight_matrix(k1 + 1).T).min(axis=1)
+    return hist, least, owner
+
+
 @given(seeds())
 @settings(max_examples=60, deadline=None)
 def test_extend_seed_matches_brute(seed):
     rows, n1, k1, seed_d, d = seed
-    hist, minw = _extend_seed(rows, n1, k1, seed_d, d)
+    hist, minw, owner = extensions([rows], n1, k1, d)
     k = k1 + 1
     assert hist.shape == (len(minw), 1 << k)
-    assert (hist.sum(axis=1) == n1 + 1).all()
+    assert (hist.sum(axis=1) == n1 + 1).all() and not owner.any()
     got = {(counts_key(n1 + 1, k, tuple(int(x) for x in c)), int(w))
            for c, w in zip(canonical_rows(hist, k), minw)}
     assert got == extension_classes(rows, n1, d)
@@ -299,14 +310,32 @@ def assert_same_arrays(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def assert_matches_box_scan(seeds, n1: int, k1: int, d: int) -> int:
+    """One _extend_seed call over seeds, (rows, seed_d) pairs, keeps for
+    each seed, as its owner, the rows and least weights of box_scan of
+    that seed (as sets: the walk's order is not the box's).  Returns
+    the number of rows."""
+    hist, least, owner = extensions([rows for rows, _ in seeds], n1, k1, d)
+    for i, (rows, seed_d) in enumerate(seeds):
+        want, want_least = box_scan(rows, n1, k1, seed_d, d)
+        mine = owner == i
+        assert sorted(zip(map(tuple, hist[mine].tolist()), least[mine].tolist())) == \
+            sorted(zip(map(tuple, want.tolist()), want_least.tolist()))
+    return len(hist)
+
+
+def full_rank_rows(n1: int, k1: int):
+    return st.tuples(*[st.integers(0, (1 << n1) - 1)] * k1).filter(
+        lambda rows: rref(BitMatrix(k1, n1, rows)).rank == k1)
+
+
 @st.composite
 def wide_seeds(draw):
     # k1 = 5 is the 32-message layout of a k = 6 rung; n1 <= 12 keeps its
     # box small enough for box_scan
     k1 = draw(st.integers(1, 5))
     n1 = draw(st.integers(k1, 12 if k1 == 5 else 14))
-    rows = tuple(draw(st.integers(0, (1 << n1) - 1)) for _ in range(k1))
-    assume(rref(BitMatrix(k1, n1, rows)).rank == k1)
+    rows = draw(full_rank_rows(n1, k1))
     seed_d = min_weight(rows)
     return rows, n1, k1, seed_d, draw(st.integers(1, seed_d + 1))
 
@@ -314,15 +343,38 @@ def wide_seeds(draw):
 @given(wide_seeds())
 @settings(max_examples=80, deadline=None)
 def test_extend_seed_matches_box_scan(seed):
-    # the pruned walk keeps exactly the rows a scan of the whole box keeps,
-    # in the box's order
-    assert_same_arrays(_extend_seed(*seed), box_scan(*seed))
+    # the pruned walk keeps exactly the rows a scan of the whole box keeps
+    rows, n1, k1, seed_d, d = seed
+    assert_matches_box_scan([(rows, seed_d)], n1, k1, d)
+
+
+@st.composite
+def mixed_rungs(draw):
+    # 2-6 seeds of one (n1, k1), of different minimum weights and numbers
+    # of occupied types, walked as one frontier
+    k1 = draw(st.integers(1, 5))
+    n1 = draw(st.integers(k1, 12 if k1 == 5 else 14))
+    rows = draw(st.lists(full_rank_rows(n1, k1), min_size=2, max_size=6))
+    seeds = [(r, min_weight(r)) for r in rows]
+    return seeds, n1, k1, draw(st.integers(1, max(w for _, w in seeds) + 1))
+
+
+@given(mixed_rungs(), st.sampled_from([None, 1, 3, 40]))
+@settings(max_examples=80, deadline=None)
+def test_extend_seed_walks_many_seeds_as_one(rung, chunk):
+    # a small BOX_CHUNK splits the frontier down to single parents
+    module = importlib.import_module("lcdlab.classify")
+    saved = module.BOX_CHUNK
+    module.BOX_CHUNK = chunk or saved
+    try:
+        assert_matches_box_scan(*rung)
+    finally:
+        module.BOX_CHUNK = saved
 
 
 @pytest.mark.parametrize("k1, runs, ds", [
     # the [32766, 1] repetition code: at d = 16379 and 16383 a few rows
-    # survive; near the top the thresholds d - 1 + x of the walk pass the
-    # int16 range, and no row survives
+    # survive, and near the top none does; at this length the slack is int32
     (1, ((1, MAX_LENGTH - 1),), (16379, 16383, 32765, 32766, 32767)),
     # a [20007, 2, 3] code, almost all of it one type
     (2, ((0, 4), (1, 2), (2, 1), (3, 20000)), (1, 2, 3, 4)),
@@ -330,35 +382,28 @@ def test_extend_seed_matches_box_scan(seed):
 def test_extend_seed_matches_box_scan_on_long_seeds(k1, runs, ds):
     seed = from_runs(k1, runs)
     rows, seed_d = seed.data, min_weight(seed.data)
-    survivors = 0
-    for d in ds:
-        got = _extend_seed(rows, seed.cols, k1, seed_d, d)
-        assert_same_arrays(got, box_scan(rows, seed.cols, k1, seed_d, d))
-        survivors += len(got[1])
-    assert survivors
+    assert sum(assert_matches_box_scan([(rows, seed_d)], seed.cols, k1, d)
+               for d in ds)
 
 
 def rung_seeds(n: int, k: int, d: int):
-    """_extend_seed's arguments for every seed of the [n, k, d] rung."""
-    return [(rows, n - 1, k - 1, dd, d)
-            for dd in range(d, griesmer_dmax(n - 1, k - 1) + 1)
+    """(rows, seed_d) of every seed of the [n, k, d] rung."""
+    return [(rows, dd) for dd in range(d, griesmer_dmax(n - 1, k - 1) + 1)
             for _, rows in classify(n - 1, k - 1, dd).records]
 
 
 @pytest.mark.parametrize("chunk", [None, 16])
 def test_extend_seed_matches_box_scan_on_rungs(monkeypatch, chunk):
-    # with BOX_CHUNK at 16 the frontier is expanded a few rows at a time
+    # with BOX_CHUNK at 16 the frontier is walked a few rows at a time
+    module = importlib.import_module("lcdlab.classify")
     if chunk:
-        monkeypatch.setattr(importlib.import_module("lcdlab.classify"),
-                            "BOX_CHUNK", chunk)
-    most = 0
+        monkeypatch.setattr(module, "BOX_CHUNK", chunk)
     for n, k, d in ((25, 5, 12), (27, 4, 14)):
-        for seed in rung_seeds(n, k, d):
-            got = _extend_seed(*seed)
-            assert_same_arrays(got, box_scan(*seed))
-            most = max(most, len(got[1]))
-    # more survivors than BOX_CHUNK rows: the last type split its frontier
-    assert most > 16
+        assert assert_matches_box_scan(rung_seeds(n, k, d), n - 1, k - 1, d)
+    # [25,5,12] has 242 rows: at BOX_CHUNK 16 the walk finishes them in
+    # several pieces, split by parents
+    pieces = _extend_seed([rows for rows, _ in rung_seeds(25, 5, 12)], 24, 4, 12)[0]
+    assert len(pieces) > 1 if chunk else len(pieces) == 1
 
 
 def test_extend_seed_refuses_a_box_past_int64():
@@ -367,12 +412,17 @@ def test_extend_seed_refuses_a_box_past_int64():
                for i in range(5)]
     rows = tuple(sum(r << (31 * rep) for rep in range(5)) for r in simplex)
     with pytest.raises(ValueError, match="2\\^63"):
-        _extend_seed(rows, 155, 5, 80, 80)
+        _extend_seed([rows], 155, 5, 80)
 
 
 def test_extend_seed_rejects_rank_deficient():
-    with pytest.raises(ValueError, match="rank"):
-        _extend_seed((0b0111, 0b0111), 4, 2, 3, 2)
+    with pytest.raises(ValueError, match="seed 1 has rank 1"):
+        _extend_seed([(0b0011, 0b0101), (0b0111, 0b0111)], 4, 2, 2)
+
+
+def test_extend_seed_rejects_a_row_past_n1():
+    with pytest.raises(ValueError, match="column range"):
+        _extend_seed([(0b0011, 0b0101), (0b10011, 0b0101)], 4, 2, 2)
 
 
 def test_k_above_canonical_cap_rejected_before_any_rung(monkeypatch):
