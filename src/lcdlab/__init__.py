@@ -12,14 +12,14 @@ from .families import (AffineForm, AffineVec, FamilyVerdict, build_generator,
                        family_a_vector, family_code, symbolic_gram_det,
                        symbolic_weight_enumerator)
 from .formats import CodeDB
-from .gf2 import BitMatrix, IntMatrix, rref
+from .gf2 import BitMatrix, rref
 from .search import SearchBudget, search_lcd
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineForm", "AffineVec", "BitMatrix", "CodeDB", "DTableEntry",
-    "FamilyVerdict", "IntMatrix", "LinearCode", "SearchBudget",
+    "FamilyVerdict", "LinearCode", "SearchBudget",
     "TypeMultiplicity", "WeightEnumerator", "build_generator",
     "canonical_counts", "canonical_key", "classify", "classify_by_columns",
     "closed_form_bound", "extend_by_inverse_shortening",

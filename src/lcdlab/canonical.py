@@ -5,6 +5,13 @@ two codes are equivalent exactly when their column-type multiplicity
 vectors lie in the same orbit under invertible changes of basis T.  The
 canonical form is the lexicographically least serialization over that
 orbit: the zero-column count, then counts[T(x)] for x = 1 .. 2^k - 1.
+canonical_classes gives the distinct forms of a list of arrays of
+vectors; canonical_counts is a call of it on one vector.  A class key
+is k as one byte, then the length (the vector's sum) and every count of
+the canonical vector as big-endian uint16.  counts_keys is the one
+writer of those bytes, for a whole stack of vectors in one array pass:
+the classifier's level files take their keys from it, and canonical_key
+is a stack of one.
 
 Choosing c = T(e_j) fixes positions 2^j .. 2^(j+1)-1 at once, to
 counts[c ^ T(x)] for x < 2^j.  So the search over basis images runs
@@ -40,8 +47,6 @@ classify(9, 6, 2) run out of 1.5 GB.
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
@@ -288,59 +293,70 @@ def _search(counts: np.ndarray, k: int, greedy: bool = False) -> np.ndarray:
     return out
 
 
-def canonical_rows(rows, k: int) -> np.ndarray:
-    """Canonical form of every row of an (R, 2^k) multiplicity array.
-
-    A greedy pass first moves every row along one least-block path: the
-    rows of one orbit land on few vectors of it, and only those are
-    searched in full."""
-    if k > CANONICAL_CAP:
-        raise ValueError(f"canonical form capped at k={CANONICAL_CAP}")
-    counts = np.array(rows, dtype=np.int32).reshape(len(rows), 1 << k)
-    if not len(counts):
-        return counts
-    near = _search(counts, k, greedy=True)
-    _, first, back = np.unique(_rows(near), return_index=True, return_inverse=True)
-    return _search(near[first], k)[back]
-
-
 def _distinct(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of a 2-D array."""
     _, first = np.unique(_rows(rows), return_index=True)
     return rows[first]
 
 
+def _blocks(arrays, size: int):
+    """The rows of a list of 2-D arrays, in order, stacked size at a time
+    (the last block may hold fewer): a block gathers its rows across the
+    arrays' boundaries, so only one block is ever copied."""
+    parts, held = [], 0
+    for a in arrays:
+        while len(a):
+            parts.append(a[:size - held])
+            a = a[len(parts[-1]):]
+            held += len(parts[-1])
+            if held == size:
+                yield np.vstack(parts)
+                parts, held = [], 0
+    if held:
+        yield np.vstack(parts)
+
+
 def canonical_classes(arrays, k: int) -> np.ndarray:
     """The distinct canonical forms among the rows of a list of (R, 2^k)
     multiplicity arrays.
 
-    The forms are those of canonical_rows, but only the distinct ones
-    are kept at each stage: the greedy pass runs GREEDY_BLOCK rows of
-    the stacked arrays at a time and keeps each block's distinct
-    results, so besides that stack memory follows the number of
-    distinct greedy forms, not the number of rows."""
+    A greedy pass first moves every row along one least-block path: the
+    rows of one orbit land on few vectors of it, and only the distinct
+    ones are searched in full.  The greedy pass runs GREEDY_BLOCK rows at
+    a time, gathered across the arrays, and keeps each block's distinct
+    results, so memory follows one block and the number of distinct
+    greedy forms, not the number of rows."""
     if k > CANONICAL_CAP:
         raise ValueError(f"canonical form capped at k={CANONICAL_CAP}")
-    arrays = [a for a in arrays if len(a)]
-    if not arrays:
+    near = [_distinct(_search(block.astype(np.int32), k, greedy=True))
+            for block in _blocks(arrays, GREEDY_BLOCK)]
+    if not near:
         return np.empty((0, 1 << k), dtype=np.int32)
-    rows = np.vstack(arrays)
-    near = np.vstack([_distinct(_search(rows[lo:lo + GREEDY_BLOCK].astype(np.int32),
-                                        k, greedy=True))
-                      for lo in range(0, len(rows), GREEDY_BLOCK)])
-    return _distinct(_search(_distinct(near), k))
+    return _distinct(_search(_distinct(np.vstack(near)), k))
 
 
 def canonical_counts(counts: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Lexicographically least multiplicity vector in the GL(k,2) orbit."""
-    return tuple(int(x) for x in canonical_rows([counts], k)[0])
+    row = np.array(counts, dtype=np.int32).reshape(1, 1 << k)
+    return tuple(canonical_classes([row], k)[0].tolist())
 
 
-def counts_key(n: int, k: int, canon: tuple[int, ...]) -> bytes:
-    """Serialize a canonical multiplicity vector into the class key."""
-    return struct.pack(">BH", k, n) + b"".join(struct.pack(">H", c) for c in canon)
+def counts_keys(k: int, vecs) -> list[bytes]:
+    """The class key of each row of an (R, 2^k) array of canonical
+    multiplicity vectors, written in one array pass: k as one byte, then
+    the length (the row's sum) and every count as big-endian uint16."""
+    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, 1 << k)
+    lengths = vecs.sum(axis=1)
+    if (lengths >> 16).any():
+        raise ValueError("a class key needs a length below 2^16")
+    keys = np.empty((len(vecs), 3 + (2 << k)), dtype=np.uint8)
+    keys[:, 0] = k
+    keys[:, 1:3] = lengths.astype(">u2")[:, None].view(np.uint8)
+    keys[:, 3:] = vecs.astype(">u2").view(np.uint8)
+    raw, size = keys.tobytes(), keys.shape[1]
+    return [raw[i * size:(i + 1) * size] for i in range(len(vecs))]
 
 
 def canonical_key(tm) -> bytes:
     """The class key of a code.TypeMultiplicity."""
-    return counts_key(tm.n, tm.k, canonical_counts(tm.counts, tm.k))
+    return counts_keys(tm.k, [canonical_counts(tm.counts, tm.k)])[0]

@@ -46,19 +46,27 @@ maps e1 + e2 to a + b), so the rule cannot ask the same of message
 
 Both engines build a whole rung, every level d' >= d of an [n, k]
 pair, at once, and direct enumeration may build the rungs of several
-lengths of one dimension in one call.  Equivalence classes are orbits
-of multiplicity vectors under basis change; deduplication puts all the
+lengths of one dimension in one call.  Every call files its candidates
+through one path, _file_levels.  Equivalence classes are orbits of
+multiplicity vectors under basis change; deduplication puts all the
 candidates of the call into canonical form in one batch, for every k,
-so one dedupe may span several lengths.  Each class is filed at
-(length, least weight): the sum and the least message weight of its
-canonical vector, both invariants of the class, so classes of
-different lengths never merge.  The generators of every class of the
-call are then built as one gf2 stack, reduced by one rref_stack and
-weighed by one code_profiles call, and their keys written in one array
-pass; _build_db checks each level's classes against its own [n, k, d'].
-A stored level is read only once it matches what building it would
-store: the column types of its rows, read by one type_counts pass, are
-deduped and rebuilt, and only that check compares a key with its rows.
+so one dedupe may span several lengths, and returns the classes as one
+array in lexicographic order.  Each class is filed at (length, least
+weight): the sum and the least message weight of its canonical vector,
+both invariants of the class, so classes of different lengths never
+merge.  The generators of every class of the call are then built as
+one gf2 stack, reduced by one rref_stack and weighed by one
+code_profiles call, and their keys written by one canonical.counts_keys
+call; _build_db checks each level's classes against its own [n, k, d'].
+
+classify runs the ladder as a plan, _ladder, made before any work: the
+rungs bottom-up, each an (n', k') pair with the levels d' its build
+writes.  It reads the highest rung stored whole and builds every rung
+above it in order, each from the one below, with no recursion.  A
+stored level is trusted only through the path that files it: the
+column types of its rows, read by one type_counts pass, must all have
+least message weight d, and _file_levels must file them into exactly
+the stored records, so only that check compares a key with its rows.
 lcd_census reads the rows' column types the same way and takes every
 class's hull from one hull_dims call, building no LinearCode.
 
@@ -79,7 +87,7 @@ import numpy as np
 
 from . import formats
 from .bounds import griesmer_dmax
-from .canonical import CANONICAL_CAP, canonical_classes
+from .canonical import CANONICAL_CAP, canonical_classes, counts_keys
 from .code import (code_profiles, hull_dims, message_weight_matrix, sign_matrix,
                    type_counts)
 from .formats import CodeDB
@@ -205,47 +213,38 @@ def composition_blocks(total: int, parts: int, rows: int, prefix: tuple = ()):
 # -- deduplication -------------------------------------------------------------
 
 
-def _dedupe_canonical(vec_arrays: list[np.ndarray], k: int) -> list[tuple[int, ...]]:
-    """Distinct canonical multiplicity vectors among the candidates."""
-    return sorted(tuple(int(x) for x in row)
-                  for row in canonical_classes(vec_arrays, k))
+def _dedupe_canonical(vec_arrays: list[np.ndarray], k: int) -> np.ndarray:
+    """Distinct canonical multiplicity vectors among the candidates, as
+    one int64 array in lexicographic order."""
+    canon = canonical_classes(vec_arrays, k).astype(np.int64)
+    return canon[np.lexsort(canon.T[::-1])]
 
 
-def _verified_classes(k: int, canon: list[tuple[int, ...]]) -> list[tuple]:
+def _verified_classes(k: int, canon: np.ndarray) -> list[tuple]:
     """(key, rows, (length, rank, least weight)) of each canonical
     vector's class: the generators of all of them built as one stack,
     reduced by one rref_stack and weighed by one code_profiles call, and
-    the class keys (counts_key) written in one array pass."""
-    vecs = np.array(canon, dtype=np.int64).reshape(len(canon), 1 << k)
+    the class keys written by one counts_keys call."""
     # TypeMultiplicity.generator's columns: the zero columns are padding
-    reduced, rank = rref_stack(pack_runs(k, range(1, 1 << k), vecs[:, 1:]))
-    lengths = vecs.sum(axis=1)
+    reduced, rank = rref_stack(pack_runs(k, range(1, 1 << k), canon[:, 1:]))
+    lengths = canon.sum(axis=1)
     weights = code_profiles(k, int(lengths.max(initial=0)), reduced)
     weights[:, 0] = 0  # least is 0 when no nonzero weight occurs
     least = weights.astype(bool).argmax(axis=1).tolist()
-    keys = np.empty((len(vecs), 3 + (2 << k)), dtype=np.uint8)
-    keys[:, 0] = k
-    keys[:, 1:3] = lengths.astype(">u2")[:, None].view(np.uint8)
-    keys[:, 3:] = vecs.astype(">u2").view(np.uint8)
-    raw, size = keys.tobytes(), keys.shape[1]
-    return [(raw[i * size:(i + 1) * size], rows, shape)
-            for i, (rows, shape) in enumerate(zip(
-                stack_rows(reduced), zip(lengths.tolist(), rank.tolist(), least)))]
+    return list(zip(counts_keys(k, canon), stack_rows(reduced),
+                    zip(lengths.tolist(), rank.tolist(), least)))
 
 
-def _build_db(n: int, k: int, d: int, method: str,
-              canon_list: list[tuple[int, ...]], classes=None) -> CodeDB:
-    """The level's database: each class's generator built from its
-    canonical vector and reduced, and its length, rank and least weight
-    checked against [n, k, d].  classes holds _verified_classes(k,
-    canon_list), when the caller has it from a larger stack."""
-    if classes is None:
-        classes = _verified_classes(k, canon_list)
+def _build_db(n: int, k: int, d: int, method: str, canon: np.ndarray,
+              classes: list[tuple]) -> CodeDB:
+    """The level's database from its canonical vectors and their
+    _verified_classes: each class's length, rank and least weight checked
+    against [n, k, d]."""
     records = []
-    for counts, (key, rows, shape) in zip(canon_list, classes):
+    for counts, (key, rows, shape) in zip(canon.tolist(), classes):
         if shape != (n, k, d):
             raise AssertionError(
-                f"representative verification failed for {counts}: "
+                f"representative verification failed for {tuple(counts)}: "
                 f"[{shape[0]},{shape[1]},{shape[2]}] != [{n},{k},{d}]")
         records.append((key, rows))
     records.sort(key=lambda r: r[0])
@@ -266,16 +265,14 @@ def _file_levels(k: int, ranges: dict[int, tuple[int, int]], method: str,
     canon = _dedupe_canonical(vec_arrays, k)
     levels: dict[tuple[int, int], list[int]] = {
         (n, dd): [] for n, (d, top) in ranges.items() for dd in range(d, top + 1)}
-    if canon:
-        vecs = np.array(canon, dtype=np.int64)
-        weights = (vecs[:, 1:] @ message_weight_matrix(k).T).min(axis=1)
-        for i, (n, w) in enumerate(zip(vecs.sum(axis=1).tolist(), weights.tolist())):
-            if (n, w) not in levels:
-                raise AssertionError(f"class {canon[i]} has length {n} and minimum "
-                                     f"weight {w}, outside every range")
-            levels[n, w].append(i)
+    weights = (canon[:, 1:] @ message_weight_matrix(k).T).min(axis=1)
+    for i, (n, w) in enumerate(zip(canon.sum(axis=1).tolist(), weights.tolist())):
+        if (n, w) not in levels:
+            raise AssertionError(f"class {tuple(canon[i].tolist())} has length {n} "
+                                 f"and minimum weight {w}, outside every range")
+        levels[n, w].append(i)
     classes = _verified_classes(k, canon)
-    return {(n, dd): _build_db(n, k, dd, method, [canon[i] for i in found],
+    return {(n, dd): _build_db(n, k, dd, method, canon[found],
                                [classes[i] for i in found])
             for (n, dd), found in levels.items()}
 
@@ -636,49 +633,48 @@ def _db_path(db_dir: str, n: int, k: int, d: int) -> str:
 
 
 def _load_checked(path: str, n: int, k: int, d: int) -> CodeDB:
-    """A stored level, trusted only once it is exactly what building
-    [n, k, d] stores for the classes its records fall in, read from the
-    column types of its rows.  Those classes are built and weighed once;
-    a class off [n, k, d] rejects the file."""
+    """A stored level, trusted only once filing the classes of its rows
+    gives it back: the column types of its rows, read by one type_counts
+    pass, must each have least message weight d (so rank k), and
+    _file_levels, the path every built level takes, must file them at
+    [n, k, d] as exactly the stored records."""
     db = formats.load_codedb(path)
     if (db.n, db.k, db.d) == (n, k, d):
         counts = type_counts(k, n, pack_rows(k, n, [rows for _, rows in db.records]))
-        canon = _dedupe_canonical([counts.astype(np.int16)], k)
-        classes = _verified_classes(k, canon)  # each one's (length, rank, least weight)
-    if (db.n, db.k, db.d) != (n, k, d) or any(s != (n, k, d) for *_, s in classes):
+        least = (counts[:, 1:] @ message_weight_matrix(k).T).min(axis=1)
+    if (db.n, db.k, db.d) != (n, k, d) or (least != d).any():
         raise ValueError(f"{path} does not hold [{n},{k},{d}] codes")
-    if _build_db(n, k, d, db.method, canon, classes) != db:
+    if _file_levels(k, {n: (d, d)}, db.method, [counts])[n, d] != db:
         raise ValueError(f"{path}: records are not one canonical "
                          "representative per class")
     return db
 
 
-def _load_or_build(db_dir: str | None, n: int, k: int, ds,
-                   build) -> dict[int, CodeDB]:
-    """The [n, k, d] databases for every d in ds: read from db_dir when
-    all of them are stored there, otherwise made by build() (a dict over
-    d that may hold more levels) and every level it made is stored."""
-    if db_dir and all(os.path.exists(_db_path(db_dir, n, k, dd)) for dd in ds):
-        return {dd: _load_checked(_db_path(db_dir, n, k, dd), n, k, dd)
-                for dd in ds}
-    dbs = build()
-    if db_dir:
-        for dd, db in dbs.items():
-            formats.save_codedb(db, _db_path(db_dir, n, k, dd))
-    return dbs
+def _ladder(n: int, k: int, d: int) -> list[tuple[int, int, range]]:
+    """The rungs of classify(n, k, d), bottom-up, each as (n', k', the d'
+    its build writes).  A d = 1 target is one direct level.  Otherwise
+    the bottom rung, k' = min(3, k), is enumerated directly and each rung
+    above it is extended from the whole rung below, so each writes every
+    level d <= d' <= griesmer_dmax(n', k')."""
+    if d == 1:
+        return [(n, k, range(1, 2))]
+    return [(n - k + kk, kk, range(d, griesmer_dmax(n - k + kk, kk) + 1))
+            for kk in range(min(3, k), k + 1)]
 
 
 def classify(n: int, k: int, d: int, *, db_dir: str | None = None,
              jobs: int = 1) -> CodeDB:
     """Classify [n, k, d] codes through the shortening ladder.
 
-    Levels with k <= 3 are enumerated directly over column multisets;
-    each higher level is built by inverse shortening from the complete
-    d' >= d databases one dimension below.  So every stored level's
-    bytes depend only on its (n, k, d).  Every level is persisted into
-    db_dir; a stored [n, k, d] level is read on its own, and a stored
-    complete rung below it is reused, each once verified.  Needs
-    2 <= k <= CANONICAL_CAP and n <= MAX_LENGTH.
+    The rungs of _ladder run bottom-up: levels with k <= 3 are
+    enumerated directly over column multisets, and each higher rung is
+    built by inverse shortening from the complete d' >= d rung one
+    dimension below.  So every stored level's bytes depend only on its
+    (n, k, d).  Every level built is persisted into db_dir.  A run
+    starts above the highest rung stored there whole, read once
+    verified: the top rung counts as stored once [n, k, d] is, a lower
+    one once all its levels are.  Needs 2 <= k <= CANONICAL_CAP and
+    n <= MAX_LENGTH.
     """
     _check_length(n)
     if d < 1:
@@ -690,21 +686,24 @@ def classify(n: int, k: int, d: int, *, db_dir: str | None = None,
     if d > top:
         raise ValueError(
             f"d={d} exceeds the Griesmer maximum {top} for [{n},{k}]")
-    if d == 1:  # extension needs d >= 2: enumerate the target directly
-        return _load_or_build(db_dir, n, k, [1], lambda: {
-            1: classify_by_columns(n, k, 1)})[1]
-    base_k = min(3, k)
-
-    def rung(nn: int, kk: int) -> dict[int, CodeDB]:
-        """Every [nn, kk, d' >= d] level."""
-        if kk == base_k:
-            return {dd: db for (_, dd), db in levels_by_columns(kk, {nn: d}).items()}
-        seeds = _load_or_build(db_dir, nn - 1, kk - 1,
-                               range(d, griesmer_dmax(nn - 1, kk - 1) + 1),
-                               lambda: rung(nn - 1, kk - 1))
-        return _extend_all(list(seeds.values()), d, jobs=jobs)
-
-    return _load_or_build(db_dir, n, k, [d], lambda: rung(n, k))[d]
+    plan = _ladder(n, k, d)
+    done, stored = 0, []
+    for i, (nn, kk, ds) in enumerate(plan if db_dir else []):
+        ds = ds if i + 1 < len(plan) else [d]  # the top rung needs only [n, k, d]
+        if all(os.path.exists(_db_path(db_dir, nn, kk, dd)) for dd in ds):
+            done, stored = i + 1, [(nn, kk, dd) for dd in ds]
+    # read the highest rung stored whole, then build each rung above it
+    levels = {level[2]: _load_checked(_db_path(db_dir, *level), *level) for level in stored}
+    for i, (nn, kk, ds) in enumerate(plan[done:], done):
+        if i:
+            levels = _extend_all(list(levels.values()), d, jobs=jobs)
+        else:
+            direct = _direct_levels(kk, {nn: (ds[0], ds[-1])})
+            levels = {dd: db for (_, dd), db in direct.items()}
+        if db_dir:
+            for dd, db in levels.items():
+                formats.save_codedb(db, _db_path(db_dir, nn, kk, dd))
+    return levels[d]
 
 
 def lcd_census(db: CodeDB) -> CensusResult:

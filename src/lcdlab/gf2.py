@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over GF(2), plus small exact integer matrices.
+"""Dense exact linear algebra over GF(2).
 
 A matrix row is a single Python int with bit j holding the entry in
 column j (LSB-first).  Row operations are therefore word-parallel XORs,
@@ -91,19 +91,6 @@ def _unchecked(rows: int, cols: int, data: tuple[int, ...]) -> BitMatrix:
     m = object.__new__(BitMatrix)
     vars(m).update(rows=rows, cols=cols, data=data)
     return m
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Small dense matrix with exact (64-bit range) integer entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry shape mismatch")
 
 
 @dataclass(frozen=True)

@@ -23,25 +23,68 @@ from compositions read off bar positions.  Codewords are walked in Gray
 order, one row XOR a message, and column types are read one column at
 a time.  A classification's records become codes one at a time.
 Integer determinants are taken by fraction-free (Bareiss) elimination,
-one matrix at a time.
+one matrix at a time, on the small exact integer matrix IntMatrix.
+
+Two helpers are the row-at-a-time faces of package code rather than
+independent oracles: canonical_rows gives the canonical form of each
+row of an array through the package's search, where the package keeps
+only the distinct classes, and counts_key packs a class key one field
+at a time with struct, where the package writes a whole stack of keys
+in one array pass.
 """
 
 from __future__ import annotations
 
+import struct
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
 
 import numpy as np
 
 from lcdlab.bounds import griesmer_sum
-from lcdlab.canonical import canonical_rows, counts_key
+from lcdlab.canonical import CANONICAL_CAP, _rows, _search
 from lcdlab.code import LinearCode, TypeMultiplicity, sign_matrix
-from lcdlab.gf2 import BitMatrix, IntMatrix, rref
+from lcdlab.gf2 import BitMatrix, rref
 
 CHUNK_BITS = 18
 GL_TABLE_CAP = 4  # |GL(4,2)| = 20160 rows
 BOX_CHUNK = 1 << 16  # box rows box_scan scores per step
 PAIR_SLICE = 1 << 16  # (partial basis, image) pairs tied_search scores per step
+
+
+def canonical_rows(rows, k: int) -> np.ndarray:
+    """Canonical form of every row of an (R, 2^k) multiplicity array, row
+    for row, by the package's search: a greedy pass moves every row
+    along one least-block path, and the distinct results are searched in
+    full."""
+    if k > CANONICAL_CAP:
+        raise ValueError(f"canonical form capped at k={CANONICAL_CAP}")
+    counts = np.array(rows, dtype=np.int32).reshape(len(rows), 1 << k)
+    if not len(counts):
+        return counts
+    near = _search(counts, k, greedy=True)
+    _, first, back = np.unique(_rows(near), return_index=True, return_inverse=True)
+    return _search(near[first], k)[back]
+
+
+def counts_key(n: int, k: int, canon: tuple[int, ...]) -> bytes:
+    """The class key of a canonical multiplicity vector, packed one field
+    at a time."""
+    return struct.pack(">BH", k, n) + b"".join(struct.pack(">H", c) for c in canon)
+
+
+@dataclass(frozen=True)
+class IntMatrix:
+    """Small dense matrix with exact integer entries."""
+
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+            raise ValueError("entry shape mismatch")
 
 
 def griesmer_dmax_bisect(n: int, k: int) -> int:

@@ -1,16 +1,17 @@
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import (gl2_matrices, gl2_type_permutations, orbit_minimum,
-                   perm_equivalent, tied_search, type_permutation)
+from brute import (canonical_rows, counts_key, gl2_matrices, gl2_type_permutations,
+                   orbit_minimum, perm_equivalent, tied_search, type_permutation)
 from lcdlab import canonical
 from lcdlab.canonical import (canonical_classes, canonical_counts, canonical_key,
-                              canonical_rows, counts_key)
+                              counts_keys)
 from lcdlab.code import TypeMultiplicity, make_code
 from lcdlab.formats import code_from_octal
 from lcdlab.gf2 import BitMatrix, rref
@@ -195,12 +196,12 @@ def test_batch_equals_row_at_a_time(monkeypatch):
 
 
 
-@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("block", [None, 1, 7])
 def test_classes_are_the_distinct_canonical_rows(monkeypatch, block):
     # each row next to its canonical form, in arrays of uneven length: the
-    # classes are the distinct forms, whichever blocks the greedy pass sees
-    if block:
-        monkeypatch.setattr(canonical, "GREEDY_BLOCK", block)
+    # classes are the distinct forms, whichever blocks the greedy pass sees;
+    # each block is one slice of the stacked arrays, across their boundaries,
+    # and the classes are those of one stacked call
     rng = random.Random(11)
     for k in (3, 4, 5):
         rows = [tuple(rng.randint(0, 3) for _ in range(1 << k)) for _ in range(40)]
@@ -208,10 +209,54 @@ def test_classes_are_the_distinct_canonical_rows(monkeypatch, block):
         rng.shuffle(rows)
         arrays = [np.array(rows[:5], dtype=np.int16), np.empty((0, 1 << k), np.int16),
                   np.array(rows[5:], dtype=np.int16)]
-        got = [tuple(int(x) for x in r) for r in canonical_classes(arrays, k)]
+        stacked = canonical_classes([np.vstack(arrays)], k)
+        if block:
+            monkeypatch.setattr(canonical, "GREEDY_BLOCK", block)
+        size = canonical.GREEDY_BLOCK
+        assert [b.tolist() for b in canonical._blocks(arrays, size)] == \
+               [list(map(list, rows[lo:lo + size])) for lo in range(0, len(rows), size)]
+        got = canonical_classes(arrays, k)
+        assert np.array_equal(got, stacked)
+        got = [tuple(int(x) for x in r) for r in got]
         assert len(got) == len(set(got))
         assert set(got) == {canonical_counts(r, k) for r in rows}
+        monkeypatch.undo()
     assert canonical_classes([], 4).shape == (0, 16)
+
+
+def test_classes_hold_one_block_of_the_input(monkeypatch):
+    # 3.2 MB of rows in 20 arrays: the rows are never stacked whole
+    rng = np.random.default_rng(3)
+    arrays = [rng.integers(0, 4, (20000, 4)).astype(np.int16) for _ in range(20)]
+    monkeypatch.setattr(canonical, "GREEDY_BLOCK", 4096)
+    tracemalloc.start()
+    try:
+        got = canonical_classes(arrays, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, canonical_classes([np.vstack(arrays)], 2))
+    assert peak < sum(a.nbytes for a in arrays) // 2
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_counts_keys_match_struct_keys(k):
+    rng = np.random.default_rng(20 + k)
+    vecs = rng.integers(0, 300, (25, 1 << k))
+    assert counts_keys(k, vecs) == [counts_key(int(v.sum()), k, tuple(v.tolist()))
+                                    for v in vecs]
+    assert counts_keys(k, vecs[:0]) == []
+    with pytest.raises(ValueError, match="2\\^16"):
+        counts_keys(k, [[0] * ((1 << k) - 1) + [1 << 16]])
+
+
+def test_canonical_counts_match_canonical_rows():
+    rng = random.Random(13)
+    for k in range(1, 7):
+        rows = [tuple(rng.randint(0, 3) for _ in range(1 << k)) for _ in range(12)]
+        rows += [counts for kk, counts, _ in PINNED if kk == k]
+        assert [canonical_counts(r, k) for r in rows] == \
+               [tuple(r) for r in canonical_rows(rows, k).tolist()]
 
 
 def test_canonical_counts_invariant_on_orbit():

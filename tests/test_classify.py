@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import os
 import tracemalloc
 from math import comb
 
@@ -8,16 +9,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brute import (aut_order, box_scan, codes, compositions_oracle, extension_classes,
-                   from_runs, gl2_matrices, labelled_vectors, min_weight,
-                   ordered_compositions, subspace_class_counts)
+from brute import (aut_order, box_scan, canonical_rows, codes, compositions_oracle,
+                   counts_key, extension_classes, from_runs, gl2_matrices,
+                   labelled_vectors, min_weight, ordered_compositions,
+                   subspace_class_counts)
 from lcdlab.bounds import griesmer_dmax
-from lcdlab.canonical import canonical_classes, canonical_rows, counts_key
+from lcdlab.canonical import canonical_classes
+from lcdlab import formats
 from lcdlab.classify import (MAX_LENGTH, _build_db, _column_candidates,
-                             _extend_all, _extend_seed, _ordered_compositions, classify,
-                             classify_by_columns, composition_blocks,
-                             compositions, extend_by_inverse_shortening,
-                             lcd_census, levels_by_columns)
+                             _extend_all, _extend_seed, _ladder, _ordered_compositions,
+                             _verified_classes, classify, classify_by_columns,
+                             composition_blocks, compositions,
+                             extend_by_inverse_shortening, lcd_census,
+                             levels_by_columns)
 from lcdlab.code import make_code, message_weight_matrix
 from lcdlab.families import DIMENSIONS
 from lcdlab.formats import save_codedb
@@ -163,9 +167,13 @@ def test_representatives_have_exact_parameters():
     (6, 3, 2, (0, 2, 2, 2, 0, 0, 0, 0)),  # types 1, 2, 3: rank 2
 ])
 def test_build_db_rejects_a_class_off_its_level(n, k, d, counts):
-    assert _build_db(3, 2, 2, "columns", [(0, 1, 1, 1)]).count == 1
+    def build(n, k, d, counts):
+        canon = np.array([counts], dtype=np.int64)
+        return _build_db(n, k, d, "columns", canon, _verified_classes(k, canon))
+
+    assert build(3, 2, 2, (0, 1, 1, 1)).count == 1
     with pytest.raises(AssertionError, match="representative verification"):
-        _build_db(n, k, d, "columns", [counts])
+        build(n, k, d, counts)
 
 
 @pytest.mark.parametrize("case, levels", [
@@ -540,6 +548,52 @@ def test_resume_from_partial_rung_matches_cold(tmp_path):
         for name in names:
             assert (warm / name).read_bytes() == (cold / name).read_bytes(), (kept, name)
         assert sorted(f.name for f in warm.glob("*.codedb")) == names
+
+
+# each ladder's rungs, bottom-up, with the levels each one writes
+LADDERS = {
+    (22, 4, 11): [(21, 3, [11, 12]), (22, 4, [11])],
+    (23, 4, 12): [(22, 3, [12]), (23, 4, [12])],
+    (27, 5, 13): [(25, 3, [13, 14]), (26, 4, [13]), (27, 5, [13])],
+    (7, 4, 1): [(7, 4, [1])],  # d = 1: one direct level
+}
+
+
+@pytest.mark.parametrize("target, plan", LADDERS.items())
+def test_ladder_reads_and_writes_its_plan(monkeypatch, tmp_path, target, plan):
+    calls = []
+
+    def recorded(name):
+        fn = getattr(formats, name)
+
+        def call(*args):
+            calls.append((name, os.path.basename(args[-1])))
+            return fn(*args)
+        return call
+
+    for name in ("load_codedb", "save_codedb"):
+        monkeypatch.setattr(formats, name, recorded(name))
+
+    def run():
+        """The files one classify run reads and writes, in order."""
+        calls.clear()
+        classify(*target, db_dir=str(tmp_path))
+        return ([f for op, f in calls if op == "load_codedb"],
+                [f for op, f in calls if op == "save_codedb"])
+
+    def files(rungs):
+        return [f"n{n}k{k}d{d}.codedb" for n, k, ds in rungs for d in ds]
+
+    assert [(n, k, list(ds)) for n, k, ds in _ladder(*target)] == plan
+    assert run() == ([], files(plan))  # cold: every level of the plan, bottom-up
+    cold = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    assert sorted(cold) == sorted(files(plan))
+    top = "n{}k{}d{}.codedb".format(*target)
+    assert run() == ([top], [])  # warm: the target alone
+    (tmp_path / top).unlink()
+    # the rung below is read whole, and the top rung is built again
+    assert run() == (files(plan[-2:-1]), files(plan[-1:]))
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == cold
 
 
 def test_jobs_parallel_determinism():

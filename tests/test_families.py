@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import det_int, from_columns, instantiate, int_gram, poly_eval
+from brute import IntMatrix, det_int, from_columns, instantiate, int_gram, poly_eval
 from lcdlab import families, tables
 from lcdlab.code import make_code
 from lcdlab.families import (AffineForm, AffineVec, build_generator,
@@ -14,7 +14,7 @@ from lcdlab.families import (AffineForm, AffineVec, build_generator,
                              family_a_vector, family_affine_vector,
                              family_code, family_t_min, symbolic_gram_det,
                              symbolic_weight_enumerator)
-from lcdlab.gf2 import BitMatrix, IntMatrix
+from lcdlab.gf2 import BitMatrix
 
 
 @settings(max_examples=200, deadline=None)

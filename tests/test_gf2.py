@@ -4,13 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import (column, det_int, from_columns, from_runs, gram, int_gram,
-                   matmul, mod2, rref_lists, to_lists, transpose)
+from brute import (IntMatrix, column, det_int, from_columns, from_runs, gram,
+                   int_gram, matmul, mod2, rref_lists, to_lists, transpose)
 from lcdlab import gf2
 from lcdlab.code import code_profiles
 from lcdlab.families import build_generator
-from lcdlab.gf2 import (BitMatrix, IntMatrix, nullspace, pack_rows, pack_runs,
-                        rref, rref_stack, stack_rows)
+from lcdlab.gf2 import (BitMatrix, nullspace, pack_rows, pack_runs, rref,
+                        rref_stack, stack_rows)
 
 
 def bitmat(rows):
