@@ -12,7 +12,7 @@ from .families import (AffineForm, AffineVec, FamilyVerdict, build_generator,
                        family_a_vector, family_code, symbolic_gram_det,
                        symbolic_weight_enumerator)
 from .formats import CodeDB
-from .gf2 import BitMatrix, rref
+from .gf2 import BitMatrix
 from .search import SearchBudget, search_lcd
 
 __version__ = "0.1.0"
@@ -24,6 +24,6 @@ __all__ = [
     "canonical_counts", "canonical_key", "classify", "classify_by_columns",
     "closed_form_bound", "extend_by_inverse_shortening",
     "family_a_vector", "family_code", "griesmer_dmax", "known_lcd_d",
-    "lcd_census", "levels_by_columns", "make_code", "rref", "search_lcd",
+    "lcd_census", "levels_by_columns", "make_code", "search_lcd",
     "symbolic_gram_det", "symbolic_weight_enumerator",
 ]

@@ -2,10 +2,11 @@
 
 A code is stored through the reduced row-echelon form of a generator
 matrix, which is unique per row space, so structural equality means
-equality of codes.  Weights come from one array kernel, code_profiles,
-which takes a whole stack of generators (see gf2): each generator's 2^k
-codewords are built by an XOR table over its rows, packed in uint64
-words, and counted by weight with np.bitwise_count.  Hulls come from
+equality of codes; a generator not yet reduced is reduced as a
+gf2.rref_stack stack of one.  Weights come from one array kernel,
+code_profiles, which takes a whole stack of generators (see gf2): each
+generator's 2^k codewords are built by an XOR table over its rows,
+packed in uint64 words, and counted by weight with np.bitwise_count.  Hulls come from
 another, hull_dims, which reads only column-type multiplicities: over
 GF(2), G G^T is the sum of t t^T over the column types t of odd
 multiplicity, one product of the parities with outer_table, whose ranks
@@ -26,8 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .canonical import canonical_key
-from .gf2 import (BitMatrix, nullspace, pack_rows, pack_runs, rref, rref_stack,
-                  stack_rows)
+from .gf2 import BitMatrix, pack_rows, pack_runs, rref_stack, stack_rows
 
 ENUMERATION_CAP = 28  # 2^k codewords are enumerated exhaustively
 KERNEL_BLOCK = 1 << 18  # codeword words one step of code_profiles holds
@@ -186,12 +186,12 @@ class LinearCode:
 
     def __init__(self, generator: BitMatrix, _reduced: bool = False):
         if not _reduced:
-            red = rref(generator)
-            if red.rank != generator.rows:
-                raise ValueError(
-                    f"generator has rank {red.rank} < {generator.rows}; "
-                    "drop dependent rows first")
-            generator = red.matrix
+            k, n = generator.rows, generator.cols
+            red, rank = rref_stack(pack_rows(k, n, [generator.data]).copy())
+            if rank[0] != k:
+                raise ValueError(f"generator has rank {rank[0]} < {k}; "
+                                 "drop dependent rows first")
+            generator = BitMatrix(k, n, stack_rows(red)[0])
         self.n = generator.cols
         self.k = generator.rows
         self.generator = generator
@@ -218,11 +218,6 @@ class LinearCode:
             raise ValueError("zero-dimensional code has no nonzero codeword")
         return self.weight_enumerator().min_nonzero()
 
-    def dual(self) -> LinearCode:
-        """The orthogonal complement under the standard mod-2 inner product."""
-        basis = nullspace(self.generator)
-        return LinearCode(rref(basis).matrix, _reduced=True)
-
     def hull_dim(self) -> int:
         if self._hull is None:
             profile_codes([self])
@@ -234,20 +229,6 @@ class LinearCode:
     def lcd_status(self) -> tuple[int, bool]:
         h = self.hull_dim()
         return h, h == 0
-
-    def shorten(self, i: int) -> LinearCode:
-        """Codewords that are 0 in coordinate i, with that coordinate deleted."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"coordinate {i} out of range")
-        bit = 1 << i
-        rows = list(self.generator.data)
-        p = next((j for j in range(self.k) if rows[j] & bit), None)
-        if p is not None:
-            piv = rows[p]
-            rows = [r ^ piv if r & bit else r for j, r in enumerate(rows) if j != p]
-        low = bit - 1
-        rows = [(r & low) | ((r >> 1) & ~low) for r in rows]
-        return LinearCode(BitMatrix(len(rows), self.n - 1, tuple(rows)))
 
     def column_types(self) -> TypeMultiplicity:
         """The multiset of columns: a stack of one of type_counts."""

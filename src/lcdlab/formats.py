@@ -21,8 +21,8 @@ import os
 import tempfile
 from dataclasses import dataclass
 
-from .code import LinearCode, make_code
-from .gf2 import BitMatrix, row_bits, rref
+from .code import LinearCode
+from .gf2 import BitMatrix, pack_rows, row_bits, rref_stack
 
 OCTAL_DIGITS = "01234567"
 LETTER_BITS = {"a": "0", "b": "1"}
@@ -85,8 +85,12 @@ def parse_binary_rows(rows, k: int | None = None) -> BitMatrix:
 
 
 def systematic_code(m: BitMatrix) -> LinearCode:
-    """The code generated by [I_k | M]."""
-    return make_code(BitMatrix.identity(m.rows).hstack(m))
+    """The code generated by [I_k | M].  That generator is already in
+    reduced row-echelon form: its pivots are columns 0 .. k-1, and each
+    pivot column is clear in every other row."""
+    if m.rows == 0:
+        raise ValueError("a code needs at least one generator row")
+    return LinearCode(BitMatrix.identity(m.rows).hstack(m), _reduced=True)
 
 
 def code_from_octal(s: str, n: int, k: int) -> LinearCode:
@@ -130,6 +134,8 @@ def codedb_dumps(db: CodeDB) -> str:
 
 
 def codedb_loads(text: str) -> CodeDB:
+    """The database a file's text writes, its records' ranks checked by
+    one gf2.rref_stack call."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty database file")
@@ -144,9 +150,12 @@ def codedb_loads(text: str) -> CodeDB:
         rows = tuple(_row_unhex(h) for h in rows_part.split())
         if len(rows) != k:
             raise ValueError(f"record with {len(rows)} rows, expected {k}")
-        if rref(BitMatrix(k, n, rows)).rank != k:
-            raise ValueError("record generator is rank deficient")
+        if any(r >> n for r in rows):
+            raise ValueError("record row has bits outside the column range")
         records.append((bytes.fromhex(key_hex), rows))
+    stack = pack_rows(k, n, [rows for _, rows in records]).copy()
+    if (rref_stack(stack, rows=False)[1] != k).any():
+        raise ValueError("record generator is rank deficient")
     if len(records) != count:
         raise ValueError(f"header count {count} != {len(records)} records")
     keys = [r[0] for r in records]
@@ -176,8 +185,12 @@ def save_codedb(db: CodeDB, path: str):
 
 
 def load_codedb(path: str) -> CodeDB:
-    with open(path) as fh:
-        return codedb_loads(fh.read())
+    """codedb_loads of the file at path; its errors name the file."""
+    try:
+        with open(path) as fh:
+            return codedb_loads(fh.read())
+    except ValueError as e:  # a UnicodeDecodeError too
+        raise ValueError(f"{path}: {e}") from None
 
 
 # -- JSON reports ------------------------------------------------------------------

@@ -4,21 +4,23 @@ A matrix row is a single Python int with bit j holding the entry in
 column j (LSB-first).  Row operations are therefore word-parallel XORs,
 and popcounts give inner products.  All values are immutable; every
 operation is a pure function.  A BitMatrix checks its rows against the
-column range when built, except the results of rref, whose rows cannot
-leave it.
+column range when built.
 
 Many generators at once are held as a stack: an (R, k, words) uint64
 array, row i of generator r in stack[r, i], its columns 64w .. 64w + 63
 in word w, column 64w the low bit.  pack_runs builds a whole stack from
 rows of multiplicities over an ordered tuple of column types, and
 rref_stack reduces one: it returns each generator's reduced row-echelon
-form and rank.  The reduced row-echelon form of a row space is unique
-(pivots at the lowest set column of each row, rows in pivot order, zero
-rows last), so rref_stack gives, generator for generator, the rows and
-rank rref gives.  code.hull_dims reduces its Gram stacks with it too,
-so the package has one batched elimination.  Both work in groups
-of generators, so that one step holds at most about STACK_BLOCK bytes
-besides the stack itself.
+form and rank.  It is the package's one elimination: a LinearCode
+reduces its generator as a stack of one, a database file checks the
+ranks of its records as one stack, and code.hull_dims reduces its Gram
+stacks with it.  (search keeps its own forward elimination for the
+rank of one k x k Gram, on its hot path.)  The reduced row-echelon form
+of a row space is unique (pivots at the lowest set column of each row,
+rows in pivot order, zero rows last), so the tests check rref_stack,
+generator for generator, against a scalar elimination.  pack_runs and
+rref_stack work in groups of generators, so that one step holds at
+most about STACK_BLOCK bytes besides the stack itself.
 """
 
 from __future__ import annotations
@@ -83,53 +85,6 @@ class BitMatrix:
 def row_bits(row: int, cols: int) -> str:
     """Row as cols characters 0/1, column 0 first."""
     return bin(row | 1 << cols)[:2:-1]
-
-
-def _unchecked(rows: int, cols: int, data: tuple[int, ...]) -> BitMatrix:
-    """A BitMatrix built without the range check of __post_init__, for
-    rows known to lie in the column range."""
-    m = object.__new__(BitMatrix)
-    vars(m).update(rows=rows, cols=cols, data=data)
-    return m
-
-
-@dataclass(frozen=True)
-class RrefResult:
-    matrix: BitMatrix
-    rank: int
-    pivots: tuple[int, ...]
-
-
-def rref(m: BitMatrix) -> RrefResult:
-    """Reduced row-echelon form over GF(2).
-
-    Returns the reduced matrix (same shape, zero rows kept at the
-    bottom), the rank, and the pivot column indices.  Row space is
-    preserved; no column pivoting.
-    """
-    rows = list(m.data)
-    height = m.rows
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        if r == height:
-            break
-        bit = 1 << c
-        for p in range(r, height):
-            if rows[p] & bit:
-                break
-        else:
-            continue
-        piv = rows[p]
-        rows[p] = rows[r]
-        rows[r] = piv
-        for i in range(height):
-            if i != r and rows[i] & bit:
-                rows[i] ^= piv
-        pivots.append(c)
-        r += 1
-    # row operations cannot set a bit outside m's columns
-    return RrefResult(_unchecked(m.rows, m.cols, tuple(rows)), r, tuple(pivots))
 
 
 def pack_runs(k: int, types, mult) -> np.ndarray:
@@ -232,19 +187,3 @@ def rref_stack(g: np.ndarray, rows: bool = True) -> tuple[np.ndarray, np.ndarray
             a[:] = a[np.arange(len(a))[:, None], order]
         rank[lo:lo + group] = a.any(axis=2).sum(axis=1)
     return g, rank
-
-
-def nullspace(m: BitMatrix) -> BitMatrix:
-    """Basis of the right kernel, one vector per row ((cols - rank) rows)."""
-    red = rref(m)
-    pivots = red.pivots
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = 1 << f
-        for i, p in enumerate(pivots):
-            if (red.matrix.data[i] >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return BitMatrix(len(basis), m.cols, tuple(basis))

@@ -62,8 +62,9 @@ t t^T over the types t of odd count.  The search carries that k x k
 matrix as one int, row i in bits ik .. ik + k - 1: a move i -> j flips
 the parity of both types, so it XORs in the packed t t^T of each, read
 from the outer-product table that code.hull_dims uses.  A state whose
-minimum reaches d has that Gram unpacked and reduced by gf2.rref, and
-only one whose Gram has rank k becomes a LinearCode, which is checked
+minimum reaches d has that Gram unpacked and its rank taken by
+_full_rank, the search's own k x k forward elimination, and only one
+whose Gram has rank k becomes a LinearCode, which is checked
 again, LCD and weight, before it is returned.
 
 The step data of a state, its occupied types, its tied moves, best and
@@ -90,7 +91,7 @@ import numpy as np
 
 from .bounds import griesmer_dmax
 from .code import LinearCode, TypeMultiplicity, message_weight_matrix, outer_table
-from .gf2 import MAX_DIM, BitMatrix, rref
+from .gf2 import MAX_DIM
 
 SEARCH_CAP = 10  # 2^(5k) <= 2^53: move values exact in float64
 
@@ -149,9 +150,20 @@ def _parity_gram(counts: np.ndarray, k: int) -> int:
 
 
 def _full_rank(gram: int, k: int) -> bool:
-    """Whether the packed k x k Gram has rank k."""
-    rows = tuple(gram >> b & ((1 << k) - 1) for b in range(0, k * k, k))
-    return rref(BitMatrix(k, k, rows)).rank == k
+    """Whether the packed k x k Gram has rank k, by forward elimination
+    on its row ints: row i in turn takes its lowest set column as its
+    pivot and is XORed into each later row with that column set.  Row i
+    has every earlier pivot clear, so its pivot is new, and the rank is
+    k exactly when no row is zero when its turn comes."""
+    rows = [gram >> b & ((1 << k) - 1) for b in range(0, k * k, k)]
+    for i, row in enumerate(rows):
+        if not row:
+            return False
+        low = row & -row
+        for j in range(i + 1, k):
+            if rows[j] & low:
+                rows[j] ^= row
+    return True
 
 
 def tie_range(least: int, k: int) -> tuple[int, int]:

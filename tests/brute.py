@@ -24,6 +24,9 @@ order, one row XOR a message, and column types are read one column at
 a time.  A classification's records become codes one at a time.
 Integer determinants are taken by fraction-free (Bareiss) elimination,
 one matrix at a time, on the small exact integer matrix IntMatrix.
+Reduced echelon forms of row ints are found one matrix at a time by
+rref, the oracle for the package's batched gf2.rref_stack; nullspace,
+dual and shorten build on it.
 
 Two helpers are the row-at-a-time faces of package code rather than
 independent oracles: canonical_rows gives the canonical form of each
@@ -45,7 +48,7 @@ import numpy as np
 from lcdlab.bounds import griesmer_sum
 from lcdlab.canonical import CANONICAL_CAP, _rows, _search
 from lcdlab.code import LinearCode, TypeMultiplicity, sign_matrix
-from lcdlab.gf2 import BitMatrix, rref
+from lcdlab.gf2 import BitMatrix
 
 CHUNK_BITS = 18
 GL_TABLE_CAP = 4  # |GL(4,2)| = 20160 rows
@@ -452,6 +455,83 @@ def parity_gram(tm: TypeMultiplicity) -> BitMatrix:
                 if t >> i & 1:
                     rows[i] ^= t
     return BitMatrix(tm.k, tm.k, tuple(rows))
+
+
+@dataclass(frozen=True)
+class RrefResult:
+    matrix: BitMatrix
+    rank: int
+    pivots: tuple[int, ...]
+
+
+def rref(m: BitMatrix) -> RrefResult:
+    """Reduced row-echelon form over GF(2), one matrix of row ints at a
+    time: the oracle for gf2.rref_stack.
+
+    Returns the reduced matrix (same shape, zero rows kept at the
+    bottom), the rank, and the pivot column indices.  Each column in
+    turn takes the first remaining row with it set as its pivot row and
+    is cleared in every other row; no column pivoting."""
+    rows = list(m.data)
+    height = m.rows
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r == height:
+            break
+        bit = 1 << c
+        for p in range(r, height):
+            if rows[p] & bit:
+                break
+        else:
+            continue
+        piv = rows[p]
+        rows[p] = rows[r]
+        rows[r] = piv
+        for i in range(height):
+            if i != r and rows[i] & bit:
+                rows[i] ^= piv
+        pivots.append(c)
+        r += 1
+    return RrefResult(BitMatrix(m.rows, m.cols, tuple(rows)), r, tuple(pivots))
+
+
+def nullspace(m: BitMatrix) -> BitMatrix:
+    """Basis of the right kernel, one vector per row ((cols - rank) rows):
+    each free column f, with the pivot columns of the reduced rows that
+    have f set."""
+    red = rref(m)
+    pivots = red.pivots
+    pivot_set = set(pivots)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivot_set):
+        v = 1 << f
+        for i, p in enumerate(pivots):
+            if (red.matrix.data[i] >> f) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return BitMatrix(len(basis), m.cols, tuple(basis))
+
+
+def dual(code: LinearCode) -> LinearCode:
+    """The orthogonal complement under the standard mod-2 inner product."""
+    return LinearCode(rref(nullspace(code.generator)).matrix, _reduced=True)
+
+
+def shorten(code: LinearCode, i: int) -> LinearCode:
+    """Codewords that are 0 in coordinate i, with that coordinate deleted:
+    a row with i set is XORed into every other such row and dropped."""
+    if not 0 <= i < code.n:
+        raise ValueError(f"coordinate {i} out of range")
+    bit = 1 << i
+    rows = list(code.generator.data)
+    p = next((j for j in range(code.k) if rows[j] & bit), None)
+    if p is not None:
+        piv = rows[p]
+        rows = [r ^ piv if r & bit else r for j, r in enumerate(rows) if j != p]
+    low = bit - 1
+    rows = [(r & low) | ((r >> 1) & ~low) for r in rows]
+    return LinearCode(BitMatrix(len(rows), code.n - 1, tuple(rows)))
 
 
 def rref_lists(m: BitMatrix) -> tuple[list[list[int]], int, tuple[int, ...]]:

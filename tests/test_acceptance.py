@@ -5,7 +5,7 @@ import os
 import random
 import time
 
-from brute import perm_equivalent, subspace_class_counts
+from brute import perm_equivalent, rref, subspace_class_counts
 from lcdlab import tables
 from lcdlab.bounds import closed_form_bound, griesmer_dmax, known_lcd_d
 from lcdlab.classify import classify, classify_by_columns, lcd_census
@@ -16,7 +16,7 @@ from lcdlab.families import (DIMENSIONS, det_is_odd_everywhere,
                              symbolic_weight_enumerator)
 from lcdlab.formats import (code_from_octal, decode_octal, encode_octal,
                             parse_binary_rows, systematic_code)
-from lcdlab.gf2 import BitMatrix, rref
+from lcdlab.gf2 import BitMatrix
 from lcdlab.search import SearchBudget, search_lcd
 
 

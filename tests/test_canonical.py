@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import (canonical_rows, counts_key, gl2_matrices, gl2_type_permutations,
-                   orbit_minimum, perm_equivalent, tied_search, type_permutation)
+                   orbit_minimum, perm_equivalent, rref, tied_search,
+                   type_permutation)
 from lcdlab import canonical
 from lcdlab.canonical import (canonical_classes, canonical_counts, canonical_key,
                               counts_keys)
 from lcdlab.code import TypeMultiplicity, make_code
 from lcdlab.formats import code_from_octal
-from lcdlab.gf2 import BitMatrix, rref
+from lcdlab.gf2 import BitMatrix
 from lcdlab.tables import DIM4_GENERATORS
 
 

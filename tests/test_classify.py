@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from brute import (aut_order, box_scan, canonical_rows, codes, compositions_oracle,
                    counts_key, extension_classes, from_runs, gl2_matrices,
-                   labelled_vectors, min_weight, ordered_compositions,
-                   subspace_class_counts)
+                   labelled_vectors, min_weight, ordered_compositions, rref,
+                   shorten, subspace_class_counts)
 from lcdlab.bounds import griesmer_dmax
 from lcdlab.canonical import canonical_classes
 from lcdlab import formats
@@ -25,7 +25,7 @@ from lcdlab.classify import (MAX_LENGTH, _build_db, _column_candidates,
 from lcdlab.code import make_code, message_weight_matrix
 from lcdlab.families import DIMENSIONS
 from lcdlab.formats import save_codedb
-from lcdlab.gf2 import BitMatrix, rref
+from lcdlab.gf2 import BitMatrix
 
 # sha256 of the level files written by cold ladders (bench/golden.json)
 LADDER_DIGESTS = {
@@ -490,7 +490,7 @@ def test_closure_under_shortening():
     for code in codes(db):
         drops = 0
         for i in range(code.n):
-            s = code.shorten(i)
+            s = shorten(code, i)
             if s.k == code.k - 1:
                 drops += 1
                 assert s.min_weight() >= 11

@@ -385,6 +385,8 @@ def _flip_row_bit(line: str) -> str:
     ("edited header", (21, 3, 11), "does not hold"),
     ("edited key", (21, 3, 12), "not one canonical representative"),
     ("edited row", (21, 3, 12), "does not hold"),
+    ("duplicated row", (21, 3, 12), "rank deficient"),
+    ("malformed hex", (21, 3, 12), "non-hexadecimal"),
 ])
 def test_census_rejects_unverified_level(capsys, tmp_path, tamper, level, why):
     db = tmp_path / "db"
@@ -402,6 +404,12 @@ def test_census_rejects_unverified_level(capsys, tmp_path, tamper, level, why):
         record = record[:i] + "%x" % (int(record[i], 16) ^ 1) + record[i + 1:]
     elif tamper == "edited row":
         record = _flip_row_bit(record)
+    elif tamper == "duplicated row":
+        key, _, rows = record.partition(":")
+        first, _, third = rows.split()
+        record = key + ":" + " ".join([first, first, third])
+    elif tamper == "malformed hex":
+        record = record.replace(":", ":zz", 1)
     path.write_text(head + "\n" + record + "\n")
     code = main(["census", "--n", str(n), "--k", str(k), "--d", str(d),
                  "--db", str(db)])

@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
-from brute import codewords, from_columns, from_runs, gram, matmul, parity_gram
+from brute import (codewords, dual, from_columns, from_runs, gram, matmul,
+                   parity_gram, rref, shorten)
 from lcdlab import code as code_module
 from lcdlab.code import (LinearCode, TypeMultiplicity, code_profiles, hull_dims,
                          make_code, type_counts)
 from lcdlab.families import build_generator, family_a_vector
-from lcdlab.gf2 import BitMatrix, pack_rows, rref
+from lcdlab.gf2 import BitMatrix, pack_rows
 
 
 def bitmat(rows):
@@ -47,23 +48,57 @@ def test_make_code_rejects_rank_deficient():
         make_code(bitmat([[1, 1], [1, 1]]))
 
 
+@st.composite
+def generators(draw):
+    """k = 1..8 random rows of a width around the word boundaries (0, 63,
+    64, 65, 130) or below 130; some rows may be replaced by sums of the
+    rows before them, so that the rank falls short."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.sampled_from((0, 63, 64, 65, 130)) | st.integers(0, 130))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k))
+    for i in draw(st.lists(st.integers(1, k - 1), max_size=2)) if k > 1 else ():
+        mask = draw(st.integers(0, (1 << i) - 1))
+        rows[i] = 0
+        for j in range(i):
+            if mask >> j & 1:
+                rows[i] ^= rows[j]
+    return BitMatrix(k, n, tuple(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(generators())
+@example(BitMatrix(2, 2, (3, 3)))
+@example(BitMatrix(3, 0, (0, 0, 0)))
+def test_generator_reduced_as_rref(g):
+    """LinearCode reduces a generator to the oracle's reduced rows, and
+    one of rank r < k raises the message it always has."""
+    red = rref(g)
+    if red.rank == g.rows:
+        assert LinearCode(g).generator == red.matrix
+    else:
+        with pytest.raises(ValueError) as exc:
+            LinearCode(g)
+        assert str(exc.value) == (f"generator has rank {red.rank} < {g.rows}; "
+                                  "drop dependent rows first")
+
+
 def test_dual_of_322():
-    d = make_code(bitmat([[1, 0, 1], [0, 1, 1]])).dual()
+    d = dual(make_code(bitmat([[1, 0, 1], [0, 1, 1]])))
     assert (d.n, d.k, d.min_weight()) == (3, 1, 3)
     assert d.generator.data == (0b111,)
 
 
 def test_dual_self_dual_repetition():
     c = make_code(bitmat([[1, 1]]))
-    assert c.dual() == c
+    assert dual(c) == c
 
 
 def test_biduality_random():
     rng = random.Random(11)
     for _ in range(25):
         c = random_code(rng)
-        assert c.dual().dual() == c
-        assert c.k + c.dual().k == c.n
+        assert dual(dual(c)) == c
+        assert c.k + dual(c).k == c.n
 
 
 def test_lcd_status_examples():
@@ -100,7 +135,7 @@ def test_hull_symmetry():
         c = random_code(rng)
         if c.k == c.n:
             continue
-        assert c.hull_dim() == c.dual().hull_dim()
+        assert c.hull_dim() == dual(c).hull_dim()
 
 
 def test_weight_enumerator_examples():
@@ -245,13 +280,13 @@ def test_enumeration_cap():
 
 def test_shorten_examples():
     c = make_code(bitmat([[1, 0, 1], [0, 1, 1]]))
-    s = c.shorten(2)
+    s = shorten(c, 2)
     assert (s.n, s.k, s.min_weight()) == (2, 1, 2)
     full = make_code(BitMatrix.identity(6))
-    assert (full.shorten(3).n, full.shorten(3).k) == (5, 5)
+    assert (shorten(full, 3).n, shorten(full, 3).k) == (5, 5)
     # shortening at a zero coordinate keeps the dimension
     z = make_code(bitmat([[1, 0, 0], [0, 1, 0]]))
-    assert (z.shorten(2).n, z.shorten(2).k) == (2, 2)
+    assert (shorten(z, 2).n, shorten(z, 2).k) == (2, 2)
 
 
 def test_shorten_weight_property():
@@ -261,7 +296,7 @@ def test_shorten_weight_property():
         if c.min_weight() < 2:
             continue
         for i in range(c.n):
-            s = c.shorten(i)
+            s = shorten(c, i)
             if s.k == c.k - 1 and s.k >= 1:
                 assert s.min_weight() >= c.min_weight()
 
@@ -352,12 +387,12 @@ def test_equivalence_basics():
 
 def test_zero_dimensional_dual():
     c = make_code(BitMatrix.identity(4))
-    d = c.dual()
+    d = dual(c)
     assert (d.n, d.k) == (4, 0)
     assert d.weight_enumerator().coeffs == ((0, 1),)
     with pytest.raises(ValueError):
         d.min_weight()
-    assert d.dual() == c
+    assert dual(d) == c
 
 
 @settings(max_examples=40, deadline=None)
@@ -366,4 +401,4 @@ def test_dim_sum_property(n, k, seed):
     rng = random.Random(seed)
     k = min(k, n)
     c = random_code(rng, n=n, k=k)
-    assert c.k + c.dual().k == n
+    assert c.k + dual(c).k == n

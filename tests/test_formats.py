@@ -8,10 +8,10 @@ import brute
 from lcdlab import tables
 from lcdlab.classify import classify_by_columns
 from lcdlab.code import make_code
-from lcdlab.formats import (bounds_report, census_report, code_from_octal,
+from lcdlab.formats import (CodeDB, bounds_report, census_report, code_from_octal,
                             code_report, codedb_dumps, codedb_loads,
-                            decode_octal, encode_octal, parse_binary_rows,
-                            systematic_code, to_json)
+                            decode_octal, encode_octal, load_codedb,
+                            parse_binary_rows, systematic_code, to_json)
 from lcdlab.gf2 import BitMatrix
 
 
@@ -124,6 +124,20 @@ def test_parse_binary_rows_zero_block():
     assert (code.n, code.k, code.min_weight()) == (5, 2, 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda k: st.tuples(
+    st.just(k), st.sampled_from((0, 63, 64, 65, 130)).flatmap(lambda w: st.tuples(
+        st.just(w), st.lists(st.integers(0, (1 << w) - 1), min_size=k, max_size=k))))))
+def test_systematic_generator_is_reduced(case):
+    """[I_k | M] is already in reduced row-echelon form, so systematic_code
+    keeps it as it is: it equals the oracle's reduction, of rank k."""
+    k, (width, rows) = case
+    m = BitMatrix(k, width, tuple(rows))
+    red = brute.rref(BitMatrix.identity(k).hstack(m))
+    assert red.rank == k
+    assert systematic_code(m).generator == red.matrix
+
+
 def test_parse_binary_rows_errors():
     with pytest.raises(ValueError, match="ragged"):
         parse_binary_rows(["01", "0"])
@@ -138,9 +152,34 @@ def test_codedb_roundtrip(tmp_path):
     text = codedb_dumps(db)
     assert codedb_loads(text) == db
     assert codedb_dumps(codedb_loads(text)) == text
-    bad = text.replace(" columns", " columns\n", 1)
     with pytest.raises(ValueError):
         codedb_loads("")
+    # load_codedb names the file in its errors, also when it is not text
+    bad = tmp_path / "bad.codedb"
+    bad.write_bytes(b"\xff\n")
+    with pytest.raises(ValueError, match="bad.codedb: 'utf-8' codec"):
+        load_codedb(str(bad))
+    # the one rank check of a file, on rows of one, two and three words:
+    # records with the rows of good ones load, and a dependent record, a
+    # record with a zero row, one bad record after good ones and a row
+    # with a bit past n do not
+    for n in (8, 65, 130):
+        a, b = 1 | 1 << (n - 1), 2 | 1 << (n // 2)
+        good = [(a, b, 4 << i) for i in range(4)]
+        assert codedb_loads(_db_text(n, good)).records[-1][1] == good[-1]
+        for bad in ([(a, b, a ^ b)], [(a, 0, b)], good + [(a, b, a ^ b)]):
+            with pytest.raises(ValueError, match="rank deficient"):
+                codedb_loads(_db_text(n, bad))
+        if n % 8:  # a bit past n fits in the row's last byte
+            with pytest.raises(ValueError, match="outside the column range"):
+                codedb_loads(_db_text(n, [(a, b, 1 << n)]))
+
+
+def _db_text(n: int, records) -> str:
+    """A file's text of [n, 3] records with the given rows, its keys
+    sorted and its count right, so that only a rank can be wrong."""
+    return codedb_dumps(CodeDB(n, 3, 1, "test", tuple(
+        (bytes([i]), rows) for i, rows in enumerate(records))))
 
 
 def test_code_report_schema():

@@ -5,12 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brute import (IntMatrix, column, det_int, from_columns, from_runs, gram,
-                   int_gram, matmul, mod2, rref_lists, to_lists, transpose)
+                   int_gram, matmul, mod2, nullspace, rref, rref_lists, to_lists,
+                   transpose)
 from lcdlab import gf2
 from lcdlab.code import code_profiles
 from lcdlab.families import build_generator
-from lcdlab.gf2 import (BitMatrix, nullspace, pack_rows, pack_runs, rref,
-                        rref_stack, stack_rows)
+from lcdlab.gf2 import BitMatrix, pack_rows, pack_runs, rref_stack, stack_rows
 
 
 def bitmat(rows):
@@ -39,8 +39,6 @@ def test_rref_duplicate_row():
 
 
 def test_constructor_rejects_bits_outside_columns():
-    # rref builds its result without this check; a matrix built from
-    # outside still gets it
     for rows, cols, data in ((2, 3, (1, 8)), (1, 0, (1,)), (2, 2, (1, -1))):
         with pytest.raises(ValueError, match="outside the column range"):
             BitMatrix(rows, cols, data)
@@ -212,7 +210,7 @@ def run_stacks(draw):
 @example((2, [0, 1, 3], [[5, 60, 0], [64, 1, 0], [0, 0, 130]]), 1)
 def test_run_stack_reduces_like_rref(case, block):
     """pack_runs builds the rows brute.from_runs builds, and rref_stack
-    gives the reduced rows and rank of gf2.rref, generator for
+    gives the reduced rows and rank of brute.rref, generator for
     generator (the same ranks when only they are asked for), also with
     blocks small enough to split the stack; the kernel weighs the stack
     as it weighs its rows packed again by pack_rows."""

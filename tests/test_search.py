@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import neighbour_scores, parity_gram
+from brute import neighbour_scores, parity_gram, rref
 from lcdlab import search
 from lcdlab.code import LinearCode, TypeMultiplicity
-from lcdlab.gf2 import rref
+from lcdlab.gf2 import BitMatrix
 from lcdlab.search import SearchBudget, move_scores, search_lcd, tie_range
 
 # generator rows of the codes found under each budget, one per
@@ -109,14 +109,15 @@ def test_rank_checked_once_per_gram(monkeypatch):
     steps, on 475 states that are not LCD, as the plateau walk returns to
     them; each restart values a state, and reduces its Gram, only the
     first time it meets it, and its distinct states at weight d have
-    distinct Grams, so no more than 475 eliminations run."""
+    distinct Grams, so no more than 475 ranks are taken."""
     calls = [0]
+    full_rank = search._full_rank
 
-    def counting(m):
+    def counting(gram, k):
         calls[0] += 1
-        return rref(m)
+        return full_rank(gram, k)
 
-    monkeypatch.setattr(search, "rref", counting)
+    monkeypatch.setattr(search, "_full_rank", counting)
     monkeypatch.setattr(search, "LinearCode", None)  # building one raises
     assert search_lcd(18, 5, 8, SearchBudget(2000, rng_seed=1, restarts=2000)) is None
     assert 0 < calls[0] <= 475
@@ -190,6 +191,24 @@ def test_carried_gram_matches_brute(walk):
             counts[j] += 1
             gram ^= outer[i] ^ outer[j]
             check()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(0, (1 << k * k) - 1), st.lists(st.integers(0, k - 1)))))
+@example((1, 0, []))
+@example((3, 0b100_010_001, []))  # I_3
+@example((3, 0b100_010_001, [1]))  # row 1 a copy of row 0
+def test_full_rank_matches_rref(case):
+    """The search's own rank test of a packed k x k Gram agrees with the
+    oracle's elimination, also when rows are copies of the row before."""
+    k, gram, copies = case
+    mask = (1 << k) - 1
+    for i in copies:
+        if i:
+            gram = gram & ~(mask << i * k) | (gram >> (i - 1) * k & mask) << i * k
+    rows = tuple(gram >> b & mask for b in range(0, k * k, k))
+    assert search._full_rank(gram, k) == (rref(BitMatrix(k, k, rows)).rank == k)
 
 
 def test_rank_deficient_state_keeps_moving(monkeypatch):
