@@ -54,10 +54,13 @@ so one dedupe may span several lengths, and returns the classes as one
 array in lexicographic order.  Each class is filed at (length, least
 weight): the sum and the least message weight of its canonical vector,
 both invariants of the class, so classes of different lengths never
-merge.  The generators of every class of the call are then built as
-one gf2 stack, reduced by one rref_stack and weighed by one
-code_profiles call, and their keys written by one canonical.counts_keys
-call; _build_db checks each level's classes against its own [n, k, d'].
+merge; one code.message_weights transform gives every class's least
+weight.  The generators of every class of the call are then built as
+one gf2 stack and reduced by one rref_stack, and the reduced rows, the
+ones stored, are weighed again from their own column types by one
+type_counts pass and one transform; their keys are written by one
+canonical.counts_keys call, and _build_db checks each level's classes
+against its own [n, k, d'].
 
 classify runs the ladder as a plan, _ladder, made before any work: the
 rungs bottom-up, each an (n', k') pair with the levels d' its build
@@ -68,7 +71,8 @@ column types of its rows, read by one type_counts pass, must all have
 least message weight d, and _file_levels must file them into exactly
 the stored records, so only that check compares a key with its rows.
 lcd_census reads the rows' column types the same way and takes every
-class's hull from one hull_dims call, building no LinearCode.
+class's hull from one hull_dims call on their message weights,
+building no LinearCode.
 
 In the Walsh-Hadamard branch the lengths and zero-column counts of one
 direct call often ask for the same ordered compositions.  Each table
@@ -88,7 +92,7 @@ import numpy as np
 from . import formats
 from .bounds import griesmer_dmax
 from .canonical import CANONICAL_CAP, canonical_classes, counts_keys
-from .code import (code_profiles, hull_dims, message_weight_matrix, sign_matrix,
+from .code import (hull_dims, message_weight_matrix, message_weights, sign_matrix,
                    type_counts)
 from .formats import CodeDB
 from .gf2 import pack_rows, pack_runs, rref_stack, stack_rows
@@ -222,15 +226,17 @@ def _dedupe_canonical(vec_arrays: list[np.ndarray], k: int) -> np.ndarray:
 
 def _verified_classes(k: int, canon: np.ndarray) -> list[tuple]:
     """(key, rows, (length, rank, least weight)) of each canonical
-    vector's class: the generators of all of them built as one stack,
-    reduced by one rref_stack and weighed by one code_profiles call, and
-    the class keys written by one counts_keys call."""
+    vector's class: the generators of all of them built as one stack and
+    reduced by one rref_stack, and the reduced generators, the rows that
+    are stored, weighed again from their own column types, read by one
+    type_counts pass, by one message_weights transform (the least weight
+    of a nonzero message, 0 when the rank is short).  The class keys are
+    written by one counts_keys call."""
     # TypeMultiplicity.generator's columns: the zero columns are padding
     reduced, rank = rref_stack(pack_runs(k, range(1, 1 << k), canon[:, 1:]))
     lengths = canon.sum(axis=1)
-    weights = code_profiles(k, int(lengths.max(initial=0)), reduced)
-    weights[:, 0] = 0  # least is 0 when no nonzero weight occurs
-    least = weights.astype(bool).argmax(axis=1).tolist()
+    types = type_counts(k, int(lengths.max(initial=0)), reduced)
+    least = message_weights(k, types)[:, 1:].min(axis=1).tolist()
     return list(zip(counts_keys(k, canon), stack_rows(reduced),
                     zip(lengths.tolist(), rank.tolist(), least)))
 
@@ -265,7 +271,7 @@ def _file_levels(k: int, ranges: dict[int, tuple[int, int]], method: str,
     canon = _dedupe_canonical(vec_arrays, k)
     levels: dict[tuple[int, int], list[int]] = {
         (n, dd): [] for n, (d, top) in ranges.items() for dd in range(d, top + 1)}
-    weights = (canon[:, 1:] @ message_weight_matrix(k).T).min(axis=1)
+    weights = message_weights(k, canon)[:, 1:].min(axis=1)
     for i, (n, w) in enumerate(zip(canon.sum(axis=1).tolist(), weights.tolist())):
         if (n, w) not in levels:
             raise AssertionError(f"class {tuple(canon[i].tolist())} has length {n} "
@@ -597,10 +603,20 @@ def _validate_seeds(dbs, d: int):
     return n1, k1
 
 
+def check_jobs(jobs: int):
+    """Refuse a worker count outside 1..os.cpu_count(): a process pool
+    starts all its workers at its first task."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise ValueError(f"jobs must be in 1..{cpus}, the CPU count; got {jobs}")
+
+
 def _extend_all(dbs, d: int, jobs: int = 1) -> dict[int, CodeDB]:
     """All [n, k, d''] classes for every d'' >= d from complete seed
     levels: one kernel call for every seed, or one for each of jobs
-    contiguous groups of seeds, each in its own worker process."""
+    contiguous groups of seeds, each in its own worker process (jobs in
+    1..os.cpu_count())."""
+    check_jobs(jobs)
     if d < 2:
         raise ValueError("extension needs d >= 2")
     n1, k1 = _validate_seeds(dbs, d)
@@ -641,7 +657,7 @@ def _load_checked(path: str, n: int, k: int, d: int) -> CodeDB:
     db = formats.load_codedb(path)
     if (db.n, db.k, db.d) == (n, k, d):
         counts = type_counts(k, n, pack_rows(k, n, [rows for _, rows in db.records]))
-        least = (counts[:, 1:] @ message_weight_matrix(k).T).min(axis=1)
+        least = message_weights(k, counts)[:, 1:].min(axis=1)
     if (db.n, db.k, db.d) != (n, k, d) or (least != d).any():
         raise ValueError(f"{path} does not hold [{n},{k},{d}] codes")
     if _file_levels(k, {n: (d, d)}, db.method, [counts])[n, d] != db:
@@ -673,10 +689,11 @@ def classify(n: int, k: int, d: int, *, db_dir: str | None = None,
     (n, k, d).  Every level built is persisted into db_dir.  A run
     starts above the highest rung stored there whole, read once
     verified: the top rung counts as stored once [n, k, d] is, a lower
-    one once all its levels are.  Needs 2 <= k <= CANONICAL_CAP and
-    n <= MAX_LENGTH.
+    one once all its levels are.  Needs 2 <= k <= CANONICAL_CAP,
+    n <= MAX_LENGTH and jobs in 1..os.cpu_count().
     """
     _check_length(n)
+    check_jobs(jobs)
     if d < 1:
         raise ValueError("need d >= 1")
     if not 2 <= k <= CANONICAL_CAP:
@@ -709,9 +726,9 @@ def classify(n: int, k: int, d: int, *, db_dir: str | None = None,
 def lcd_census(db: CodeDB) -> CensusResult:
     """Count classes and LCD classes in a classification: the column types
     of every stored generator are read in one type_counts pass, and
-    their hulls come from one hull_dims call."""
+    their hulls come from one hull_dims call on their message_weights."""
     stack = pack_rows(db.k, db.n, [rows for _, rows in db.records])
-    hulls = hull_dims(db.k, type_counts(db.k, db.n, stack))
+    hulls = hull_dims(db.k, message_weights(db.k, type_counts(db.k, db.n, stack)))
     lcd_keys = [db.records[i][0] for i in np.flatnonzero(hulls == 0).tolist()]
     return CensusResult(db.n, db.k, db.d, db.count, len(lcd_keys),
                         tuple(lcd_keys))

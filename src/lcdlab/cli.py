@@ -4,7 +4,8 @@ Subcommands: family, bounds, classify, census, search, verify-octal,
 reproduce.  Exit codes: 0 success, 1 verification mismatch or nothing
 found, 2 usage (bad options or parameters, or a database directory that
 cannot be used; one line on stderr).  The database directory comes from
---db, overridden by LCDLAB_DB, and is created before any work.
+--db, overridden by LCDLAB_DB, and is created before any work; a --jobs
+outside 1..os.cpu_count() is refused before that.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 import time
 
 from . import bounds, families, formats, tables
-from .classify import classify, lcd_census, levels_by_columns
+from .classify import check_jobs, classify, lcd_census, levels_by_columns
 from .code import profile_codes
 from .gf2 import BitMatrix
 from .search import SearchBudget, search_lcd
@@ -133,7 +134,8 @@ def cmd_search(args) -> int:
 def _verify_octal_table(groups, k: int, out: list[str]) -> bool:
     """Check each fixture generator: its [n, k, d], that it is not LCD,
     and a lossless octal round trip; the table's weights and hulls come
-    from one profile_codes call, one code_profiles and one hull_dims."""
+    from one profile_codes call: one type_counts pass and one
+    message_weights transform, whose weights also give the hulls."""
     fixtures = [(n, d, idx, s, formats.code_from_octal(s, n, k))
                 for (n, d), strings in groups
                 for idx, s in enumerate(strings, start=1)]
@@ -373,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", None) is not None:
+            check_jobs(args.jobs)  # before the database directory is made
         return args.func(args)
     except (ValueError, OSError) as exc:  # outside a domain; unusable --db
         print(f"lcdlab: error: {exc}", file=sys.stderr)

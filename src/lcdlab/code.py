@@ -3,20 +3,21 @@
 A code is stored through the reduced row-echelon form of a generator
 matrix, which is unique per row space, so structural equality means
 equality of codes; a generator not yet reduced is reduced as a
-gf2.rref_stack stack of one.  Weights come from one array kernel,
-code_profiles, which takes a whole stack of generators (see gf2): each
-generator's 2^k codewords are built by an XOR table over its rows,
-packed in uint64 words, and counted by weight with np.bitwise_count.  Hulls come from
-another, hull_dims, which reads only column-type multiplicities: over
-GF(2), G G^T is the sum of t t^T over the column types t of odd
-multiplicity, one product of the parities with outer_table, whose ranks
-gf2.rref_stack gives.  type_counts reads the multiplicities of a whole
-stack in one array pass.  A LinearCode asks for a stack of one and
-caches both answers; profile_codes fills the caches of many codes with
-one call of each kernel per dimension, and stack_codes makes the codes
+gf2.rref_stack stack of one.  Every weight, Gram and hull comes from
+column-type multiplicities through one exact transform: type_counts
+reads the multiplicities of a whole stack of generators (see gf2) in
+one array pass, and message_weights maps them to the weight of every
+message's codeword by one Walsh-Hadamard transform, two float64
+products with cached +-1 factors.  grams reads the integer
+G G^T off the weights of the unit messages and their sums, and
+hull_dims takes k minus the GF(2) ranks of those Grams from one
+gf2.rref_stack.  A LinearCode asks for a stack of one and caches its
+weight enumerator and hull; profile_codes fills the caches of many
+codes with one transform per dimension, and stack_codes makes the codes
 of a built stack.  Caches are filled idempotently and are safe to race.
-The sign, message-weight and outer-product tables over the 2^k column
-types, which families, classify and search share, live here.
+ENUMERATION_CAP bounds k before any array of 2^k entries is made.  The
+sign and message-weight tables over the 2^k column types, which
+classify and search share, live here.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import numpy as np
 from .canonical import canonical_key
 from .gf2 import BitMatrix, pack_rows, pack_runs, rref_stack, stack_rows
 
-ENUMERATION_CAP = 28  # 2^k codewords are enumerated exhaustively
-KERNEL_BLOCK = 1 << 18  # codeword words one step of code_profiles holds
+ENUMERATION_CAP = 20  # 2^k messages are weighed; one row of them is 8 MB
 
 
 @dataclass(frozen=True)
@@ -102,21 +102,16 @@ def message_weight_matrix(k: int) -> np.ndarray:
     return ((1 - sign_matrix(k)[1:, 1:]) >> 1).astype(np.int16)
 
 
-@lru_cache(maxsize=None)
-def outer_table(k: int) -> np.ndarray:
-    """(2^k, k^2) float64 0/1 table: row t is t t^T, flattened row-major,
-    so entry i k + j is [bits i and j of t are set].  The counts of the
-    column types times this table are the integer G G^T."""
-    bits = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.float64)
-    return (bits[:, :, None] * bits[:, None, :]).reshape(1 << k, k * k)
-
-
 def type_counts(k: int, n: int, stack: np.ndarray) -> np.ndarray:
     """(R, 2^k) int64 column-type multiplicities of the first n columns of
     each generator of a gf2 stack: column j read as the int with bit i
     from row i, so entry 0 counts the zero columns.  The padding past n
     is not counted.  The types are summed in the least unsigned dtype
-    that holds 2^k - 1, so the unpacked bits are not widened."""
+    that holds 2^k - 1, so the unpacked bits are not widened.  Needs
+    k <= ENUMERATION_CAP, checked before any 2^k array is made: every
+    weight and hull of a LinearCode starts here."""
+    if k > ENUMERATION_CAP:
+        raise ValueError(f"enumeration cap: k={k} > {ENUMERATION_CAP}")
     raw = np.ascontiguousarray(stack, dtype="<u8").view(np.uint8)
     bits = np.unpackbits(raw, axis=2, count=n, bitorder="little")
     types = (1 << np.arange(k)).astype(np.min_scalar_type((1 << k) - 1)) @ bits
@@ -124,59 +119,45 @@ def type_counts(k: int, n: int, stack: np.ndarray) -> np.ndarray:
     return np.bincount(types.ravel(), minlength=len(stack) << k).reshape(-1, 1 << k)
 
 
-def hull_dims(k: int, counts: np.ndarray) -> np.ndarray:
-    """k - rank_GF(2)(G G^T) for each row of counts, an (R, 2^k) array of
-    column-type multiplicities.  Each column of type t adds t t^T to
-    G G^T, so over GF(2) it is the sum over the types of odd count: the
-    parities times outer_table(k), mod 2.  The product is taken in
-    float64, exactly, as its entries are 0/1 and its sums at most 2^k;
-    the Grams are packed in bytes and their ranks come from one
-    gf2.rref_stack."""
-    odd = (counts & 1).astype(np.float64)
-    gram = (odd @ outer_table(k)).astype(np.intp).reshape(len(odd), k, k) & 1
-    return k - rref_stack(np.packbits(gram, axis=2, bitorder="little"), rows=False)[1]
+@lru_cache(maxsize=None)
+def _hadamard_factors(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 +-1 factors of H_k = H_hi (x) H_lo: sign_matrix of
+    the high k // 2 bits of a type, and of its low k - k // 2 bits."""
+    return tuple(sign_matrix(j).astype(np.float64) for j in (k // 2, k - k // 2))
 
 
-def code_profiles(k: int, n: int, g: np.ndarray) -> np.ndarray:
-    """The weight distributions of a gf2 stack of generators of k rows and
-    at most n columns (the rows need not be independent).
-
-    Returns an (R, n + 1) int64 array: entry (i, w) is the number of
-    messages whose codeword under generator i has weight w, so 2^(k -
-    rank) messages give weight 0.  Each message's codeword is read from
-    an XOR table over the rows, and weighed by np.bitwise_count: the
-    table of the low rows is XORed with each entry of the table of the
-    high rows, which it has only when 2^k words exceed KERNEL_BLOCK, and
-    the generators are taken in groups, so that one step holds at most
-    KERNEL_BLOCK words (or one low table).  Needs k <= ENUMERATION_CAP.
-    """
-    if k > ENUMERATION_CAP:
-        raise ValueError(f"enumeration cap: k={k} > {ENUMERATION_CAP}")
-    words = g.shape[2]
-    # rows in the low table, and generators in one group
-    low = min(k, max(0, (KERNEL_BLOCK // words).bit_length() - 1))
-    group = max(1, KERNEL_BLOCK // (words << low))
-    counts = np.zeros((len(g), n + 1), dtype=np.int64)
-    for lo in range(0, len(g), group):
-        part = g[lo:lo + group]
-        base = np.arange(len(part))[:, None] * (n + 1)
-        table = _xor_table(part[:, :low])
-        for high in _xor_table(part[:, low:]).transpose(1, 0, 2):
-            wt = np.bitwise_count(table ^ high[:, None]).sum(axis=2, dtype=np.intp)
-            counts[lo:lo + len(part)] += np.bincount(
-                (wt + base).ravel(), minlength=len(part) * (n + 1)
-            ).reshape(len(part), n + 1)
-    return counts
+def message_weights(k: int, counts: np.ndarray) -> np.ndarray:
+    """The weight of every message's codeword, in int64, from column-type
+    multiplicities: counts has 2^k entries on its last axis, any leading
+    axes and any integers (negative ones too, as the map is linear).
+    Entry m is the sum of counts[v] over the types v with m . v = 1,
+    which is (W[0] - W[m]) / 2 for the Walsh-Hadamard transform
+    W[m] = sum_v (-1)^(m . v) counts[v].  Since
+    (-1)^(m . v) = (-1)^(m_hi . v_hi) (-1)^(m_lo . v_lo), W is two
+    float64 products with the cached factors of _hadamard_factors, exact
+    while the absolute counts of a row sum below 2^53."""
+    hi, lo = _hadamard_factors(k)
+    low = np.asarray(counts, dtype=np.float64).reshape(-1, len(lo)) @ lo  # one BLAS call
+    w = (hi @ low.reshape(-1, len(hi), len(lo))).astype(np.int64).reshape(np.shape(counts))
+    return (w[..., :1] - w) >> 1
 
 
-def _xor_table(rows: np.ndarray) -> np.ndarray:
-    """(m, j, words) rows -> (m, 2^j, words): entry x of generator i is
-    the XOR of its rows r with bit r of x set."""
-    m, j, words = rows.shape
-    table = np.zeros((m, 1 << j, words), dtype=np.uint64)
-    for r in range(j):
-        table[:, 1 << r:2 << r] = table[:, :1 << r] ^ rows[:, r:r + 1]
-    return table
+def grams(k: int, weights: np.ndarray) -> np.ndarray:
+    """The integer G G^T, (..., k, k), of each generator whose message
+    weights (of message_weights) are the last axis of weights: entry
+    (i, j) counts the columns with ones in rows i and j, which is
+    (w[e_i] + w[e_j] - w[e_i + e_j]) / 2, so the diagonal is w[e_i]."""
+    unit = 1 << np.arange(k)
+    wu = weights[..., unit]
+    return (wu[..., :, None] + wu[..., None, :] - weights[..., unit[:, None] ^ unit]) >> 1
+
+
+def hull_dims(k: int, weights: np.ndarray) -> np.ndarray:
+    """k - rank_GF(2)(G G^T) for each row of weights, an (R, 2^k) array of
+    message weights (of message_weights): the parities of the grams are
+    packed in bytes and their ranks come from one gf2.rref_stack."""
+    odd = grams(k, weights) & 1
+    return k - rref_stack(np.packbits(odd, axis=2, bitorder="little"), rows=False)[1]
 
 
 class LinearCode:
@@ -264,17 +245,21 @@ def stack_codes(stack: np.ndarray, lengths) -> list[LinearCode]:
 
 
 def _fill_caches(codes, k: int, n: int, stack: np.ndarray):
-    """Cache the weight enumerators, from one code_profiles call, and the
-    hulls, from one hull_dims call on the column types, of the codes of
-    the stack, whose generators have at most n columns (a shorter one's
-    padding columns are zero, which add nothing to its Gram).  Each
-    enumerator is read from the nonzero entries of its counts row."""
-    counts = code_profiles(k, n, stack)
-    hulls = hull_dims(k, type_counts(k, n, stack)).tolist()
+    """Cache the weight enumerators and the hulls of the codes of the
+    stack, whose generators have at most n columns (a shorter one's
+    padding columns are zero, of no weight): the message weights of all
+    of them come from one type_counts pass and one message_weights
+    transform, the enumerators from one bincount of those weights, and
+    the hulls from one hull_dims call on the same weights.  Each
+    enumerator is read from the nonzero entries of its row."""
+    w = message_weights(k, type_counts(k, n, stack))
+    counts = np.bincount((w + np.arange(len(w))[:, None] * (n + 1)).ravel(),
+                         minlength=len(w) * (n + 1)).reshape(-1, n + 1)
+    hulls = hull_dims(k, w).tolist()
     for c, row, h in zip(codes, counts, hulls):
         c._hull = h  # first: profile_codes tests _we, so a set _we means both are set
-        w = row.nonzero()[0]
-        c._we = WeightEnumerator(tuple(zip(w.tolist(), row[w].tolist())))
+        nz = row.nonzero()[0]
+        c._we = WeightEnumerator(tuple(zip(nz.tolist(), row[nz].tolist())))
 
 
 def make_code(g: BitMatrix) -> LinearCode:

@@ -12,13 +12,13 @@ Each check takes a dimension's rows, or its members, as one stack; a
 single one is a stack of one.  family_codes evaluates its members'
 multiplicity vectors as one array, builds their generators from runs
 (each unit column and each block j is one run of equal columns) with
-one gf2.pack_runs call, and takes their weights from one code_profiles
-call and their hulls from one hull_dims call; a member longer than
-gf2.MAX_DIM is rejected on Python ints, before any array is made.  The
-column types of [I_k | M] have multiplicities
-affine in t, held for all rows as (S, 2^k) offset and slope arrays, and
-one product with the message-weight matrix gives every row's weight
-enumerator exponents, and one with code.outer_table its integer Grams.
+one gf2.pack_runs call, and takes their weights and hulls from one
+code.message_weights transform of their column types; a member longer
+than gf2.MAX_DIM is rejected on Python ints, before any array is made.
+The column types of [I_k | M] have multiplicities affine in t, held for
+all rows as (S, 2^k) offset and slope arrays: one transform of both
+gives every row's weight enumerator exponents, and one of the counts at
+t = 0..k gives the integer Grams there (code.grams).
 det(G G^T), of degree <= k in t, is interpolated
 from its values at t = 0..k: the Grams of every row at every such t
 form one (S (k+1), k, k) stack, whose determinants one Leibniz
@@ -40,7 +40,7 @@ from math import factorial
 import numpy as np
 
 from . import tables
-from .code import LinearCode, message_weight_matrix, outer_table, stack_codes
+from .code import LinearCode, grams, message_weights, stack_codes
 from .gf2 import MAX_DIM, BitMatrix, pack_runs, stack_rows
 
 # -- affine forms ------------------------------------------------------------
@@ -244,10 +244,9 @@ def _type_counts(k: int, avs: list) -> np.ndarray:
 
 def _gram(k: int, counts: np.ndarray) -> np.ndarray:
     """The integer G G^T of a generator with these column-type
-    multiplicities, the last axis of counts: entry (i, j) counts the
-    columns with ones in rows i, j, the counts times code.outer_table
-    (exact in its float64 while every entry is below 2^53)."""
-    return (counts @ outer_table(k)).astype(np.int64).reshape(*counts.shape[:-1], k, k)
+    multiplicities, the last axis of counts: code.grams of their
+    code.message_weights."""
+    return grams(k, message_weights(k, counts))
 
 
 # -- symbolic weight enumerator ----------------------------------------------
@@ -264,9 +263,10 @@ class SymbolicWE:
 
 def symbolic_weight_enumerators(k: int, avs) -> list[SymbolicWE]:
     """The SymbolicWE of each av in avs.  The exponent for message m is
-    row m-1 of message_weight_matrix(k) times the offset and the slope
-    multiplicities of [I_k | M(av)]; one product gives every av's."""
-    off, slope = _type_counts(k, list(avs))[..., 1:] @ message_weight_matrix(k).T
+    the weight code.message_weights gives m from the offset and from
+    the slope multiplicities of [I_k | M(av)]; one transform gives every
+    av's."""
+    off, slope = message_weights(k, _type_counts(k, list(avs)))[..., 1:]
     return [SymbolicWE(k, tuple((mult, AffineForm(o, sl)) for (sl, o), mult
                                 in sorted(Counter(zip(sls, offs)).items())))
             for sls, offs in zip(slope.tolist(), off.tolist())]
@@ -299,9 +299,9 @@ def symbolic_gram_dets(k: int, avs) -> list[tuple[int, ...]]:
     AssertionError.
     """
     off, slope = _type_counts(k, list(avs))
-    grams = _gram(k, off[:, None] + np.arange(k + 1)[:, None] * slope[:, None])
+    at_t = _gram(k, off[:, None] + np.arange(k + 1)[:, None] * slope[:, None])
     dets = []
-    for values in _dets(grams.reshape(-1, k, k)).reshape(-1, k + 1).tolist():
+    for values in _dets(at_t.reshape(-1, k, k)).reshape(-1, k + 1).tolist():
         det = _interpolate(values)
         if len(det) > k + 1:
             raise AssertionError(f"determinant {det} has degree above {k}")

@@ -60,8 +60,8 @@ A state is checked for LCD only once its minimum reaches d.  By Massey
 each column of type t adds t t^T to G G^T, so over GF(2) G G^T = sum of
 t t^T over the types t of odd count.  The search carries that k x k
 matrix as one int, row i in bits ik .. ik + k - 1: a move i -> j flips
-the parity of both types, so it XORs in the packed t t^T of each, read
-from the outer-product table that code.hull_dims uses.  A state whose
+the parity of both types, so it XORs in the packed t t^T of each, whose
+row i is t where bit i of t is set and 0 elsewhere.  A state whose
 minimum reaches d has that Gram unpacked and its rank taken by
 _full_rank, the search's own k x k forward elimination, and only one
 whose Gram has rank k becomes a LinearCode, which is checked
@@ -90,7 +90,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import griesmer_dmax
-from .code import LinearCode, TypeMultiplicity, message_weight_matrix, outer_table
+from .code import LinearCode, TypeMultiplicity, message_weight_matrix
 from .gf2 import MAX_DIM
 
 SEARCH_CAP = 10  # 2^(5k) <= 2^53: move values exact in float64
@@ -115,12 +115,10 @@ def _digit_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     x[i, m] = B^a[m, i] and y[m, j] = B^(1 - a[m, j]), u's values
     (B^2, B, 1, 0) indexed by min(e_m, 3), the flat offsets r (2^k - 1)
     of the rows of f, and the packed t t^T of each nonzero type t (row i
-    in bits ik .. ik + k - 1: t where bit i of t is set), read from
-    code.outer_table."""
+    in bits ik .. ik + k - 1: t where bit i of t is set, else 0)."""
     a = message_weight_matrix(k).astype(np.intp)
     q = len(a)
-    packed = np.packbits(outer_table(k)[1:].astype(np.uint8), axis=1, bitorder="little")
-    outer = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    outer = tuple(sum(t << i * k for i in range(k) if t >> i & 1) for t in range(1, q + 1))
     # a is symmetric, so x = B^(a^T) is B^a, whose rows C order keeps contiguous
     return (a, np.exp2(k * a), np.exp2(k * (1 - a)),
             np.array([1 << 2 * k, 1 << k, 1, 0], dtype=np.float64),

@@ -176,6 +176,24 @@ def test_build_db_rejects_a_class_off_its_level(n, k, d, counts):
         build(n, k, d, counts)
 
 
+def test_verified_classes_weigh_the_built_rows(monkeypatch):
+    """A fault in building a class's generator shows in the weights read
+    back from the rows that would be stored: here row 0 loses its first
+    column, which leaves the rank 2 but gives a codeword of weight 1."""
+    module = importlib.import_module("lcdlab.classify")
+    real = module.pack_runs
+
+    def faulty(*args):
+        stack = real(*args)
+        stack[:, 0, 0] &= ~np.uint64(1)
+        return stack
+
+    monkeypatch.setattr(module, "pack_runs", faulty)
+    canon = np.array([[0, 1, 1, 1]], dtype=np.int64)  # the [3,2,2] class
+    with pytest.raises(AssertionError, match=r"\[3,2,1\] != \[3,2,2\]"):
+        _build_db(3, 2, 2, "columns", canon, _verified_classes(2, canon))
+
+
 @pytest.mark.parametrize("case, levels", [
     ("three lengths", 10), ("one length", 6), ("one level", 1),
     ("extension", 2), ("no level", 0)])
@@ -190,16 +208,24 @@ def test_file_levels_profiles_every_level_in_one_call(monkeypatch, case, levels)
     }[case]
     module = importlib.import_module("lcdlab.classify")
     calls = []
-    real = module.code_profiles
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[2]))
-        return real(*args, **kwargs)
+    def counted(name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(module, "code_profiles", counted)
+        def call(*args):
+            out = real(*args)
+            calls.append((name, len(out)))
+            return out
+        monkeypatch.setattr(module, name, call)
+
+    counted("type_counts")
+    counted("message_weights")
     filed = file()
     assert len(filed) == levels
-    assert calls == [sum(db.count for db in filed.values())]
+    total = sum(db.count for db in filed.values())
+    # one transform files the classes, and one weighs their built stack
+    assert [c for c in calls if c[0] == "message_weights"] == [("message_weights", total)] * 2
+    assert calls[-2:] == [("type_counts", total), ("message_weights", total)]
 
 
 def test_oracle_settlement_small():
@@ -602,6 +628,24 @@ def test_jobs_parallel_determinism():
     parallel = _extend_all(seeds, 11, jobs=2)
     assert {d: db.keys() for d, db in serial.items()} == \
            {d: db.keys() for d, db in parallel.items()}
+
+
+@pytest.mark.parametrize("jobs", [0, -3, "cpus + 1"])
+def test_extend_all_refuses_jobs_outside_cpu_count(monkeypatch, jobs):
+    """A worker count outside 1..os.cpu_count() is refused before a pool
+    is made; os.cpu_count() itself gives the serial levels."""
+    import concurrent.futures
+
+    seeds = [classify_by_columns(20, 2, dd) for dd in (11, 12, 13)]
+    cpus = os.cpu_count()
+    jobs = cpus + 1 if jobs == "cpus + 1" else jobs
+    with monkeypatch.context() as m:
+        m.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # never made
+        with pytest.raises(ValueError, match=r"jobs must be in 1\.\."):
+            _extend_all(seeds, 11, jobs=jobs)
+        with pytest.raises(ValueError, match=r"jobs must be in 1\.\."):
+            classify(22, 4, 11, jobs=jobs)
+    assert _extend_all(seeds, 11, jobs=cpus) == _extend_all(seeds, 11, jobs=1)
 
 
 def test_stretch_counts_near_griesmer():

@@ -347,6 +347,34 @@ def test_unusable_db_dir_exit_2_one_line(capsys, tmp_path, command, where):
     assert str(blocked) in err, err
 
 
+@pytest.mark.parametrize("command", ["classify", "census", "reproduce"])
+@pytest.mark.parametrize("jobs", [0, -3, "cpus + 1"])
+def test_jobs_outside_cpu_count_exit_2_before_any_work(capsys, tmp_path, monkeypatch,
+                                                       command, jobs):
+    """--jobs outside 1..os.cpu_count() is one error line and exit 2,
+    before the database directory is made or a check is run."""
+    monkeypatch.delenv("LCDLAB_DB", raising=False)
+    monkeypatch.setattr(cli, "classify", None)  # any work would raise TypeError
+    monkeypatch.setattr(cli, "_reproduce_checks", None)
+    jobs = os.cpu_count() + 1 if jobs == "cpus + 1" else jobs
+    db = tmp_path / "db"
+    argv = {"classify": "classify --n 21 --k 3 --d 12", "census": "census --n 21 --k 3 --d 12",
+            "reproduce": "reproduce --suite bounds --full"}[command].split()
+    code = main([*argv, "--db", str(db), "--jobs", str(jobs)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("lcdlab: error: jobs must be in 1..") and err.count("\n") == 1, err
+    assert not db.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "census"])
+def test_jobs_at_cpu_count_accepted(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.delenv("LCDLAB_DB", raising=False)
+    code, out = run(capsys, command, "--n", "21", "--k", "3", "--d", "12", "--json",
+                    "--db", str(tmp_path), "--jobs", str(os.cpu_count()))
+    assert code == 0 and json.loads(out)["count"] >= 1
+
+
 @pytest.mark.parametrize("argv", [
     "verify-octal --all",
     "search --n 17 --k 4 --d 8 --jobs 2",

@@ -1,7 +1,6 @@
 import random
-from collections import Counter
+import tracemalloc
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
-from brute import (codewords, dual, from_columns, from_runs, gram, matmul,
+from brute import (codewords, dual, from_columns, from_runs, gram, int_gram, matmul,
                    parity_gram, rref, shorten)
-from lcdlab import code as code_module
-from lcdlab.code import (LinearCode, TypeMultiplicity, code_profiles, hull_dims,
-                         make_code, type_counts)
+from lcdlab.code import (ENUMERATION_CAP, LinearCode, TypeMultiplicity, grams,
+                         hull_dims, make_code, message_weight_matrix, message_weights,
+                         type_counts)
 from lcdlab.families import build_generator, family_a_vector
 from lcdlab.gf2 import BitMatrix, pack_rows
 
@@ -183,22 +182,35 @@ def generator_stacks(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(generator_stacks(), st.sampled_from((None, 1, 8, 64)))
-@example((3, 5, []), None)  # an empty stack
-@example((0, 7, [(), ()]), None)  # k = 0: only the zero message
-@example((10, 200, [(1 << 199,) * 10]), 8)  # one repeated row, four words
-def test_code_profiles_match_gray_walk_and_rref(case, block):
-    """Every generator's weight distribution is the multiset of its Gray
-    walk's codeword weights, also with blocks small enough to split the
-    XOR table and the stack.  (The hulls are test_hull_dims_match_rref's.)"""
+@given(generator_stacks())
+@example((3, 5, []))  # an empty stack
+@example((0, 7, [(), ()]))  # k = 0: only the zero message
+@example((10, 200, [(1 << 199,) * 10]))  # one repeated row, four words
+def test_message_weights_match_gray_walk(case):
+    """The message weights of every generator, from its column types, are
+    the weights of its Gray walk's codewords, message for message.  (The
+    hulls are test_hull_dims_match_rref's.)"""
     k, n, stack = case
-    with mock.patch.object(code_module, "KERNEL_BLOCK",
-                           block or code_module.KERNEL_BLOCK):
-        counts = code_profiles(k, n, pack_rows(k, n, stack))
-    assert counts.dtype == np.int64 and counts.shape == (len(stack), n + 1)
-    for rows, by_weight in zip(stack, counts.tolist()):
-        walk = Counter(cw.bit_count() for cw in codewords(rows))
-        assert {w: c for w, c in enumerate(by_weight) if c} == walk
+    weights = message_weights(k, type_counts(k, n, pack_rows(k, n, stack)))
+    assert weights.dtype == np.int64 and weights.shape == (len(stack), 1 << k)
+    for rows, row in zip(stack, weights.tolist()):
+        walk = [cw.bit_count() for cw in codewords(rows)]
+        assert [row[m ^ m >> 1] for m in range(1 << k)] == walk
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_message_weights_match_matrix_product(k):
+    """message_weights is the product with message_weight_matrix, exact on
+    counts of either sign (a family's slopes are negative), on empty
+    stacks and with leading axes."""
+    rng = np.random.default_rng(k)
+    a = message_weight_matrix(k).astype(np.int64)
+    for shape in ((0, 1 << k), (1, 1 << k), (5, 1 << k), (2, 3, 1 << k)):
+        counts = rng.integers(-1000, 1000, shape)
+        weights = message_weights(k, counts)
+        assert weights.dtype == np.int64 and weights.shape == shape
+        assert (weights[..., 0] == 0).all()
+        assert (weights[..., 1:] == counts[..., 1:] @ a.T).all()
 
 
 @st.composite
@@ -222,15 +234,18 @@ def multiplicity_stacks(draw):
 @example((0, np.array([[0], [3]])))  # k = 0: hull 0
 @example((10, np.ones((1, 1024), dtype=np.int64)))  # every type once
 def test_hull_dims_match_rref(case):
-    """hull_dims is k - rank(G G^T) by rref for a generator with those
-    multiplicities, built run by run, whose Gram is the parity Gram."""
+    """hull_dims of the message weights is k - rank(G G^T) by rref for a
+    generator with those multiplicities, built run by run, whose Gram is
+    the parity Gram; grams gives its integer Gram."""
     k, counts = case
-    hulls = hull_dims(k, counts)
+    weights = message_weights(k, counts)
+    hulls = hull_dims(k, weights)
     assert hulls.shape == (len(counts),)
-    for row, h in zip(counts.tolist(), hulls.tolist()):
+    for row, h, g_int in zip(counts.tolist(), hulls.tolist(), grams(k, weights).tolist()):
         g = from_runs(k, list(enumerate(row)))
         assert gram(g) == parity_gram(TypeMultiplicity(k, tuple(row)))
         assert h == k - rref(gram(g)).rank
+        assert tuple(map(tuple, g_int)) == int_gram(g).entries
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 130])
@@ -270,12 +285,30 @@ def test_column_types_match_per_column_form(code):
 
 
 def test_enumeration_cap():
-    c = make_code(BitMatrix.identity(29))
+    c = make_code(BitMatrix.identity(ENUMERATION_CAP + 1))
     with pytest.raises(ValueError, match="enumeration cap"):
         c.weight_enumerator()
+    with pytest.raises(ValueError, match="enumeration cap"):
+        c.min_weight()
     # a hull fills both caches, so it is capped too
     with pytest.raises(ValueError, match="enumeration cap"):
         c.hull_dim()
+
+
+def test_hull_memory_follows_one_row_of_types():
+    """A hull at k = 16 holds a few arrays of 2^16 entries, not 2^k k^2."""
+    c = make_code(BitMatrix.identity(16))
+    counts = np.zeros((1, 1 << 16), dtype=np.int64)
+    counts[0, 1 << np.arange(16)] = 1
+    tracemalloc.start()
+    try:
+        hulls = hull_dims(16, message_weights(16, counts))
+        assert c.hull_dim() == 0 and c.min_weight() == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hulls.tolist() == [0]
+    assert peak < 16 << 20, peak
 
 
 def test_shorten_examples():
